@@ -19,8 +19,6 @@ from .numerics import (
     Parameter,
     Tensor,
     add,
-    backward,
-    clip_global_norm,
     concat,
     dropout,
     embedding_lookup,
@@ -35,23 +33,22 @@ from .numerics import (
     tanh,
     tensor_sum,
     transpose,
-    zero_grads,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.optim import Adam
+from .numerics.optim import Adam, fit
 
 
 @dataclass
 class TeacherDecode:
     """Stepwise outputs of a teacher-forced decode."""
 
-    log_probs: list  # (1, V) log-distribution per step
+    log_probs: Tensor  # (T, V) log-distributions, one row per step
     targets: list[int]  # gold next-token ids, EOS last
-    attention: list[np.ndarray]  # (1, |source|) weights per step
 
     @property
     def total_logprob(self) -> float:
-        return float(sum(lp.data[0, t] for lp, t in zip(self.log_probs, self.targets)))
+        # a sequential float32 sum; numpy's pairwise .sum() rounds differently
+        return float(sum(lp[t] for lp, t in zip(self.log_probs.data, self.targets)))
 
     @property
     def token_count(self) -> int:
@@ -116,21 +113,19 @@ class CompressionModel:
         cell_state = Tensor(np.zeros((1, self.d), dtype=self.dtype))
         inputs = [BOS] + list(target_ids)
         targets = list(target_ids) + [EOS]
-        log_probs, attention = [], []
+        log_probs = []
         for token in inputs:
             x = embedding_lookup(self.tgt_embed, [token])
             state, cell_state = self.dec.step(x, state, cell_state)
             out_state = dropout(state, drop, rng, training=True) if training and drop > 0.0 else state
-            weights, context = self._attend(out_state, annotations, projected)
+            _, context = self._attend(out_state, annotations, projected)
             log_probs.append(log_softmax(self._output_logits(out_state, context), axis=1))
-            attention.append(weights.data.copy())
-        return TeacherDecode(log_probs=log_probs, targets=targets, attention=attention)
+        return TeacherDecode(log_probs=concat(log_probs, axis=0), targets=targets)
 
     def nll_loss(self, source_ids, target_ids, rng=None, training: bool = False,
                  drop: float = 0.0) -> Tensor:
         dec = self.decode_teacher(source_ids, target_ids, rng=rng, training=training, drop=drop)
-        picked = [gather_rows(lp, [t]) for lp, t in zip(dec.log_probs, dec.targets)]
-        return -tensor_sum(concat(picked, axis=0))
+        return -tensor_sum(gather_rows(dec.log_probs, dec.targets))
 
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
@@ -198,12 +193,6 @@ def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> floa
     return float(np.exp(total / count))
 
 
-def raw_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
-    """Unnormalized probability exp(total logprob), for ablation only."""
-    total, _ = seq2seq_logprob(model, source, target)
-    return float(np.exp(total))
-
-
 def decode_greedy(model: CompressionModel, vocab: Vocabulary, source: Sentence,
                   max_len: int) -> Sentence:
     if source.ids is None:
@@ -231,40 +220,21 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
     if not pairs:
         raise DataError("cannot train compression on an empty pair set")
     encoded = [(list(p.source.ids), list(p.target.ids)) for p in pairs]
-    params = model.parameters()
-    opt = Adam(params, lr=config.compression_lr, beta1=config.beta1,
+    opt = Adam(model.parameters(), lr=config.compression_lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
-    best_ppl = float("inf")
-    best_params = {p.name: p.data.copy() for p in params}
-    metrics: list[dict] = []
-    for epoch in range(1, config.compression_epochs + 1):
-        order = rng.permutation(len(encoded))
-        epoch_nll = 0.0
-        epoch_tokens = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            zero_grads(params)
-            for idx in batch:
-                source_ids, target_ids = encoded[int(idx)]
-                loss = model.nll_loss(source_ids, target_ids, rng=rng,
-                                      training=True, drop=config.dropout)
-                epoch_nll += float(loss.data)
-                epoch_tokens += len(target_ids) + 1
-                backward(loss * (1.0 / len(batch)))
-            clip_global_norm(params, config.clip_norm)
-            opt.step()
-        entry = {
-            "epoch": epoch,
-            "train_ppl": float(np.exp(epoch_nll / max(epoch_tokens, 1))),
-        }
-        if val_pairs:
-            val_ppl = perplexity(model, val_pairs)
-            entry["val_ppl"] = val_ppl
-            if val_ppl < best_ppl:
-                best_ppl = val_ppl
-                best_params = {p.name: p.data.copy() for p in params}
-        metrics.append(entry)
-    if val_pairs:
-        for p in params:
-            p.data = best_params[p.name].copy()
-    return metrics
+
+    def item_loss(pair):
+        source_ids, target_ids = pair
+        loss = model.nll_loss(source_ids, target_ids, rng=rng,
+                              training=True, drop=config.dropout)
+        return loss, float(loss.data), len(target_ids) + 1
+
+    def end_epoch(epoch, nll_sum, tokens):
+        row = {"epoch": epoch, "train_ppl": float(np.exp(nll_sum / max(tokens, 1)))}
+        if not val_pairs:
+            return row, None, False
+        row["val_ppl"] = perplexity(model, val_pairs)
+        return row, -row["val_ppl"], False
+
+    return fit(opt, encoded, item_loss, end_epoch, epochs=config.compression_epochs,
+               batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

@@ -25,3 +25,8 @@ class DataError(LatentSumError):
 class CheckpointError(LatentSumError):
     exit_code = 4
     kind = "checkpoint"
+
+
+class NumericError(LatentSumError):
+    exit_code = 5
+    kind = "numeric"

@@ -20,8 +20,7 @@ from .numerics import (
     Parameter,
     Tensor,
     add,
-    backward,
-    clip_global_norm,
+    backward,  # noqa: F401 -- perfbench's tracer test reads latentsum.extractive.backward
     concat,
     dropout,
     embedding_lookup,
@@ -36,10 +35,9 @@ from .numerics import (
     split_rows,
     tensor_sum,
     transpose,
-    zero_grads,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.optim import Adam
+from .numerics.optim import Adam, fit
 from .rouge import rouge_mean
 
 START_LABEL = 0
@@ -69,12 +67,12 @@ class EncodedDocument:
 class DecodeResult:
     """Per-step decoder outputs for one document."""
 
-    log_probs: list  # (1, 2) log-distributions over {0, 1}
+    log_probs: Tensor  # (n, 2) log-distributions over {0, 1}, one row per step
     labels: list[int]  # the label chosen (or given) at each step
     h_d: list  # decoder hidden states, (1, d) each
 
     def prob_true(self) -> list[float]:
-        return [float(np.exp(lp.data[0, 1])) for lp in self.log_probs]
+        return [float(np.exp(lp)) for lp in self.log_probs.data[:, 1]]
 
 
 @dataclass
@@ -175,13 +173,12 @@ class ExtractiveModel:
             labels.append(label)
             h_d.append(h)
             prev = label
-        return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
+        return DecodeResult(log_probs=concat(log_probs, axis=0), labels=labels, h_d=h_d)
 
     def nll_loss(self, enc: EncodedDocument, labels: LabelSequence) -> Tensor:
         """Negative log-likelihood of the gold labels under teacher feed."""
         dec = self.decode_labels(enc, feed="teacher", teacher_labels=labels)
-        picked = [gather_rows(lp, [y]) for lp, y in zip(dec.log_probs, labels.labels)]
-        return -tensor_sum(concat(picked, axis=0))
+        return -tensor_sum(gather_rows(dec.log_probs, dec.labels))
 
     def select_top_k(self, doc: Document, k: int) -> TopK:
         """Greedy-feed inference; rank by p(y_i=1), ties to lower index."""
@@ -238,15 +235,6 @@ def label_accuracy(model: ExtractiveModel, records, labels_by_id) -> float:
     return hits / total if total else 0.0
 
 
-def _snapshot(params) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in params}
-
-
-def _restore(params, snap: dict[str, np.ndarray]):
-    for p in params:
-        p.data = snap[p.name].copy()
-
-
 def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
                      val_records, config, rng) -> list[dict]:
     """Adam on teacher-forced NLL; keeps the checkpoint with the highest
@@ -256,45 +244,30 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
     for doc, _ in train_records:
         if doc.id not in labels_by_id:
             raise DataError(f"no oracle labels for document {doc.id!r}")
-    params = model.parameters()
-    opt = Adam(params, lr=config.extractive_lr, beta1=config.beta1,
+    opt = Adam(model.parameters(), lr=config.extractive_lr, beta1=config.beta1,
                beta2=config.beta2, eps=config.adam_eps)
-    best_rouge = -1.0
-    best_params = _snapshot(params)
-    metrics: list[dict] = []
-    for epoch in range(1, config.extractive_epochs + 1):
-        order = rng.permutation(len(train_records))
-        epoch_loss = 0.0
-        epoch_steps = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            zero_grads(params)
-            for idx in batch:
-                doc, _ = train_records[int(idx)]
-                gold = labels_by_id[doc.id]
-                enc = model.encode_document(
-                    doc, rng=rng, training=True,
-                    drop=config.dropout, word_dropout=config.word_dropout,
-                )
-                loss = model.nll_loss(enc, gold)
-                epoch_loss += float(loss.data) / len(gold)
-                epoch_steps += 1
-                backward(loss * (1.0 / len(batch)))
-            clip_global_norm(params, config.clip_norm)
-            opt.step()
+
+    def item_loss(record):
+        doc, _ = record
+        gold = labels_by_id[doc.id]
+        enc = model.encode_document(
+            doc, rng=rng, training=True,
+            drop=config.dropout, word_dropout=config.word_dropout,
+        )
+        loss = model.nll_loss(enc, gold)
+        return loss, float(loss.data) / len(gold), 1
+
+    def end_epoch(epoch, loss_sum, steps):
         train_acc = label_accuracy(model, train_records, labels_by_id)
-        val_rouge = evaluate_rouge_mean(model, val_records, config.max_select) if val_records else 0.0
-        metrics.append({
+        val_rouge = evaluate_rouge_mean(model, val_records, config.max_select)
+        row = {
             "epoch": epoch,
-            "train_loss": epoch_loss / max(epoch_steps, 1),
+            "train_loss": loss_sum / max(steps, 1),
             "train_acc": train_acc,
             "val_rouge_mean": val_rouge,
-        })
-        if val_records and val_rouge > best_rouge:
-            best_rouge = val_rouge
-            best_params = _snapshot(params)
-        if config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc:
-            break
-    if val_records:
-        _restore(params, best_params)
-    return metrics
+        }
+        stop = config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc
+        return row, (val_rouge if val_records else None), stop
+
+    return fit(opt, train_records, item_loss, end_epoch, epochs=config.extractive_epochs,
+               batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

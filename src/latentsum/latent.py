@@ -95,9 +95,7 @@ def sample_labels(model: ExtractiveModel, doc: Document, rng) -> SampledExtracti
 
 
 def _extraction_from_decode(doc: Document, dec: DecodeResult) -> SampledExtraction:
-    logprobs = tuple(
-        float(lp.data[0, z]) for lp, z in zip(dec.log_probs, dec.labels)
-    )
+    logprobs = tuple(float(lp[z]) for lp, z in zip(dec.log_probs.data, dec.labels))
     z = LabelSequence(labels=tuple(dec.labels))
     selected = tuple(doc.sentences[i] for i in z.selected_indices())
     return SampledExtraction(z=z, logprobs=logprobs, selected=selected)
@@ -109,25 +107,21 @@ def reward(compression: CompressionModel, selected, summary: SummarySet,
     pooling of pairwise compression scores, then the alpha-weighted mix)."""
     if len(summary) == 0:
         raise DataError("reward needs a non-empty summary")
-    selected = list(selected)
-    if not selected:
-        return RewardBreakdown(
-            s_matrix=np.zeros((0, len(summary))), r_p=0.0, r_r=0.0, r=0.0, alpha=alpha,
-        )
-    s = np.array(
-        [[s_score(compression, c, h) for h in summary.sentences] for c in selected]
-    )
-    return reward_from_matrix(s, alpha)
+    return reward_from_matrix(_score_matrix(compression, selected, summary), alpha)
+
+
+def _score_matrix(compression: CompressionModel, sources, summary: SummarySet) -> np.ndarray:
+    """|sources| x |H| matrix of s_score(source, summary sentence)."""
+    rows = [[s_score(compression, c, h) for h in summary.sentences] for c in sources]
+    return np.array(rows).reshape(len(rows), len(summary))
 
 
 def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
+    """R from a |C| x |H| score matrix; an empty selection (|C| = 0) earns 0."""
     if s.ndim != 2:
         raise DataError(f"s_matrix must be 2-D, got shape {s.shape}")
     if s.shape[0] == 0:
-        return RewardBreakdown(
-            s_matrix=s.reshape(0, s.shape[1] if s.ndim == 2 else 0),
-            r_p=0.0, r_r=0.0, r=0.0, alpha=alpha,
-        )
+        return RewardBreakdown(s_matrix=s, r_p=0.0, r_r=0.0, r=0.0, alpha=alpha)
     r_p = float(np.mean(np.max(s, axis=1)))
     r_r = float(np.mean(np.max(s, axis=0)))
     r = alpha * r_p + (1.0 - alpha) * r_r
@@ -135,16 +129,14 @@ def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
 
 
 def _selected_logprob_sum(dec: DecodeResult) -> Tensor:
-    picked = [gather_rows(lp, [z]) for lp, z in zip(dec.log_probs, dec.labels)]
-    return tensor_sum(concat(picked, axis=0))
+    return tensor_sum(gather_rows(dec.log_probs, dec.labels))
 
 
 def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
     """-sum_i A_i * log p(z_i) with the advantages treated as constants."""
     if len(advantages) != len(dec.labels):
         raise DataError("advantage count must match the decode length")
-    picked = [gather_rows(lp, [z]) for lp, z in zip(dec.log_probs, dec.labels)]
-    stacked = concat(picked, axis=0)  # (n, 1)
+    stacked = gather_rows(dec.log_probs, dec.labels)  # (n, 1)
     adv = constant(np.asarray(advantages, dtype=stacked.data.dtype).reshape(-1, 1))
     return -tensor_sum(mul(adv, stacked))
 
@@ -240,14 +232,11 @@ def exhaustive_expectation(model: ExtractiveModel, doc: Document, summary: Summa
 def _subset_rewards(model: ExtractiveModel, doc: Document, summary: SummarySet,
                     compression: CompressionModel, alpha: float) -> dict:
     """R for every label sequence, from one pass of pairwise scores."""
-    n = len(doc.sentences)
-    full = np.array(
-        [[s_score(compression, c, h) for h in summary.sentences] for c in doc.sentences]
-    )
+    full = _score_matrix(compression, doc.sentences, summary)
     rewards = {}
-    for z in itertools.product((0, 1), repeat=n):
+    for z in itertools.product((0, 1), repeat=len(doc.sentences)):
         idx = [i for i, zi in enumerate(z) if zi == 1]
-        rewards[z] = reward_from_matrix(full[idx, :], alpha).r if idx else 0.0
+        rewards[z] = reward_from_matrix(full[idx, :], alpha).r
     return rewards
 
 

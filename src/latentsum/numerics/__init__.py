@@ -13,7 +13,6 @@ from .tensor import (
     dropout,
     embedding_lookup,
     gather_rows,
-    grad_enabled,
     log_softmax,
     matmul,
     mean_over_axis,
@@ -29,9 +28,9 @@ from .tensor import (
     transpose,
     zero_grads,
 )
-from .init import init_uniform, zeros_tensor
+from .init import init_uniform
 from .lstm import LSTMCell, run_bilstm, run_lstm, split_rows
-from .optim import Adam, SGD, check_finite, clip_global_norm
+from .optim import Adam, SGD, check_finite, clip_global_norm, fit
 from .gradcheck import GradCheckReport, finite_difference_check
 from .checkpoint import (
     CheckpointData,
@@ -43,11 +42,11 @@ from .checkpoint import (
 
 __all__ = [
     "ShapeError", "Tensor", "Parameter", "add", "backward", "concat", "constant",
-    "detach", "dropout", "embedding_lookup", "gather_rows", "grad_enabled",
-    "log_softmax", "matmul", "mean_over_axis", "mul", "neg", "no_grad", "sigmoid",
-    "slice_axis", "softmax", "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
-    "init_uniform", "zeros_tensor", "LSTMCell", "run_bilstm", "run_lstm", "split_rows",
-    "Adam", "SGD", "check_finite", "clip_global_norm",
+    "detach", "dropout", "embedding_lookup", "gather_rows", "log_softmax", "matmul",
+    "mean_over_axis", "mul", "neg", "no_grad", "sigmoid", "slice_axis", "softmax",
+    "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
+    "init_uniform", "LSTMCell", "run_bilstm", "run_lstm", "split_rows",
+    "Adam", "SGD", "check_finite", "clip_global_norm", "fit",
     "GradCheckReport", "finite_difference_check",
     "CheckpointData", "apply_state", "atomic_write_text",
     "load_checkpoint", "save_checkpoint",

@@ -12,7 +12,3 @@ def init_uniform(shape, columns: int, rng, dtype=np.float32) -> Tensor:
     count of the weight matrix being initialized."""
     bound = 1.0 / np.sqrt(columns)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
-
-
-def zeros_tensor(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))

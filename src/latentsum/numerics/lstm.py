@@ -43,10 +43,6 @@ class LSTMCell:
         return mul(o, tanh(c)), c
 
 
-def lstm_step(cell: LSTMCell, x: Tensor, h_prev: Tensor, c_prev: Tensor):
-    return cell.step(x, h_prev, c_prev)
-
-
 def split_rows(x: Tensor) -> list[Tensor]:
     """View a (T, d) tensor as T row tensors of shape (1, d)."""
     return [slice_axis(x, 0, i, i + 1) for i in range(x.data.shape[0])]

@@ -1,24 +1,24 @@
 """Optimizers and gradient utilities: Adam with bias correction, plain
-SGD, and global-norm clipping."""
+SGD, global-norm clipping, and the supervised minibatch training loop."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError
-from .tensor import Parameter
+from ..errors import NumericError
+from .tensor import Parameter, backward, zero_grads
 
 
 def check_finite(params, where: str = "update"):
     for p in params:
         if p.grad is not None and not np.isfinite(p.grad).all():
-            raise DataError(f"non-finite gradient in {p.name} before {where}")
+            raise NumericError(f"non-finite gradient in {p.name} before {where}")
 
 
 def _check_values_finite(params):
     for p in params:
         if not np.isfinite(p.data).all():
-            raise DataError(f"non-finite values in {p.name} after optimizer step")
+            raise NumericError(f"non-finite values in {p.name} after optimizer step")
 
 
 def clip_global_norm(params, max_norm: float) -> float:
@@ -35,6 +35,53 @@ def clip_global_norm(params, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
+
+
+def fit(opt, items, item_loss, end_epoch, *, epochs: int, batch_size: int,
+        clip_norm: float, rng) -> list[dict]:
+    """Minibatch training of opt.params with best-by-validation selection.
+
+    Each epoch draws one permutation of items; per minibatch the grads are
+    zeroed, every item's loss is backpropagated scaled by 1/len(batch), the
+    global norm is clipped and opt steps. item_loss(item) returns
+    (loss, value, count); their per-epoch sums go to
+    end_epoch(epoch, value_sum, count_sum), which returns
+    (metrics_row, score, stop). score is the validation score, higher is
+    better, or None without validation; stop ends training early. When any
+    epoch was scored, the parameters of the best-scored epoch are restored.
+    """
+    params = opt.params
+    best_score = -np.inf
+    best = [p.data.copy() for p in params]
+    scored = False
+    metrics: list[dict] = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(len(items))
+        value_sum = 0.0
+        count_sum = 0
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            zero_grads(params)
+            for idx in batch:
+                loss, value, count = item_loss(items[int(idx)])
+                value_sum += value
+                count_sum += count
+                backward(loss * (1.0 / len(batch)))
+            clip_global_norm(params, clip_norm)
+            opt.step()
+        row, score, stop = end_epoch(epoch, value_sum, count_sum)
+        metrics.append(row)
+        if score is not None:
+            scored = True
+            if score > best_score:
+                best_score = score
+                best = [p.data.copy() for p in params]
+        if stop:
+            break
+    if scored:
+        for p, data in zip(params, best):
+            p.data = data
+    return metrics
 
 
 class SGD:

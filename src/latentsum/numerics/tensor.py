@@ -23,10 +23,6 @@ class ShapeError(ValueError):
 _GRAD_ENABLED = True
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the context (forward values only)."""

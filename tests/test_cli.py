@@ -185,12 +185,43 @@ class TestDeterminism:
             (pipeline["corpus"] / "train.jsonl").read_bytes()
 
 
+# RunConfig keys that nothing read, with the values every older checkpoint
+# recorded for them in its "run" block
+REMOVED_RUN_KEYS = {
+    "normalized_score": True,
+    "corpus": "data/toy",
+    "vocab": "out/vocab.json",
+    "checkpoint_dir": "out/checkpoints",
+    "log_dir": "out/logs",
+}
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"no_such_knob": 1}))
         assert run(["--config", bad, "make-toy", "--out", tmp_path / "c"]) == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_RUN_KEYS))
+    def test_removed_config_key_is_config_error(self, tmp_path, capsys, key):
+        bad = tmp_path / "old.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, key: REMOVED_RUN_KEYS[key]}))
+        assert run(["--config", bad, "make-toy", "--out", tmp_path / "c"]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_is_numeric_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "extractive_lr": 1e39}))
+        assert run(["--config", cfg, "train-extractive", "--corpus", pipeline["corpus"],
+                    "--labels", pipeline["labels"], "--vocab", tmp_path / "vocab.json",
+                    "--checkpoint", tmp_path / "ext.ckpt",
+                    "--metrics", tmp_path / "m.json"]) == 5
+        err = capsys.readouterr().err
+        assert "error[numeric]" in err and "non-finite" in err
+        assert not (tmp_path / "ext.ckpt").exists()
 
     def test_wrong_config_type_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -302,6 +333,25 @@ class TestLeadBaseline:
         assert run(["lead3", "--corpus", corpus, "--out", out]) == 0
         rows = read_rows(out)
         assert len(rows[0]["summary"]) == 2
+
+
+class TestOlderCheckpoints:
+    def test_removed_run_keys_still_load_and_summarize(self, pipeline, tmp_path):
+        old = {}
+        for key in ("latent", "compression"):
+            payload = json.loads(pipeline[key].read_text())
+            payload["config"]["run"].update(REMOVED_RUN_KEYS)
+            old[key] = tmp_path / f"old_{key}.ckpt"
+            old[key].write_text(json.dumps(payload))
+        outs = []
+        for ckpts in (pipeline, old):
+            out = tmp_path / f"summaries_{len(outs)}.jsonl"
+            assert run(["--config", pipeline["config"], "summarize",
+                        "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
+                        "--checkpoint", ckpts["latent"], "--compress",
+                        "--compression", ckpts["compression"], "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestCompressedSummaries:

@@ -8,7 +8,6 @@ from latentsum.compression import (
     decode_greedy,
     load_compression,
     perplexity,
-    raw_score,
     s_score,
     save_compression,
     seq2seq_logprob,
@@ -17,7 +16,7 @@ from latentsum.compression import (
 from latentsum.corpus import BOS, EOS, PAD, Sentence, build_vocab
 from latentsum.errors import CheckpointError, DataError
 from latentsum.labeling import CompressionPair
-from latentsum.numerics import finite_difference_check
+from latentsum.numerics import Tensor, finite_difference_check, matmul
 
 from conftest import doc_from, summary_from
 
@@ -66,15 +65,6 @@ class TestScoring:
         np.testing.assert_allclose(short, long, rtol=1e-10)
         np.testing.assert_allclose(short, 1.0 / model.vocab_size, rtol=1e-10)
 
-    def test_raw_score_penalizes_length_at_uniform(self):
-        model = tiny_model()
-        model.w_out.data = np.zeros_like(model.w_out.data)
-        model.b_out.data = np.zeros_like(model.b_out.data)
-        vocab = word_vocab()
-        src = encoded(vocab, "alice saw the red fox")
-        assert raw_score(model, src, encoded(vocab, "fox")) > \
-            raw_score(model, src, encoded(vocab, "alice saw the fox"))
-
     def test_score_in_unit_interval_fuzz(self):
         rng = np.random.default_rng(6)
         model = tiny_model()
@@ -93,9 +83,10 @@ class TestScoring:
         tgt = encoded(vocab, "fox ran")
         total, count = seq2seq_logprob(model, src, tgt)
         dec = model.decode_teacher(src.ids, tgt.ids)
+        assert dec.log_probs.shape == (count, model.vocab_size)
         stepwise = 0.0
-        for lp, t in zip(dec.log_probs, dec.targets):
-            stepwise += float(lp.data[0, t])
+        for lp, t in zip(dec.log_probs.data, dec.targets):
+            stepwise += float(lp[t])
         assert abs(stepwise - total) < 1e-9
         np.testing.assert_allclose(s_score(model, src, tgt),
                                    np.exp(stepwise / count), rtol=1e-9)
@@ -111,20 +102,28 @@ class TestScoring:
             model.decode_teacher([], [4])
 
 
+def attention_rows(model, source_ids, steps):
+    """_attend's weights over source_ids for the initial decoder state and
+    steps - 1 random states."""
+    annotations, state = model._encode_source(source_ids)
+    projected = matmul(annotations, model.u_h)
+    rng = np.random.default_rng(0)
+    states = [state] + [Tensor(rng.normal(size=(1, model.d)).astype(model.dtype))
+                        for _ in range(steps - 1)]
+    return [model._attend(s, annotations, projected)[0].data for s in states]
+
+
 class TestAttention:
     def test_weights_normalized_and_shaped(self):
         model = tiny_model()
-        dec = model.decode_teacher([4, 5, 6, 7, 8], [5, 6])
-        assert len(dec.attention) == 3
-        for w in dec.attention:
+        for w in attention_rows(model, [4, 5, 6, 7, 8], steps=3):
             assert w.shape == (1, 5)
             assert (w > 0).all()
             np.testing.assert_allclose(w.sum(), 1.0, atol=1e-6)
 
     def test_single_source_token_gets_full_weight(self):
         model = tiny_model()
-        dec = model.decode_teacher([9], [5])
-        for w in dec.attention:
+        for w in attention_rows(model, [9], steps=2):
             np.testing.assert_allclose(w, [[1.0]], atol=1e-12)
 
 

@@ -91,15 +91,16 @@ class TestDecoding:
     def test_distributions_normalized(self):
         model = tiny_model()
         dec = model.decode_labels(model.encode_document(encoded_doc()))
-        for lp in dec.log_probs:
-            np.testing.assert_allclose(np.exp(lp.data).sum(), 1.0, atol=1e-6)
+        assert dec.log_probs.shape == (len(dec.labels), 2)
+        for lp in dec.log_probs.data:
+            np.testing.assert_allclose(np.exp(lp).sum(), 1.0, atol=1e-6)
 
     def test_zero_output_matrix_gives_uniform(self):
         model = tiny_model()
         model.w_o.data = np.zeros_like(model.w_o.data)
         dec = model.decode_labels(model.encode_document(encoded_doc()))
-        for lp in dec.log_probs:
-            np.testing.assert_allclose(np.exp(lp.data), [[0.5, 0.5]], atol=1e-12)
+        for lp in dec.log_probs.data:
+            np.testing.assert_allclose(np.exp(lp), [0.5, 0.5], atol=1e-12)
 
     def test_teacher_labels_change_later_steps(self):
         model = tiny_model()
@@ -109,8 +110,8 @@ class TestDecoding:
         b = model.decode_labels(enc, feed="teacher",
                                 teacher_labels=LabelSequence((1, 0, 0)))
         # first step sees the same start label either way
-        np.testing.assert_allclose(a.log_probs[0].data, b.log_probs[0].data)
-        assert not np.allclose(a.log_probs[1].data, b.log_probs[1].data)
+        np.testing.assert_allclose(a.log_probs.data[0], b.log_probs.data[0])
+        assert not np.allclose(a.log_probs.data[1], b.log_probs.data[1])
 
     def test_teacher_requires_matching_length(self):
         model = tiny_model()
@@ -140,8 +141,8 @@ class TestDecoding:
     def test_greedy_labels_match_argmax(self):
         model = tiny_model()
         dec = model.decode_labels(model.encode_document(encoded_doc()))
-        for lp, label in zip(dec.log_probs, dec.labels):
-            assert label == int(np.argmax(lp.data[0]))
+        for lp, label in zip(dec.log_probs.data, dec.labels):
+            assert label == int(np.argmax(lp))
 
     def test_nll_is_sum_of_gold_logprobs(self):
         model = tiny_model()
@@ -149,7 +150,7 @@ class TestDecoding:
         gold = LabelSequence((1, 0, 1))
         loss = model.nll_loss(enc, gold)
         dec = model.decode_labels(enc, feed="teacher", teacher_labels=gold)
-        manual = -sum(lp.data[0, y] for lp, y in zip(dec.log_probs, gold.labels))
+        manual = -sum(lp[y] for lp, y in zip(dec.log_probs.data, gold.labels))
         np.testing.assert_allclose(float(loss.data), manual, rtol=1e-12)
 
 
@@ -262,6 +263,22 @@ class TestTraining:
         assert m1 == m2
         for row in m1:
             assert set(row) == {"epoch", "train_loss", "train_acc", "val_rouge_mean"}
+
+    def test_validation_selects_best(self, small_config):
+        # train toward the last sentence while validating against the first
+        # (the gold summary), so validation falls after its early best
+        records, _, model = self._setup(small_config)
+        labels = {doc.id: LabelSequence((0, 0, 0, 1)) for doc, _ in records}
+        cfg = small_config
+        cfg.extractive_epochs = 4
+        cfg.extractive_lr = 0.03
+        cfg.max_select = 1
+        val = records[:3]
+        metrics = train_extractive(model, records, labels, val, cfg, np.random.default_rng(0))
+        best = max(m["val_rouge_mean"] for m in metrics)
+        assert metrics[-1]["val_rouge_mean"] < best
+        np.testing.assert_allclose(evaluate_rouge_mean(model, val, cfg.max_select), best,
+                                   rtol=1e-6)
 
     def test_empty_corpus_refused(self, small_config):
         model = tiny_model()

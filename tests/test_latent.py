@@ -188,7 +188,7 @@ class TestSampling:
         with no_grad():
             enc = model.encode_document(doc)
             probe = model.decode_labels(enc, feed="greedy")
-            p1 = float(np.exp(probe.log_probs[0].data[0, 1]))
+            p1 = float(np.exp(probe.log_probs.data[0, 1]))
             rng = np.random.default_rng(99)
             n = 1500
             hits = sum(

@@ -8,7 +8,7 @@ comparisons run in 64-bit.
 import numpy as np
 import pytest
 
-from latentsum.errors import CheckpointError, DataError
+from latentsum.errors import CheckpointError, NumericError
 from latentsum.numerics import (
     Adam,
     CheckpointData,
@@ -321,7 +321,7 @@ class TestOptimizers:
     def test_nonfinite_grad_refused(self):
         p = param("p", [[1.0]])
         p.grad = np.array([[np.nan]])
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             SGD([p], lr=0.1).step()
 
     def test_clip_scales_by_half_at_double_norm(self):
