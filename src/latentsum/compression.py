@@ -25,11 +25,13 @@ from .numerics import (
     gather_rows,
     init_uniform,
     log_softmax,
+    lstm_sequence,
     matmul,
     no_grad,
+    reshape,
     run_bilstm,
+    slice_axis,
     softmax,
-    split_rows,
     tanh,
     tensor_sum,
     transpose,
@@ -85,12 +87,14 @@ class CompressionModel:
 
     def _encode_source(self, source_ids, rng=None, training: bool = False,
                        drop: float = 0.0):
-        emb = embedding_lookup(self.src_embed, list(source_ids))
-        states, fwd_last, bwd_last = run_bilstm(self.enc_fwd, self.enc_bwd, split_rows(emb))
-        if training and drop > 0.0:
-            states = [dropout(s, drop, rng, training=True) for s in states]
-        annotations = concat(states, axis=0)  # (|S|, 2d)
-        s0 = tanh(add(matmul(concat([fwd_last, bwd_last], axis=1), self.w_init), self.b_init))
+        n, d = len(source_ids), self.d
+        states = run_bilstm(self.enc_fwd, self.enc_bwd,
+                            embedding_lookup(self.src_embed, list(source_ids)), [n])
+        # the last forward state and the first backward state, before dropout
+        ends = concat([slice_axis(slice_axis(states, 0, n - 1, n), 1, 0, d),
+                       slice_axis(slice_axis(states, 0, 0, 1), 1, d, 2 * d)], axis=1)
+        s0 = tanh(add(matmul(ends, self.w_init), self.b_init))
+        annotations = dropout(states, drop, rng, training=training)  # (|S|, 2d)
         return annotations, s0
 
     def _attend(self, state: Tensor, annotations: Tensor, projected: Tensor):
@@ -105,22 +109,28 @@ class CompressionModel:
 
     def decode_teacher(self, source_ids, target_ids, rng=None,
                        training: bool = False, drop: float = 0.0) -> TeacherDecode:
-        """Teacher-forced decode; predicts each target token then EOS."""
+        """Teacher-forced decode; predicts each target token then EOS.
+
+        The decoder reads only gold tokens, so its states come from one
+        recurrence and attention, output layer and log_softmax each run
+        once over all T steps.
+        """
         if not source_ids or not target_ids:
             raise DataError("compression needs non-empty source and target")
-        annotations, state = self._encode_source(source_ids, rng=rng, training=training, drop=drop)
-        projected = matmul(annotations, self.u_h)
-        cell_state = Tensor(np.zeros((1, self.d), dtype=self.dtype))
-        inputs = [BOS] + list(target_ids)
+        annotations, s0 = self._encode_source(source_ids, rng=rng, training=training, drop=drop)
+        projected = matmul(annotations, self.u_h)  # (S, a)
+        inputs = embedding_lookup(self.tgt_embed, [BOS] + list(target_ids))
         targets = list(target_ids) + [EOS]
-        log_probs = []
-        for token in inputs:
-            x = embedding_lookup(self.tgt_embed, [token])
-            state, cell_state = self.dec.step(x, state, cell_state)
-            out_state = dropout(state, drop, rng, training=True) if training and drop > 0.0 else state
-            _, context = self._attend(out_state, annotations, projected)
-            log_probs.append(log_softmax(self._output_logits(out_state, context), axis=1))
-        return TeacherDecode(log_probs=concat(log_probs, axis=0), targets=targets)
+        steps, n_src = len(targets), len(source_ids)
+        states = dropout(lstm_sequence(self.dec, inputs, [steps], h0=s0), drop, rng,
+                         training=training)  # (T, d)
+        # _attend's additive scores for all T states at once, row t * S + k
+        query = embedding_lookup(matmul(states, self.w_s), np.repeat(np.arange(steps), n_src))
+        key = embedding_lookup(projected, np.tile(np.arange(n_src), steps))
+        scores = reshape(matmul(tanh(add(query, key)), self.v_a), (steps, n_src))
+        context = matmul(softmax(scores, axis=1), annotations)  # (T, 2d)
+        log_probs = log_softmax(self._output_logits(states, context), axis=1)
+        return TeacherDecode(log_probs=log_probs, targets=targets)
 
     def nll_loss(self, source_ids, target_ids, rng=None, training: bool = False,
                  drop: float = 0.0) -> Tensor:

@@ -22,17 +22,16 @@ from .numerics import (
     add,
     backward,  # noqa: F401 -- perfbench's tracer test reads latentsum.extractive.backward
     concat,
+    constant,
     dropout,
     embedding_lookup,
     gather_rows,
     init_uniform,
     log_softmax,
     matmul,
-    mean_over_axis,
     no_grad,
     run_bilstm,
     slice_axis,
-    split_rows,
     tensor_sum,
     transpose,
 )
@@ -49,18 +48,18 @@ FEED_MODES = ("teacher", "greedy", "sample")
 class EncodedDocument:
     """Projected sentence vectors and their document-context vectors."""
 
-    v: list  # |D| tensors of shape (1, d)
-    h_e: list  # |D| tensors of shape (1, 2d)
+    v: Tensor  # (|D|, d), one row per sentence
+    h_e: Tensor  # (|D|, 2d)
 
     def __post_init__(self):
-        if len(self.v) != len(self.h_e):
+        if self.v.shape[0] != self.h_e.shape[0]:
             raise DataError(
-                f"encoded document is inconsistent: {len(self.v)} sentence vectors "
-                f"vs {len(self.h_e)} context vectors"
+                f"encoded document is inconsistent: {self.v.shape[0]} sentence vectors "
+                f"vs {self.h_e.shape[0]} context vectors"
             )
 
     def __len__(self) -> int:
-        return len(self.v)
+        return self.v.shape[0]
 
 
 @dataclass
@@ -108,32 +107,43 @@ class ExtractiveModel:
     def _label_embedding(self, label: int) -> Tensor:
         return transpose(slice_axis(self.w_e, 1, label, label + 1))
 
-    def encode_sentence(self, sentence: Sentence, rng=None, training: bool = False,
+    def _pool_sentences(self, sentences, rng=None, training: bool = False,
                         word_dropout: float = 0.0) -> Tensor:
-        """Mean of the word-level Bi-LSTM states, shape (1, 2d)."""
-        if sentence.ids is None:
-            raise DataError("sentence has no vocabulary ids; encode the corpus first")
-        ids = list(sentence.ids)
+        """Mean of each sentence's word-level Bi-LSTM states, shape (n, 2d).
+
+        One embedding lookup and one Bi-LSTM run over all the words; word
+        dropout draws once per token, in sentence order.
+        """
+        ids, lengths = [], []
+        for sentence in sentences:
+            if sentence.ids is None:
+                raise DataError("sentence has no vocabulary ids; encode the corpus first")
+            ids.extend(sentence.ids)
+            lengths.append(len(sentence.ids))
         if training and word_dropout > 0.0:
             ids = [UNK if rng.random() < word_dropout else t for t in ids]
         emb = embedding_lookup(self.embed, ids)
-        states, _, _ = run_bilstm(self.word_fwd, self.word_bwd, split_rows(emb))
-        stacked = concat(states, axis=0)
-        return mean_over_axis(stacked, axis=0, keepdims=True)
+        states = run_bilstm(self.word_fwd, self.word_bwd, emb, lengths)
+        averaging = np.zeros((len(lengths), len(ids)), dtype=states.data.dtype)
+        start = 0
+        for row, length in enumerate(lengths):
+            averaging[row, start : start + length] = 1.0 / length
+            start += length
+        return matmul(constant(averaging), states)
+
+    def encode_sentence(self, sentence: Sentence, rng=None, training: bool = False,
+                        word_dropout: float = 0.0) -> Tensor:
+        """Mean of the word-level Bi-LSTM states, shape (1, 2d)."""
+        return self._pool_sentences([sentence], rng=rng, training=training,
+                                    word_dropout=word_dropout)
 
     def encode_document(self, doc: Document, rng=None, training: bool = False,
                         drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
-        pooled = [
-            self.encode_sentence(s, rng=rng, training=training, word_dropout=word_dropout)
-            for s in doc.sentences
-        ]
-        v = [add(matmul(p, self.proj_w), self.proj_b) for p in pooled]
-        if training and drop > 0.0:
-            v = [dropout(x, drop, rng, training=True) for x in v]
-        h_e, _, _ = run_bilstm(self.sent_fwd, self.sent_bwd, v)
-        if training and drop > 0.0:
-            h_e = [dropout(x, drop, rng, training=True) for x in h_e]
-        return EncodedDocument(v=v, h_e=h_e)
+        pooled = self._pool_sentences(doc.sentences, rng=rng, training=training,
+                                      word_dropout=word_dropout)
+        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b), drop, rng, training=training)
+        h_e = run_bilstm(self.sent_fwd, self.sent_bwd, v, [len(doc.sentences)])
+        return EncodedDocument(v=v, h_e=dropout(h_e, drop, rng, training=training))
 
     def decode_labels(self, enc: EncodedDocument, feed: str = "greedy",
                       teacher_labels: LabelSequence | None = None,
@@ -159,7 +169,7 @@ class ExtractiveModel:
         prev = START_LABEL
         log_probs, labels, h_d = [], [], []
         for i in range(len(enc)):
-            x = concat([self._label_embedding(prev), enc.h_e[i]], axis=1)
+            x = concat([self._label_embedding(prev), slice_axis(enc.h_e, 0, i, i + 1)], axis=1)
             h, c = self.dec.step(x, h, c)
             logits = matmul(h, transpose(self.w_o))
             lp = log_softmax(logits, axis=1)

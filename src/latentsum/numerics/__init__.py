@@ -15,10 +15,10 @@ from .tensor import (
     gather_rows,
     log_softmax,
     matmul,
-    mean_over_axis,
     mul,
     neg,
     no_grad,
+    reshape,
     sigmoid,
     slice_axis,
     softmax,
@@ -29,7 +29,7 @@ from .tensor import (
     zero_grads,
 )
 from .init import init_uniform
-from .lstm import LSTMCell, run_bilstm, run_lstm, split_rows
+from .lstm import LSTMCell, lstm_sequence, run_bilstm
 from .optim import Adam, SGD, check_finite, clip_global_norm, fit
 from .gradcheck import GradCheckReport, finite_difference_check
 from .checkpoint import (
@@ -43,9 +43,9 @@ from .checkpoint import (
 __all__ = [
     "ShapeError", "Tensor", "Parameter", "add", "backward", "concat", "constant",
     "detach", "dropout", "embedding_lookup", "gather_rows", "log_softmax", "matmul",
-    "mean_over_axis", "mul", "neg", "no_grad", "sigmoid", "slice_axis", "softmax",
+    "mul", "neg", "no_grad", "reshape", "sigmoid", "slice_axis", "softmax",
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
-    "init_uniform", "LSTMCell", "run_bilstm", "run_lstm", "split_rows",
+    "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm",
     "Adam", "SGD", "check_finite", "clip_global_norm", "fit",
     "GradCheckReport", "finite_difference_check",
     "CheckpointData", "apply_state", "atomic_write_text",

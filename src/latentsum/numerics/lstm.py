@@ -1,8 +1,14 @@
-"""LSTM cell and sequence runners.
+"""LSTM cell and the fused sequence primitive.
 
 Standard uncoupled-gate formulation with fused gate weights: one input
 matrix (in, 4h), one recurrent matrix (h, 4h) and one bias row (1, 4h),
 gate order i, f, g, o. The forget-gate bias initializes to 1.
+
+``LSTMCell.step`` builds a small graph per step, for decoders that feed
+their own output back. ``lstm_sequence`` runs whole sequences as one tape
+node: the input projection is one matmul over every row (the hoisting of
+Appleyard, Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs",
+2016), and backpropagation through time is written out in numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +16,21 @@ from __future__ import annotations
 import numpy as np
 
 from .init import init_uniform
-from .tensor import Parameter, Tensor, add, concat, matmul, mul, sigmoid, slice_axis, tanh
+from .tensor import (
+    Parameter,
+    ShapeError,
+    Tensor,
+    _accumulate,
+    _make,
+    add,
+    concat,
+    matmul,
+    mul,
+    sigmoid,
+    slice_axis,
+    stable_sigmoid,
+    tanh,
+)
 
 
 class LSTMCell:
@@ -43,26 +63,97 @@ class LSTMCell:
         return mul(o, tanh(c)), c
 
 
-def split_rows(x: Tensor) -> list[Tensor]:
-    """View a (T, d) tensor as T row tensors of shape (1, d)."""
-    return [slice_axis(x, 0, i, i + 1) for i in range(x.data.shape[0])]
+def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
+                  reverse: bool = False) -> Tensor:
+    """Hidden states of packed sequences as one tape node.
+
+    ``x`` is (sum(lengths), in), each sequence's rows contiguous and in the
+    order of ``lengths``. Row r of the (sum(lengths), h) result is the state
+    after reading row r. ``reverse`` reads each sequence from its own last
+    row back to its first. ``h0`` is an optional (len(lengths), h) initial
+    hidden state; the initial cell state is zero.
+
+    Each step runs the sequences still active, with the same arithmetic, in
+    the same order, as ``LSTMCell.step`` on one row.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    hid = cell.hidden_size
+    if x.data.ndim != 2 or x.data.shape[1] != cell.input_size:
+        raise ShapeError(f"lstm_sequence: input shape {x.data.shape} does not fit "
+                         f"input size {cell.input_size}")
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
+            or lengths.sum() != x.data.shape[0]:
+        raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not partition "
+                         f"{x.data.shape[0]} rows")
+    if h0 is not None and h0.data.shape != (lengths.size, hid):
+        raise ShapeError(f"lstm_sequence: h0 shape {h0.data.shape} != {(lengths.size, hid)}")
+
+    # longest first, so the sequences still active at step t are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    steps = []  # per step t: the row each still-active sequence reads
+    for t in range(int(sorted_len[0])):
+        k = int(np.count_nonzero(sorted_len > t))
+        steps.append(starts[:k] + (sorted_len[:k] - 1 - t if reverse else t))
+
+    w_h, b = cell.w_h.data, cell.b.data
+    xw = x.data @ cell.w_x.data
+    dtype = xw.dtype
+    h_state = np.zeros((lengths.size, hid), dtype) if h0 is None else h0.data[order]
+    c_state = np.zeros((lengths.size, hid), dtype)
+    out = np.empty((x.data.shape[0], hid), dtype)
+    cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
+    for rows in steps:
+        hp, cp = h_state[:rows.size], c_state[:rows.size]
+        pre = xw[rows] + hp @ w_h + b
+        act = stable_sigmoid(pre)
+        act[:, 2 * hid : 3 * hid] = np.tanh(pre[:, 2 * hid : 3 * hid])
+        c = act[:, hid : 2 * hid] * cp + act[:, :hid] * act[:, 2 * hid : 3 * hid]
+        tc = np.tanh(c)
+        h = act[:, 3 * hid :] * tc
+        out[rows] = h
+        cache.append((rows, act, hp, cp, tc))
+        h_state, c_state = h, c  # a finished sequence's state is never read again
+
+    def bw(grad):
+        dh = np.zeros((lengths.size, hid), dtype)
+        dc = np.zeros((lengths.size, hid), dtype)
+        d_pre = []
+        for rows, act, hp, cp, tc in reversed(cache):
+            k = rows.size
+            i, f = act[:, :hid], act[:, hid : 2 * hid]
+            g, o = act[:, 2 * hid : 3 * hid], act[:, 3 * hid :]
+            dh_t = dh[:k] + grad[rows]
+            dc_t = dc[:k] + dh_t * o * (1.0 - tc * tc)
+            dp = np.concatenate([dc_t * g * i * (1.0 - i),
+                                 dc_t * cp * f * (1.0 - f),
+                                 dc_t * i * (1.0 - g * g),
+                                 dh_t * tc * o * (1.0 - o)], axis=1)
+            d_pre.append(dp)
+            dc[:k] = dc_t * f
+            dh[:k] = dp @ w_h.T
+        rows = np.concatenate([step[0] for step in reversed(cache)])
+        d_pre = np.concatenate(d_pre)
+        h_prev = np.concatenate([step[2] for step in reversed(cache)])
+        if x.requires_grad:
+            dx = np.empty_like(x.data)
+            dx[rows] = d_pre @ cell.w_x.data.T
+            _accumulate(x, dx)
+        _accumulate(cell.w_x, x.data[rows].T @ d_pre)
+        _accumulate(cell.w_h, h_prev.T @ d_pre)
+        _accumulate(cell.b, d_pre.sum(axis=0, keepdims=True))
+        if h0 is not None and h0.requires_grad:
+            dh0 = np.empty_like(dh)
+            dh0[order] = dh
+            _accumulate(h0, dh0)
+
+    parents = (x, cell.w_x, cell.w_h, cell.b) + (() if h0 is None else (h0,))
+    return _make(out, parents, bw)
 
 
-def run_lstm(cell: LSTMCell, rows) -> list[Tensor]:
-    """Hidden states h_1..h_T for a sequence of (1, d) rows."""
-    h, c = cell.initial_state()
-    states = []
-    for x in rows:
-        h, c = cell.step(x, h, c)
-        states.append(h)
-    return states
-
-
-def run_bilstm(fwd: LSTMCell, bwd: LSTMCell, rows) -> tuple[list[Tensor], Tensor, Tensor]:
-    """Per-position concat of forward and backward states, plus each
-    direction's final hidden state."""
-    fwd_states = run_lstm(fwd, rows)
-    bwd_states = run_lstm(bwd, list(reversed(rows)))
-    bwd_states.reverse()
-    outs = [concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-    return outs, fwd_states[-1], bwd_states[0]
+def run_bilstm(fwd: LSTMCell, bwd: LSTMCell, x: Tensor, lengths) -> Tensor:
+    """Forward and backward states of packed sequences side by side,
+    shape (sum(lengths), 2h)."""
+    return concat([lstm_sequence(fwd, x, lengths),
+                   lstm_sequence(bwd, x, lengths, reverse=True)], axis=1)

@@ -196,10 +196,15 @@ def tanh(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow, in x's dtype; the one formula
+    behind ``sigmoid`` and the gates of ``lstm_sequence``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out_data = out_data.astype(x.dtype, copy=False)
+    out_data = stable_sigmoid(a.data)
 
     def bw(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -272,6 +277,17 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _make(a.data[index], (a,), bw)
 
 
+def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
+    """Same values in a new 2-d shape (row-major order)."""
+    if len(shape) != 2 or shape[0] * shape[1] != a.data.size:
+        raise ShapeError(f"reshape: cannot view shape {a.data.shape} as {shape}")
+
+    def bw(g):
+        _accumulate(a, g.reshape(a.data.shape))
+
+    return _make(a.data.reshape(shape), (a,), bw)
+
+
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bw(g):
         if axis is None:
@@ -281,16 +297,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(expanded, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def mean_over_axis(a: Tensor, axis: int, keepdims: bool = True) -> Tensor:
-    n = a.data.shape[axis]
-
-    def bw(g):
-        expanded = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(expanded / n, a.data.shape))
-
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -206,14 +206,20 @@ class TestTraining:
         assert out.tokens == pair.target.tokens
 
     def test_validation_selects_best(self, small_config):
+        # validate on a target the training pairs contradict, so validation
+        # perplexity rises again after an early best
         vocab = word_vocab()
         model = CompressionModel(len(vocab), 8, np.random.default_rng(4))
         pairs = self._pairs(vocab)
+        val = [CompressionPair(source=encoded(vocab, "the fox ran home today"),
+                               target=encoded(vocab, "today home"), doc_id="v")]
         cfg = small_config
-        cfg.compression_epochs = 4
-        metrics = train_compression(model, pairs, pairs[:1], cfg, np.random.default_rng(5))
+        cfg.compression_epochs = 5
+        cfg.compression_lr = 0.03
+        metrics = train_compression(model, pairs, val, cfg, np.random.default_rng(5))
         best = min(m["val_ppl"] for m in metrics)
-        np.testing.assert_allclose(perplexity(model, pairs[:1]), best, rtol=1e-6)
+        assert metrics[-1]["val_ppl"] > best
+        np.testing.assert_allclose(perplexity(model, val), best, rtol=1e-6)
 
     def test_empty_pairs_refused(self, small_config):
         model = tiny_model()

@@ -23,14 +23,33 @@ def tiny_model(d=6, vocab_size=16, seed=3, dtype=np.float64):
     return ExtractiveModel(vocab_size, d, np.random.default_rng(seed), dtype=dtype)
 
 
-def encoded_doc(n_sents=4, seed=11):
+def encoded_doc(n_sents=4, seed=11, lengths=None):
     rng = np.random.default_rng(seed)
     sentences = []
-    for _ in range(n_sents):
-        ids = tuple(int(i) for i in rng.integers(4, 12, size=int(rng.integers(2, 6))))
+    for k in range(n_sents if lengths is None else len(lengths)):
+        n = int(rng.integers(2, 6)) if lengths is None else lengths[k]
+        ids = tuple(int(i) for i in rng.integers(4, 12, size=n))
         sentences.append(Sentence(tokens=tuple(f"t{i}" for i in ids), ids=ids))
     from latentsum.corpus import Document
     return Document(id="d", sentences=tuple(sentences))
+
+
+def stepwise_mean(model, ids):
+    """Reference pooling: LSTMCell.step over one sentence in each direction."""
+    from latentsum.numerics import embedding_lookup, slice_axis
+    rows = embedding_lookup(model.embed, list(ids))
+
+    def states(cell, order):
+        h, c = cell.initial_state()
+        out = {}
+        for t in order:
+            h, c = cell.step(slice_axis(rows, 0, t, t + 1), h, c)
+            out[t] = h.data[0]
+        return np.stack([out[t] for t in range(len(ids))])
+
+    fwd = states(model.word_fwd, range(len(ids)))
+    bwd = states(model.word_bwd, reversed(range(len(ids))))
+    return np.concatenate([fwd, bwd], axis=1).mean(axis=0)
 
 
 class TestEncoding:
@@ -49,10 +68,23 @@ class TestEncoding:
         s = Sentence(tokens=("a",), ids=(7,))
         enc = model.encode_sentence(s)
         # with one word the mean over positions is that position
-        from latentsum.numerics import concat, run_bilstm, split_rows, embedding_lookup
-        states, _, _ = run_bilstm(model.word_fwd, model.word_bwd,
-                                  split_rows(embedding_lookup(model.embed, [7])))
-        np.testing.assert_allclose(enc.data, states[0].data, rtol=1e-12)
+        from latentsum.numerics import run_bilstm, embedding_lookup
+        states = run_bilstm(model.word_fwd, model.word_bwd,
+                            embedding_lookup(model.embed, [7]), [1])
+        np.testing.assert_allclose(enc.data, states.data, rtol=1e-12)
+
+    def test_pooling_matches_each_sentence_alone(self):
+        # packed sentences of unequal length: pooling must average only a
+        # sentence's own words and the backward pass must start at its last word
+        model = tiny_model()
+        doc = encoded_doc(lengths=[2, 5, 1, 3])
+        pooled = model._pool_sentences(doc.sentences)
+        assert pooled.data.shape == (4, 2 * model.d)
+        for row, sentence in zip(pooled.data, doc.sentences):
+            alone = model.encode_sentence(sentence)
+            np.testing.assert_allclose(row[None, :], alone.data, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(row, stepwise_mean(model, sentence.ids),
+                                       rtol=0, atol=1e-10)
 
     def test_word_order_matters(self):
         model = tiny_model()
@@ -75,16 +107,15 @@ class TestEncoding:
         doc = encoded_doc(n_sents=5)
         enc = model.encode_document(doc)
         assert len(enc) == 5
-        assert all(v.data.shape == (1, model.d) for v in enc.v)
-        assert all(h.data.shape == (1, 2 * model.d) for h in enc.h_e)
+        assert enc.v.shape == (5, model.d)
+        assert enc.h_e.shape == (5, 2 * model.d)
 
     def test_document_encoding_deterministic_in_eval(self):
         model = tiny_model()
         doc = encoded_doc()
         a = model.encode_document(doc)
         b = model.encode_document(doc)
-        for x, y in zip(a.h_e, b.h_e):
-            np.testing.assert_array_equal(x.data, y.data)
+        np.testing.assert_array_equal(a.h_e.data, b.h_e.data)
 
 
 class TestDecoding:

@@ -31,17 +31,16 @@ from latentsum.numerics import (
     init_uniform,
     load_checkpoint,
     log_softmax,
+    lstm_sequence,
     matmul,
-    mean_over_axis,
     mul,
     no_grad,
+    reshape,
     run_bilstm,
-    run_lstm,
     save_checkpoint,
     sigmoid,
     slice_axis,
     softmax,
-    split_rows,
     tensor_sum,
     tanh,
     transpose,
@@ -72,10 +71,6 @@ class TestForwardPrimitives:
             np.log(softmax(constant(x), axis=1).data),
             atol=1e-12,
         )
-
-    def test_mean_over_axis(self):
-        out = mean_over_axis(constant([[1.0, 2.0], [3.0, 4.0]]), axis=0)
-        np.testing.assert_allclose(out.data, [[2.0, 3.0]])
 
     def test_dropout_p_zero_is_identity(self):
         rng = np.random.default_rng(2)
@@ -218,6 +213,20 @@ class TestCompositeGraphsFiniteDifference:
         report = finite_difference_check([q, keys], loss_fn, rng, num_coords=40)
         assert report.passed, report.failures
 
+        # additive scores over all (query, key) pairs, reshaped to (queries, keys)
+        queries = Parameter("queries", rng.normal(size=(3, 4)))
+        v = Parameter("v", rng.normal(size=(4, 1)))
+
+        def pairwise_loss():
+            pairs = add(embedding_lookup(queries, np.repeat(np.arange(3), 6)),
+                        embedding_lookup(keys, np.tile(np.arange(6), 3)))
+            scores = reshape(matmul(tanh(pairs), v), (3, 6))
+            ctx = matmul(softmax(scores, axis=1), keys)
+            return tensor_sum(mul(ctx, ctx))
+
+        report = finite_difference_check([queries, keys, v], pairwise_loss, rng, num_coords=60)
+        assert report.passed, report.failures
+
 
 class TestLSTM:
     def test_zero_weights_give_zero_hidden(self):
@@ -262,14 +271,15 @@ class TestLSTM:
         rng = np.random.default_rng(12)
         fwd = LSTMCell("fw", 2, 3, rng, dtype=np.float64)
         bwd = LSTMCell("bw", 2, 3, rng, dtype=np.float64)
-        rows = split_rows(constant(np.arange(8.0).reshape(4, 2)))
-        outs, fwd_last, bwd_last = run_bilstm(fwd, bwd, rows)
-        assert len(outs) == 4
-        assert outs[0].data.shape == (1, 6)
+        xs = constant(np.arange(8.0).reshape(4, 2))
+        outs = run_bilstm(fwd, bwd, xs, [4])
+        assert outs.data.shape == (4, 6)
+        fwd_last = stepwise_states(fwd, xs.data, reverse=False)[-1]
+        bwd_last = stepwise_states(bwd, xs.data, reverse=True)[0]
         # forward half of the last position equals the forward final state
-        np.testing.assert_array_equal(outs[-1].data[:, :3], fwd_last.data)
+        np.testing.assert_allclose(outs.data[-1:, :3], fwd_last.data, rtol=0, atol=1e-12)
         # backward half of the FIRST position equals the backward final state
-        np.testing.assert_array_equal(outs[0].data[:, 3:], bwd_last.data)
+        np.testing.assert_allclose(outs.data[:1, 3:], bwd_last.data, rtol=0, atol=1e-12)
 
     def test_lstm_gradcheck_through_time(self):
         rng = np.random.default_rng(13)
@@ -277,11 +287,80 @@ class TestLSTM:
         xs = constant(rng.normal(size=(5, 2)))
 
         def loss_fn():
-            states = run_lstm(cell, split_rows(xs))
-            return tensor_sum(concat(states, axis=0))
+            return tensor_sum(lstm_sequence(cell, xs, [5]))
 
         report = finite_difference_check(cell.parameters(), loss_fn, rng, num_coords=60)
         assert report.passed, report.failures
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_matches_stepwise_reference(self, reverse):
+        rng = np.random.default_rng(14)
+        cell = LSTMCell("s", 3, 4, rng, dtype=np.float64)
+        lengths = [3, 1, 5, 2]
+        x = Parameter("x", rng.normal(size=(sum(lengths), 3)))
+        h0 = Parameter("h0", rng.normal(size=(len(lengths), 4)))
+        weights = constant(rng.normal(size=(sum(lengths), 4)))
+        params = cell.parameters() + [x, h0]
+
+        def run(fn):
+            zero_grads(params)
+            out = fn()
+            backward(tensor_sum(mul(out, weights)))
+            return out.data, [p.grad_or_zeros().copy() for p in params]
+
+        def reference():
+            rows, start = [], 0
+            for b, n in enumerate(lengths):
+                seq = slice_axis(x, 0, start, start + n)
+                rows.extend(stepwise_states(cell, seq, reverse, slice_axis(h0, 0, b, b + 1)))
+                start += n
+            return concat(rows, axis=0)
+
+        fused, fused_grads = run(lambda: lstm_sequence(cell, x, lengths, h0=h0, reverse=reverse))
+        expected, expected_grads = run(reference)
+        np.testing.assert_allclose(fused, expected, rtol=0, atol=1e-10)
+        for p, got, want in zip(params, fused_grads, expected_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=p.name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_gradcheck_variable_lengths(self, reverse):
+        rng = np.random.default_rng(15)
+        cell = LSTMCell("v", 2, 3, rng, dtype=np.float64)
+        lengths = [2, 4, 1]
+        x = Parameter("x", rng.normal(size=(sum(lengths), 2)))
+        h0 = Parameter("h0", rng.normal(size=(len(lengths), 3)))
+        weights = constant(rng.normal(size=(sum(lengths), 3)))
+
+        def loss_fn():
+            out = lstm_sequence(cell, x, lengths, h0=h0, reverse=reverse)
+            return tensor_sum(mul(out, weights))
+
+        report = finite_difference_check(cell.parameters() + [x, h0], loss_fn, rng,
+                                         num_coords=80)
+        assert report.passed, report.failures
+
+    def test_lstm_sequence_rejects_bad_lengths(self):
+        cell = LSTMCell("r", 2, 3, np.random.default_rng(16), dtype=np.float64)
+        x = constant(np.zeros((4, 2)))
+        for lengths in ([3], [2, 0, 2], []):
+            with pytest.raises(ShapeError, match="lengths"):
+                lstm_sequence(cell, x, lengths)
+        with pytest.raises(ShapeError, match="h0"):
+            lstm_sequence(cell, x, [4], h0=constant(np.zeros((2, 3))))
+
+
+def stepwise_states(cell, xs, reverse=False, h0=None):
+    """Reference recurrence: one LSTMCell.step per row, states in row order."""
+    xs = xs if isinstance(xs, Tensor) else constant(xs)
+    h, c = cell.initial_state()
+    if h0 is not None:
+        h = h0
+    order = range(xs.data.shape[0])
+    states = {}
+    for t in (reversed(order) if reverse else order):
+        h, c = cell.step(slice_axis(xs, 0, t, t + 1), h, c)
+        states[t] = h
+    return [states[t] for t in order]
 
 
 class TestOptimizers:
