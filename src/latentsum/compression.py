@@ -143,14 +143,15 @@ class CompressionModel:
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
-            annotations, state = self._encode_source(source_ids)
+            annotations, s0 = self._encode_source(source_ids)
             projected = matmul(annotations, self.u_h)
-            cell_state = Tensor(np.zeros((1, self.d), dtype=self.dtype))
+            h, c = s0.data, np.zeros((1, self.d), dtype=self.dtype)
             token = BOS
             out: list[int] = []
             for step in range(max_len):
-                x = embedding_lookup(self.tgt_embed, [token])
-                state, cell_state = self.dec.step(x, state, cell_state)
+                h, c, _, _ = self.dec.advance(self.tgt_embed.data[[token]] @ self.dec.w_x.data,
+                                              h, c)
+                state = Tensor(h)
                 _, context = self._attend(state, annotations, projected)
                 logits = self._output_logits(state, context).data[0].copy()
                 logits[PAD] = -np.inf
@@ -230,8 +231,7 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
     if not pairs:
         raise DataError("cannot train compression on an empty pair set")
     encoded = [(list(p.source.ids), list(p.target.ids)) for p in pairs]
-    opt = Adam(model.parameters(), lr=config.compression_lr, beta1=config.beta1,
-               beta2=config.beta2, eps=config.adam_eps)
+    opt = Adam(model.parameters(), lr=config.compression_lr)
 
     def item_loss(pair):
         source_ids, target_ids = pair

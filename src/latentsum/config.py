@@ -18,9 +18,6 @@ class RunConfig:
     extractive_lr: float = 0.001
     compression_lr: float = 0.001
     latent_lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
     dropout: float = 0.3
     word_dropout: float = 0.2
@@ -46,8 +43,6 @@ class RunConfig:
                 raise ConfigError(f"{key} must be > 0, got {value}")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError(f"betas must lie in [0,1), got ({self.beta1}, {self.beta2})")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         for key in ("dropout", "word_dropout"):

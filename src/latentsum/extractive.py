@@ -28,15 +28,16 @@ from .numerics import (
     gather_rows,
     init_uniform,
     log_softmax,
+    lstm_sequence,
     matmul,
     no_grad,
     run_bilstm,
-    slice_axis,
     tensor_sum,
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.optim import Adam, fit
+from .numerics.tensor import stable_log_softmax
 from .rouge import rouge_mean
 
 START_LABEL = 0
@@ -68,7 +69,7 @@ class DecodeResult:
 
     log_probs: Tensor  # (n, 2) log-distributions over {0, 1}, one row per step
     labels: list[int]  # the label chosen (or given) at each step
-    h_d: list  # decoder hidden states, (1, d) each
+    h_d: Tensor  # (n, d) decoder hidden states, one row per step
 
     def prob_true(self) -> list[float]:
         return [float(np.exp(lp)) for lp in self.log_probs.data[:, 1]]
@@ -103,9 +104,6 @@ class ExtractiveModel:
         for cell in (self.word_fwd, self.word_bwd, self.sent_fwd, self.sent_bwd, self.dec):
             params.extend(cell.parameters())
         return params
-
-    def _label_embedding(self, label: int) -> Tensor:
-        return transpose(slice_axis(self.w_e, 1, label, label + 1))
 
     def _pool_sentences(self, sentences, rng=None, training: bool = False,
                         word_dropout: float = 0.0) -> Tensor:
@@ -152,7 +150,10 @@ class ExtractiveModel:
 
         feed="teacher" conditions each step on the given previous label,
         "greedy" on the argmax prediction, "sample" on a draw from the
-        predicted distribution (log-prob of the draw is kept on the tape).
+        predicted distribution. Greedy and sample labels are chosen by a
+        tape-free loop; whatever the feed, the chosen labels are then scored
+        by one teacher-forced pass, which puts log p(label_i | label_<i) on
+        the tape.
         """
         if feed not in FEED_MODES:
             raise DataError(f"unknown feed mode {feed!r}")
@@ -163,27 +164,37 @@ class ExtractiveModel:
                 raise DataError(
                     f"teacher labels length {len(teacher_labels)} != document length {len(enc)}"
                 )
-        if feed == "sample" and rng is None:
+            labels = list(teacher_labels.labels)
+        elif feed == "sample" and rng is None:
             raise DataError("sample feed requires an rng")
-        h, c = self.dec.initial_state()
+        else:
+            labels = self._choose_labels(enc.h_e.data, rng if feed == "sample" else None)
+        previous = embedding_lookup(transpose(self.w_e), [START_LABEL] + labels[:-1])
+        h_d = lstm_sequence(self.dec, concat([previous, enc.h_e], axis=1), [len(labels)])
+        log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
+        return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
+
+    def _choose_labels(self, h_e: np.ndarray, rng) -> list[int]:
+        """Greedy labels, or with an rng one draw of rng.random() per step.
+
+        Each step does the arithmetic of a one-row ``LSTMCell.step`` and of
+        ``log_softmax``, so the labels match a stepwise decode.
+        """
+        h = np.zeros((1, self.d), dtype=self.dtype)
+        c = np.zeros_like(h)
+        w_x, w_e, w_o = self.dec.w_x.data, self.w_e.data, self.w_o.data
         prev = START_LABEL
-        log_probs, labels, h_d = [], [], []
-        for i in range(len(enc)):
-            x = concat([self._label_embedding(prev), slice_axis(enc.h_e, 0, i, i + 1)], axis=1)
-            h, c = self.dec.step(x, h, c)
-            logits = matmul(h, transpose(self.w_o))
-            lp = log_softmax(logits, axis=1)
-            if feed == "teacher":
-                label = teacher_labels.labels[i]
-            elif feed == "greedy":
-                label = int(np.argmax(lp.data[0]))
+        labels = []
+        for i in range(h_e.shape[0]):
+            x = np.concatenate([w_e[:, prev : prev + 1].T, h_e[i : i + 1]], axis=1)
+            h, c, _, _ = self.dec.advance(x @ w_x, h, c)
+            lp = stable_log_softmax(h @ w_o.T, axis=1)
+            if rng is None:
+                prev = int(np.argmax(lp[0]))
             else:
-                label = int(rng.random() < np.exp(lp.data[0, 1]))
-            log_probs.append(lp)
-            labels.append(label)
-            h_d.append(h)
-            prev = label
-        return DecodeResult(log_probs=concat(log_probs, axis=0), labels=labels, h_d=h_d)
+                prev = int(rng.random() < np.exp(lp[0, 1]))
+            labels.append(prev)
+        return labels
 
     def nll_loss(self, enc: EncodedDocument, labels: LabelSequence) -> Tensor:
         """Negative log-likelihood of the gold labels under teacher feed."""
@@ -254,8 +265,7 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
     for doc, _ in train_records:
         if doc.id not in labels_by_id:
             raise DataError(f"no oracle labels for document {doc.id!r}")
-    opt = Adam(model.parameters(), lr=config.extractive_lr, beta1=config.beta1,
-               beta2=config.beta2, eps=config.adam_eps)
+    opt = Adam(model.parameters(), lr=config.extractive_lr)
 
     def item_loss(record):
         doc, _ = record

@@ -95,9 +95,13 @@ def load_labels(path) -> dict[str, LabelSequence]:
                 continue
             try:
                 obj = json.loads(line)
-                table[str(obj["id"])] = LabelSequence(labels=tuple(int(v) for v in obj["labels"]))
+                doc_id = str(obj["id"])
+                labels = LabelSequence(labels=tuple(int(v) for v in obj["labels"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"labels line {line_no}: {exc}") from exc
+            if doc_id in table:
+                raise DataError(f"labels line {line_no}: duplicate document id {doc_id!r}")
+            table[doc_id] = labels
     return table
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import CompressionModel, s_score
-from .corpus import Document, Sentence, SummarySet
+from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
 from .labeling import LabelSequence
@@ -24,13 +24,11 @@ from .numerics import (
     add,
     backward,
     clip_global_norm,
-    concat,
     constant,
     detach,
     gather_rows,
     matmul,
     mul,
-    no_grad,
     tensor_sum,
     zero_grads,
 )
@@ -57,19 +55,6 @@ class RewardBreakdown:
             raise DataError(f"r={self.r} is not the alpha-weighted sum {expected}")
 
 
-@dataclass
-class SampledExtraction:
-    z: LabelSequence
-    logprobs: tuple[float, ...]  # log p(z_i | z_{<i}) per step
-    selected: tuple[Sentence, ...]
-
-    def __post_init__(self):
-        if len(self.z) != len(self.logprobs):
-            raise DataError("sampled labels and logprobs lengths differ")
-        if len(self.selected) != sum(self.z.labels):
-            raise DataError("selected sentences inconsistent with labels")
-
-
 class BaselineModel:
     """Per-step linear predictor of the scalar reward from h^D_i."""
 
@@ -82,23 +67,8 @@ class BaselineModel:
         return [self.w, self.b]
 
     def predict(self, h_d: Tensor) -> Tensor:
-        """Value estimate from a detached decoder state, shape (1, 1)."""
+        """Value estimates from detached (n, d) decoder states, shape (n, 1)."""
         return add(matmul(detach(h_d), self.w), self.b)
-
-
-def sample_labels(model: ExtractiveModel, doc: Document, rng) -> SampledExtraction:
-    """Ancestral sample of a label sequence in evaluation mode."""
-    with no_grad():
-        enc = model.encode_document(doc)
-        dec = model.decode_labels(enc, feed="sample", rng=rng)
-    return _extraction_from_decode(doc, dec)
-
-
-def _extraction_from_decode(doc: Document, dec: DecodeResult) -> SampledExtraction:
-    logprobs = tuple(float(lp[z]) for lp, z in zip(dec.log_probs.data, dec.labels))
-    z = LabelSequence(labels=tuple(dec.labels))
-    selected = tuple(doc.sentences[i] for i in z.selected_indices())
-    return SampledExtraction(z=z, logprobs=logprobs, selected=selected)
 
 
 def reward(compression: CompressionModel, selected, summary: SummarySet,
@@ -143,7 +113,7 @@ def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
 
 @dataclass
 class ReinforceStep:
-    sampled: SampledExtraction
+    labels: tuple[int, ...]  # the sampled extraction mask z
     breakdown: RewardBreakdown
     surrogate: float
     baseline_mse: float
@@ -169,23 +139,22 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
             drop=config.dropout, word_dropout=config.word_dropout,
         )
         dec = model.decode_labels(enc, feed="sample", rng=rng)
-        sampled = _extraction_from_decode(doc, dec)
-        breakdown = reward(compression, sampled.selected, summary, config.alpha)
+        selected = [s for s, z in zip(doc.sentences, dec.labels) if z]
+        breakdown = reward(compression, selected, summary, config.alpha)
 
-        values = [baseline.predict(h) for h in dec.h_d]
-        value_floats = tuple(float(v.data[0, 0]) for v in values)
+        values = baseline.predict(dec.h_d)  # (n, 1)
+        value_floats = tuple(float(v) for v in values.data[:, 0])
         advantages = [breakdown.r - v for v in value_floats]
 
         policy_loss = surrogate_loss(dec, advantages)
         backward(policy_loss * (1.0 / num_samples))
 
-        target = constant(np.full((len(values), 1), breakdown.r, dtype=values[0].data.dtype))
-        residual = concat(values, axis=0) - target
-        value_loss = tensor_sum(mul(residual, residual)) * (1.0 / len(values))
+        residual = values - constant(np.full(values.shape, breakdown.r, dtype=values.data.dtype))
+        value_loss = tensor_sum(mul(residual, residual)) * (1.0 / len(value_floats))
         backward(value_loss * (1.0 / num_samples))
 
         last = ReinforceStep(
-            sampled=sampled,
+            labels=tuple(dec.labels),
             breakdown=breakdown,
             surrogate=float(policy_loss.data),
             baseline_mse=float(value_loss.data),

@@ -4,11 +4,13 @@ Standard uncoupled-gate formulation with fused gate weights: one input
 matrix (in, 4h), one recurrent matrix (h, 4h) and one bias row (1, 4h),
 gate order i, f, g, o. The forget-gate bias initializes to 1.
 
-``LSTMCell.step`` builds a small graph per step, for decoders that feed
-their own output back. ``lstm_sequence`` runs whole sequences as one tape
-node: the input projection is one matmul over every row (the hoisting of
-Appleyard, Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs",
-2016), and backpropagation through time is written out in numpy.
+``lstm_sequence`` runs whole sequences as one tape node: the input
+projection is one matmul over every row (the hoisting of Appleyard,
+Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs", 2016), and
+backpropagation through time is written out in numpy. ``LSTMCell.advance``
+is the one numpy step behind it and behind the tape-free decode loops that
+feed their own output back. ``LSTMCell.step`` builds the same step as a
+small graph of tape primitives; it is kept as the stepwise test oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +54,22 @@ class LSTMCell:
         zero = np.zeros((1, self.hidden_size), dtype=self.dtype)
         return Tensor(zero), Tensor(zero.copy())
 
+    def advance(self, xw: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """One step in numpy from the projected input ``xw = x @ w_x``.
+
+        Returns the new h and c, the activated gates i|f|g|o and tanh(c),
+        which backpropagation through time reads.
+        """
+        hid = self.hidden_size
+        pre = xw + h @ self.w_h.data + self.b.data
+        act = stable_sigmoid(pre)
+        act[:, 2 * hid : 3 * hid] = np.tanh(pre[:, 2 * hid : 3 * hid])
+        c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, 2 * hid : 3 * hid]
+        tc = np.tanh(c)
+        return act[:, 3 * hid :] * tc, c, act, tc
+
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """The step as tape primitives; the stepwise oracle of ``advance``."""
         h = self.hidden_size
         pre = add(add(matmul(x, self.w_x), matmul(h_prev, self.w_h)), self.b)
         i = sigmoid(slice_axis(pre, 1, 0, h))
@@ -73,8 +90,7 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     row back to its first. ``h0`` is an optional (len(lengths), h) initial
     hidden state; the initial cell state is zero.
 
-    Each step runs the sequences still active, with the same arithmetic, in
-    the same order, as ``LSTMCell.step`` on one row.
+    Each step runs ``LSTMCell.advance`` on the sequences still active.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     hid = cell.hidden_size
@@ -97,7 +113,7 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
         k = int(np.count_nonzero(sorted_len > t))
         steps.append(starts[:k] + (sorted_len[:k] - 1 - t if reverse else t))
 
-    w_h, b = cell.w_h.data, cell.b.data
+    w_h = cell.w_h.data
     xw = x.data @ cell.w_x.data
     dtype = xw.dtype
     h_state = np.zeros((lengths.size, hid), dtype) if h0 is None else h0.data[order]
@@ -106,12 +122,7 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
     for rows in steps:
         hp, cp = h_state[:rows.size], c_state[:rows.size]
-        pre = xw[rows] + hp @ w_h + b
-        act = stable_sigmoid(pre)
-        act[:, 2 * hid : 3 * hid] = np.tanh(pre[:, 2 * hid : 3 * hid])
-        c = act[:, hid : 2 * hid] * cp + act[:, :hid] * act[:, 2 * hid : 3 * hid]
-        tc = np.tanh(c)
-        h = act[:, 3 * hid :] * tc
+        h, c, act, tc = cell.advance(xw[rows], hp, cp)
         out[rows] = h
         cache.append((rows, act, hp, cp, tc))
         h_state, c_state = h, c  # a finished sequence's state is never read again

@@ -315,10 +315,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def stable_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax in numpy, shifted by the maximum; the one formula behind
+    ``log_softmax`` and the label decoder's tape-free loop."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
+    out_data = stable_log_softmax(a.data, axis)
 
     def bw(g):
         _accumulate(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))

@@ -48,7 +48,6 @@ from latentsum.latent import (
 from latentsum.numerics import (
     Tensor,
     backward,
-    concat,
     constant,
     embedding_lookup,
     finite_difference_check,
@@ -161,17 +160,15 @@ class TestC2GradientChecks:
         ))
         with no_grad():
             dec = policy.decode_labels(policy.encode_document(doc), feed="greedy")
-        states = [constant(h.data.copy()) for h in dec.h_d]
+        states = constant(dec.h_d.data.copy())
         baseline = BaselineModel(d, dtype=np.float64)
         baseline.w.data = np.random.default_rng(4).normal(size=(d, 1)) * 0.1
         baseline.b.data = np.array([[0.2]])
         r = 0.65
 
         def loss_fn():
-            values = [baseline.predict(h) for h in states]
-            target = constant(np.full((len(values), 1), r))
-            residual = concat(values, axis=0) - target
-            return tensor_sum(mul(residual, residual)) * (1.0 / len(values))
+            residual = baseline.predict(states) - constant(np.full((len(doc), 1), r))
+            return tensor_sum(mul(residual, residual)) * (1.0 / len(doc))
 
         report = finite_difference_check(baseline.parameters(), loss_fn, rng,
                                          num_coords=200)

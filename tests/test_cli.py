@@ -193,6 +193,9 @@ REMOVED_RUN_KEYS = {
     "vocab": "out/vocab.json",
     "checkpoint_dir": "out/checkpoints",
     "log_dir": "out/logs",
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "adam_eps": 1e-8,
 }
 
 
@@ -232,6 +235,18 @@ class TestExitCodes:
         assert run(["make-labels", "--corpus", tmp_path / "nope",
                     "--out", tmp_path / "l.jsonl"]) == 3
         assert "error[data]" in capsys.readouterr().err
+
+    def test_duplicate_label_id_is_data_error(self, pipeline, tmp_path, capsys):
+        lines = pipeline["labels"].read_text().splitlines()
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("\n".join(lines + lines[:1]) + "\n")
+        assert run(["--config", pipeline["config"], "train-extractive",
+                    "--corpus", pipeline["corpus"], "--labels", labels,
+                    "--vocab", tmp_path / "vocab.json", "--checkpoint", tmp_path / "ext.ckpt",
+                    "--metrics", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"line {len(lines) + 1}: duplicate document id" in err
+        assert not (tmp_path / "ext.ckpt").exists()
 
     def test_missing_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys):
         assert run(["--config", pipeline["config"], "summarize",

@@ -169,6 +169,30 @@ class TestGreedyDecode:
         assert len(out.tokens) == len(out.ids)
         assert all(isinstance(t, str) for t in out.tokens)
 
+    def test_matches_stepwise_reference_on_fuzzed_sources(self):
+        from latentsum.numerics import embedding_lookup, no_grad
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            model = tiny_model(seed=case)
+            source = [int(v) for v in rng.integers(4, 14, size=int(rng.integers(1, 9)))]
+            max_len = int(rng.integers(1, 10))
+            with no_grad():  # reference: LSTMCell.step and the one-state _attend
+                annotations, state = model._encode_source(source)
+                projected = matmul(annotations, model.u_h)
+                cell = Tensor(np.zeros((1, model.d)))
+                token, ref = BOS, []
+                for step in range(max_len):
+                    state, cell = model.dec.step(embedding_lookup(model.tgt_embed, [token]),
+                                                 state, cell)
+                    _, context = model._attend(state, annotations, projected)
+                    logits = model._output_logits(state, context).data[0].copy()
+                    logits[[PAD, BOS] + ([EOS] if step == 0 else [])] = -np.inf
+                    token = int(np.argmax(logits))
+                    if token == EOS:
+                        break
+                    ref.append(token)
+            assert model.decode_greedy_ids(source, max_len) == ref
+
 
 class TestTraining:
     def _pairs(self, vocab):

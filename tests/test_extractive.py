@@ -52,6 +52,31 @@ def stepwise_mean(model, ids):
     return np.concatenate([fwd, bwd], axis=1).mean(axis=0)
 
 
+def stepwise_decode(model, enc, feed, teacher=None, rng=None):
+    """Reference label decode: one LSTMCell.step graph per sentence.
+
+    Returns the (n, 2) log-probs, the labels and the (n, d) states.
+    """
+    from latentsum.numerics import concat, log_softmax, matmul, slice_axis, transpose
+    h, c = model.dec.initial_state()
+    prev = 0
+    log_probs, labels, states = [], [], []
+    for i in range(len(enc)):
+        emb = transpose(slice_axis(model.w_e, 1, prev, prev + 1))
+        h, c = model.dec.step(concat([emb, slice_axis(enc.h_e, 0, i, i + 1)], axis=1), h, c)
+        lp = log_softmax(matmul(h, transpose(model.w_o)), axis=1)
+        if feed == "teacher":
+            prev = teacher[i]
+        elif feed == "greedy":
+            prev = int(np.argmax(lp.data[0]))
+        else:
+            prev = int(rng.random() < np.exp(lp.data[0, 1]))
+        log_probs.append(lp)
+        labels.append(prev)
+        states.append(h)
+    return concat(log_probs, axis=0), labels, concat(states, axis=0)
+
+
 class TestEncoding:
     def test_sentence_encoding_shape(self):
         model = tiny_model()
@@ -183,6 +208,62 @@ class TestDecoding:
         dec = model.decode_labels(enc, feed="teacher", teacher_labels=gold)
         manual = -sum(lp[y] for lp, y in zip(dec.log_probs.data, gold.labels))
         np.testing.assert_allclose(float(loss.data), manual, rtol=1e-12)
+
+
+class TestStepwiseOracle:
+    """decode_labels against the LSTMCell.step reference."""
+
+    @pytest.mark.parametrize("feed", ["teacher", "greedy", "sample"])
+    def test_decode_matches_stepwise_reference(self, feed):
+        for seed in range(6):
+            model = tiny_model(seed=seed)
+            doc = encoded_doc(n_sents=2 + seed, seed=30 + seed)
+            teacher = [int(v) for v in np.random.default_rng(seed).integers(0, 2, len(doc.sentences))]
+            with no_grad():
+                enc = model.encode_document(doc)
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                dec = model.decode_labels(enc, feed=feed, rng=rng_a,
+                                          teacher_labels=LabelSequence(tuple(teacher)))
+                ref_lp, ref_labels, ref_h = stepwise_decode(model, enc, feed, teacher, rng_b)
+            assert dec.labels == ref_labels
+            np.testing.assert_allclose(dec.log_probs.data, ref_lp.data, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(dec.h_d.data, ref_h.data, rtol=0, atol=1e-10)
+            assert dec.h_d.shape == (len(doc.sentences), model.d)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_teacher_nll_gradients_match_stepwise_reference(self):
+        from latentsum.numerics import gather_rows, tensor_sum, zero_grads
+        model = tiny_model(seed=12)
+        doc = encoded_doc(n_sents=5, seed=44)
+        gold = LabelSequence((1, 0, 0, 1, 1))
+        grads = []
+        for decode in ("decode_labels", "stepwise"):
+            zero_grads(model.parameters())
+            enc = model.encode_document(doc)
+            if decode == "stepwise":
+                log_probs, labels, _ = stepwise_decode(model, enc, "teacher", gold.labels)
+                loss = -tensor_sum(gather_rows(log_probs, labels))
+            else:
+                loss = model.nll_loss(enc, gold)
+            backward(loss)
+            grads.append({p.name: p.grad_or_zeros().copy() for p in model.parameters()})
+        for name, grad in grads[0].items():
+            assert grad.any(), name
+            np.testing.assert_allclose(grad, grads[1][name], rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("feed", ["greedy", "sample"])
+    def test_float32_labels_equal_stepwise_reference(self, feed):
+        # the label-choice loop does the reference's arithmetic, so the
+        # labels and the draws agree exactly, not just to a tolerance
+        for seed in range(6):
+            model = tiny_model(d=16, seed=seed, dtype=np.float32)
+            with no_grad():
+                enc = model.encode_document(encoded_doc(n_sents=8, seed=60 + seed))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                labels = model.decode_labels(enc, feed=feed, rng=rng_a).labels
+                _, ref_labels, _ = stepwise_decode(model, enc, feed, rng=rng_b)
+            assert labels == ref_labels
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestTopK:

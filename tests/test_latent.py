@@ -13,19 +13,16 @@ from latentsum.labeling import LabelSequence
 from latentsum.latent import (
     BaselineModel,
     RewardBreakdown,
-    SampledExtraction,
     _selected_logprob_sum,
     exhaustive_expectation,
     reinforce_step,
     reward,
     reward_from_matrix,
-    sample_labels,
     surrogate_loss,
     train_latent,
 )
 from latentsum.numerics import (
     backward,
-    concat,
     constant,
     finite_difference_check,
     mul,
@@ -161,26 +158,23 @@ class TestRewardAlgebra:
 
 
 class TestSampling:
-    def test_sample_consistency_checks(self):
-        with pytest.raises(DataError, match="lengths"):
-            SampledExtraction(z=LabelSequence((0, 1)), logprobs=(0.0,), selected=())
-        with pytest.raises(DataError, match="inconsistent"):
-            SampledExtraction(z=LabelSequence((0, 1)), logprobs=(0.0, 0.0), selected=())
-
     def test_degenerate_policy_selects_everything(self):
         model = always_select_model()
         doc = tiny_doc(n_sents=4)
-        out = sample_labels(model, doc, np.random.default_rng(0))
-        assert out.z.labels == (1, 1, 1, 1)
-        assert out.logprobs == (0.0, 0.0, 0.0, 0.0)
-        assert len(out.selected) == 4
+        with no_grad():
+            out = model.decode_labels(model.encode_document(doc), feed="sample",
+                                      rng=np.random.default_rng(0))
+        assert out.labels == [1, 1, 1, 1]
+        assert out.log_probs.data[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_same_seed_same_sample(self):
         model = policy()
-        doc = tiny_doc()
-        a = sample_labels(model, doc, np.random.default_rng(17))
-        b = sample_labels(model, doc, np.random.default_rng(17))
-        assert a.z == b.z and a.logprobs == b.logprobs
+        with no_grad():
+            enc = model.encode_document(tiny_doc())
+            a = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(17))
+            b = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(17))
+        assert a.labels == b.labels
+        assert np.array_equal(a.log_probs.data, b.log_probs.data)
 
     def test_sample_frequency_matches_first_step_probability(self):
         model = policy(seed=5)
@@ -246,10 +240,9 @@ class TestSurrogate:
         def loss_fn():
             dec = model.decode_labels(model.encode_document(doc), feed="teacher",
                                       teacher_labels=z)
-            values = [baseline.predict(h) for h in dec.h_d]
-            target = constant(np.full((len(values), 1), r))
-            residual = concat(values, axis=0) - target
-            return tensor_sum(mul(residual, residual)) * (1.0 / len(values))
+            values = baseline.predict(dec.h_d)
+            residual = values - constant(np.full((len(doc), 1), r))
+            return tensor_sum(mul(residual, residual)) * (1.0 / len(doc))
 
         report = finite_difference_check(baseline.parameters(), loss_fn, rng, num_coords=5)
         assert report.passed, report.failures
@@ -259,7 +252,7 @@ class TestSurrogate:
         baseline = BaselineModel(model.d, dtype=np.float64)
         baseline.w.data += 0.5
         dec = model.decode_labels(model.encode_document(tiny_doc()), feed="greedy")
-        loss = tensor_sum(concat([baseline.predict(h) for h in dec.h_d], axis=0))
+        loss = tensor_sum(baseline.predict(dec.h_d))
         backward(loss)
         for p in model.parameters():
             assert p.grad is None or not p.grad.any()
@@ -277,7 +270,7 @@ class TestReinforceStep:
         step = reinforce_step(model, baseline, doc, summary, comp, cfg,
                               np.random.default_rng(0))  # seed picks a non-empty mask
         assert len(step.baseline_values) == len(doc)
-        assert sum(step.sampled.z.labels) > 0
+        assert len(step.labels) == len(doc) and sum(step.labels) > 0
         assert 0.0 <= step.breakdown.r <= 1.0
         assert any(p.grad is not None and p.grad.any() for p in model.parameters())
         assert all(b.grad is not None for b in baseline.parameters())
@@ -476,3 +469,34 @@ class TestTrainLatent:
         with pytest.raises(DataError, match="empty"):
             train_latent(model, BaselineModel(model.d), [], scorer(), small_config,
                          np.random.default_rng(0))
+
+
+class TestStepIsOracleOnly:
+    def test_pipeline_runs_without_lstm_step(self, small_config, monkeypatch):
+        # LSTMCell.step is kept as a stepwise test oracle; no training or
+        # inference path may build the tape step
+        import dataclasses
+
+        from latentsum.compression import decode_greedy, train_compression
+        from latentsum.extractive import train_extractive
+        from latentsum.labeling import compression_pairs, oracle_labels
+        from latentsum.numerics import LSTMCell
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LSTMCell.step called from a production path")
+
+        monkeypatch.setattr(LSTMCell, "step", refuse)
+        records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
+        cfg = dataclasses.replace(small_config, extractive_epochs=1, compression_epochs=1,
+                                  latent_epochs=1)
+        rng = np.random.default_rng(0)
+        model = ExtractiveModel(len(vocab), cfg.d, rng)
+        labels = {doc.id: oracle_labels(doc, summary) for doc, summary in records}
+        assert train_extractive(model, records, labels, records[:1], cfg, rng)
+        comp = CompressionModel(len(vocab), cfg.d, rng)
+        pairs = [p for doc, summary in records for p in compression_pairs(doc, summary)]
+        assert train_compression(comp, pairs, pairs[:1], cfg, rng)
+        assert train_latent(model, BaselineModel(cfg.d), records, comp, cfg, rng)
+        doc = records[0][0]
+        assert model.select_top_k(doc, 2).indices
+        assert decode_greedy(comp, vocab, doc.sentences[0], 5).ids
