@@ -42,19 +42,18 @@ from .numerics.optim import Adam, fit
 
 @dataclass
 class TeacherDecode:
-    """Stepwise outputs of a teacher-forced decode."""
+    """Stepwise outputs of a teacher-forced decode of one or more targets."""
 
-    log_probs: Tensor  # (T, V) log-distributions, one row per step
-    targets: list[int]  # gold next-token ids, EOS last
+    log_probs: Tensor  # (T, V) log-distributions, each target's rows in turn
+    targets: list[int]  # gold next-token ids, each target's EOS last
+    lengths: list[int]  # rows per target: its length plus the EOS
 
-    @property
-    def total_logprob(self) -> float:
-        # a sequential float32 sum; numpy's pairwise .sum() rounds differently
-        return float(sum(lp[t] for lp, t in zip(self.log_probs.data, self.targets)))
-
-    @property
-    def token_count(self) -> int:
-        return len(self.targets)
+    def total_logprobs(self) -> list[float]:
+        """Each target's total log-probability, as a sequential float32 sum
+        (numpy's pairwise .sum() rounds differently)."""
+        picked = self.log_probs.data[np.arange(len(self.targets)), self.targets]
+        ends = np.cumsum(self.lengths)
+        return [float(sum(picked[end - n : end])) for n, end in zip(self.lengths, ends)]
 
 
 class CompressionModel:
@@ -107,34 +106,44 @@ class CompressionModel:
     def _output_logits(self, state: Tensor, context: Tensor) -> Tensor:
         return add(matmul(concat([state, context], axis=1), self.w_out), self.b_out)
 
-    def decode_teacher(self, source_ids, target_ids, rng=None,
+    def decode_teacher(self, source_ids, targets, rng=None,
                        training: bool = False, drop: float = 0.0) -> TeacherDecode:
-        """Teacher-forced decode; predicts each target token then EOS.
+        """Teacher-forced decode of each target given one source; predicts
+        each target token then EOS.
 
-        The decoder reads only gold tokens, so its states come from one
-        recurrence and attention, output layer and log_softmax each run
-        once over all T steps.
+        The source is encoded once. The decoder reads only gold tokens, so
+        the states of every target come from one packed recurrence, each
+        started from the source's s0, and attention, output layer and
+        log_softmax each run once over all T rows.
         """
-        if not source_ids or not target_ids:
-            raise DataError("compression needs non-empty source and target")
+        if not source_ids or not targets or not all(targets):
+            raise DataError("compression needs a non-empty source and non-empty targets")
         annotations, s0 = self._encode_source(source_ids, rng=rng, training=training, drop=drop)
         projected = matmul(annotations, self.u_h)  # (S, a)
-        inputs = embedding_lookup(self.tgt_embed, [BOS] + list(target_ids))
-        targets = list(target_ids) + [EOS]
-        steps, n_src = len(targets), len(source_ids)
-        states = dropout(lstm_sequence(self.dec, inputs, [steps], h0=s0), drop, rng,
-                         training=training)  # (T, d)
+        inputs = embedding_lookup(self.tgt_embed,
+                                  [i for target in targets for i in [BOS, *target]])
+        gold = [i for target in targets for i in [*target, EOS]]
+        lengths = [len(target) + 1 for target in targets]
+        steps, n_src = len(gold), len(source_ids)
+        states = dropout(lstm_sequence(self.dec, inputs, lengths, h0=s0), drop, rng,
+                         training=training)  # (T, d), every target started from s0
         # _attend's additive scores for all T states at once, row t * S + k
         query = embedding_lookup(matmul(states, self.w_s), np.repeat(np.arange(steps), n_src))
         key = embedding_lookup(projected, np.tile(np.arange(n_src), steps))
-        scores = reshape(matmul(tanh(add(query, key)), self.v_a), (steps, n_src))
+        hidden = tanh(add(query, key))
+        # a matrix-vector product's rounding depends on its row count, so
+        # each target gets its own, with the bits of a one-target decode
+        blocks = np.cumsum([0, *lengths]) * n_src
+        scores = reshape(concat([matmul(slice_axis(hidden, 0, lo, hi), self.v_a)
+                                 for lo, hi in zip(blocks[:-1], blocks[1:])], axis=0),
+                         (steps, n_src))
         context = matmul(softmax(scores, axis=1), annotations)  # (T, 2d)
         log_probs = log_softmax(self._output_logits(states, context), axis=1)
-        return TeacherDecode(log_probs=log_probs, targets=targets)
+        return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths)
 
     def nll_loss(self, source_ids, target_ids, rng=None, training: bool = False,
                  drop: float = 0.0) -> Tensor:
-        dec = self.decode_teacher(source_ids, target_ids, rng=rng, training=training, drop=drop)
+        dec = self.decode_teacher(source_ids, [target_ids], rng=rng, training=training, drop=drop)
         return -tensor_sum(gather_rows(dec.log_probs, dec.targets))
 
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
@@ -188,20 +197,30 @@ def load_compression(path, vocab) -> CompressionModel:
     return model
 
 
+def _logprobs(model: CompressionModel, source: Sentence, targets) -> list[tuple[float, int]]:
+    """Total teacher-forced log-probability of each target (EOS included)
+    and the token count it was summed over, from one source encoding."""
+    if source.ids is None or any(target.ids is None for target in targets):
+        raise DataError("sentences must carry vocabulary ids")
+    with no_grad():
+        dec = model.decode_teacher(source.ids, [target.ids for target in targets])
+    return list(zip(dec.total_logprobs(), dec.lengths))
+
+
 def seq2seq_logprob(model: CompressionModel, source: Sentence, target: Sentence) -> tuple[float, int]:
     """Total teacher-forced log-probability of target (EOS included) and
     the token count it was summed over."""
-    if source.ids is None or target.ids is None:
-        raise DataError("sentences must carry vocabulary ids")
-    with no_grad():
-        dec = model.decode_teacher(source.ids, target.ids)
-    return dec.total_logprob, dec.token_count
+    return _logprobs(model, source, [target])[0]
+
+
+def s_scores(model: CompressionModel, source: Sentence, targets) -> list[float]:
+    """s_score of source against every target; the source is encoded once."""
+    return [float(np.exp(total / count)) for total, count in _logprobs(model, source, targets)]
 
 
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
     """exp(mean per-token log-probability); always in (0, 1]."""
-    total, count = seq2seq_logprob(model, source, target)
-    return float(np.exp(total / count))
+    return s_scores(model, source, [target])[0]
 
 
 def decode_greedy(model: CompressionModel, vocab: Vocabulary, source: Sentence,

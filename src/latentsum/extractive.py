@@ -168,18 +168,20 @@ class ExtractiveModel:
         elif feed == "sample" and rng is None:
             raise DataError("sample feed requires an rng")
         else:
-            labels = self._choose_labels(enc.h_e.data, rng if feed == "sample" else None)
+            labels = self.choose_labels(enc, rng if feed == "sample" else None)
         previous = embedding_lookup(transpose(self.w_e), [START_LABEL] + labels[:-1])
         h_d = lstm_sequence(self.dec, concat([previous, enc.h_e], axis=1), [len(labels)])
         log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
-    def _choose_labels(self, h_e: np.ndarray, rng) -> list[int]:
-        """Greedy labels, or with an rng one draw of rng.random() per step.
+    def choose_labels(self, enc: EncodedDocument, rng=None) -> list[int]:
+        """Greedy labels, or with an rng one draw of rng.random() per step;
+        tape-free, and without ``decode_labels``' scoring pass.
 
         Each step does the arithmetic of a one-row ``LSTMCell.step`` and of
         ``log_softmax``, so the labels match a stepwise decode.
         """
+        h_e = enc.h_e.data
         h = np.zeros((1, self.d), dtype=self.dtype)
         c = np.zeros_like(h)
         w_x, w_e, w_o = self.dec.w_x.data, self.w_e.data, self.w_o.data
@@ -250,8 +252,8 @@ def label_accuracy(model: ExtractiveModel, records, labels_by_id) -> float:
     with no_grad():
         for doc, _ in records:
             gold = labels_by_id[doc.id]
-            dec = model.decode_labels(model.encode_document(doc), feed="greedy")
-            hits += sum(int(p == g) for p, g in zip(dec.labels, gold.labels))
+            labels = model.choose_labels(model.encode_document(doc))
+            hits += sum(int(p == g) for p, g in zip(labels, gold.labels))
             total += len(gold)
     return hits / total if total else 0.0
 

@@ -3,7 +3,10 @@
 Binary keep/drop labels are treated as latent variables: extraction
 masks are sampled from the label decoder, scored against the gold
 summary by the frozen compression model, and the decoder is updated
-with REINFORCE using a learned per-step linear baseline.
+with REINFORCE using a learned per-step linear baseline. The scorer is
+frozen and deterministic, so each training document's |D| x |H| score
+matrix is built once, before the first epoch, and every sample's reward
+is read from its rows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionModel, s_score
+from .compression import CompressionModel, s_scores
 from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
@@ -74,15 +77,19 @@ class BaselineModel:
 def reward(compression: CompressionModel, selected, summary: SummarySet,
            alpha: float) -> RewardBreakdown:
     """Score an extraction against the gold summary (Jensen-style max
-    pooling of pairwise compression scores, then the alpha-weighted mix)."""
+    pooling of pairwise compression scores, then the alpha-weighted mix).
+
+    Training reads the same rewards from each document's score matrix;
+    this scores the given sentences afresh and is the tests' oracle."""
     if len(summary) == 0:
         raise DataError("reward needs a non-empty summary")
     return reward_from_matrix(_score_matrix(compression, selected, summary), alpha)
 
 
 def _score_matrix(compression: CompressionModel, sources, summary: SummarySet) -> np.ndarray:
-    """|sources| x |H| matrix of s_score(source, summary sentence)."""
-    rows = [[s_score(compression, c, h) for h in summary.sentences] for c in sources]
+    """|sources| x |H| matrix of s_score(source, summary sentence), one
+    source encoding per row."""
+    rows = [s_scores(compression, c, summary.sentences) for c in sources]
     return np.array(rows).reshape(len(rows), len(summary))
 
 
@@ -121,17 +128,18 @@ class ReinforceStep:
 
 
 def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Document,
-                   summary: SummarySet, compression: CompressionModel, config,
-                   rng, num_samples: int = 1) -> ReinforceStep:
+                   scores: np.ndarray, config, rng, num_samples: int = 1) -> ReinforceStep:
     """One policy update's worth of gradients for one document.
 
-    Draws sample(s), scores them with the frozen compression model,
-    and accumulates (a) the policy surrogate gradient with the detached
+    Draws sample(s), reads each one's reward from ``scores``, the
+    document's |D| x |H| matrix of frozen compression scores, and
+    accumulates (a) the policy surrogate gradient with the detached
     per-step baseline subtracted and (b) the baseline MSE gradient.
     Optimizer steps are the caller's job.
     """
-    if len(summary) == 0:
-        raise DataError(f"document {doc.id!r} has an empty summary")
+    if scores.ndim != 2 or scores.shape[0] != len(doc) or scores.shape[1] == 0:
+        raise DataError(f"document {doc.id!r}: score matrix of shape {scores.shape} "
+                        f"does not pair its {len(doc)} sentences with a summary")
     last = None
     for _ in range(num_samples):
         enc = model.encode_document(
@@ -139,8 +147,7 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
             drop=config.dropout, word_dropout=config.word_dropout,
         )
         dec = model.decode_labels(enc, feed="sample", rng=rng)
-        selected = [s for s, z in zip(doc.sentences, dec.labels) if z]
-        breakdown = reward(compression, selected, summary, config.alpha)
+        breakdown = reward_from_matrix(scores[np.flatnonzero(dec.labels)], config.alpha)
 
         values = baseline.predict(dec.h_d)  # (n, 1)
         value_floats = tuple(float(v) for v in values.data[:, 0])
@@ -216,6 +223,11 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     step through trace_sink and returns per-epoch mean-reward metrics."""
     if not train_records:
         raise DataError("cannot train on an empty corpus")
+    for doc, summary in train_records:
+        if len(summary) == 0:
+            raise DataError(f"document {doc.id!r} has an empty summary")
+    matrices = [_score_matrix(compression, doc.sentences, summary)
+                for doc, summary in train_records]
     policy_params = model.parameters()
     value_params = baseline.parameters()
     policy_opt = SGD(policy_params, lr=config.latent_lr)
@@ -224,12 +236,12 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     for epoch in range(1, config.latent_epochs + 1):
         order = rng.permutation(len(train_records))
         rewards, r_ps, r_rs, mses = [], [], [], []
-        for idx in order:
-            doc, summary = train_records[int(idx)]
+        for idx in map(int, order):
+            doc = train_records[idx][0]
             zero_grads(policy_params)
             zero_grads(value_params)
-            step = reinforce_step(model, baseline, doc, summary, compression,
-                                  config, rng, num_samples=config.num_samples)
+            step = reinforce_step(model, baseline, doc, matrices[idx], config, rng,
+                                  num_samples=config.num_samples)
             clip_global_norm(policy_params, config.clip_norm)
             clip_global_norm(value_params, config.clip_norm)
             policy_opt.step()

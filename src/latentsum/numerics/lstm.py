@@ -88,7 +88,8 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     order of ``lengths``. Row r of the (sum(lengths), h) result is the state
     after reading row r. ``reverse`` reads each sequence from its own last
     row back to its first. ``h0`` is an optional (len(lengths), h) initial
-    hidden state; the initial cell state is zero.
+    hidden state, or one (1, h) row that every sequence starts from; the
+    initial cell state is zero.
 
     Each step runs ``LSTMCell.advance`` on the sequences still active.
     """
@@ -101,8 +102,9 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
             or lengths.sum() != x.data.shape[0]:
         raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not partition "
                          f"{x.data.shape[0]} rows")
-    if h0 is not None and h0.data.shape != (lengths.size, hid):
-        raise ShapeError(f"lstm_sequence: h0 shape {h0.data.shape} != {(lengths.size, hid)}")
+    if h0 is not None and h0.data.shape not in ((lengths.size, hid), (1, hid)):
+        raise ShapeError(f"lstm_sequence: h0 shape {h0.data.shape} is neither "
+                         f"{(lengths.size, hid)} nor {(1, hid)}")
 
     # longest first, so the sequences still active at step t are a prefix
     order = np.argsort(-lengths, kind="stable")
@@ -116,7 +118,8 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     w_h = cell.w_h.data
     xw = x.data @ cell.w_x.data
     dtype = xw.dtype
-    h_state = np.zeros((lengths.size, hid), dtype) if h0 is None else h0.data[order]
+    h_state = (np.zeros((lengths.size, hid), dtype) if h0 is None
+               else np.broadcast_to(h0.data, (lengths.size, hid))[order])
     c_state = np.zeros((lengths.size, hid), dtype)
     out = np.empty((x.data.shape[0], hid), dtype)
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
@@ -157,7 +160,8 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
         if h0 is not None and h0.requires_grad:
             dh0 = np.empty_like(dh)
             dh0[order] = dh
-            _accumulate(h0, dh0)
+            _accumulate(h0, dh0 if h0.data.shape[0] == lengths.size
+                        else dh0.sum(axis=0, keepdims=True))
 
     parents = (x, cell.w_x, cell.w_h, cell.b) + (() if h0 is None else (h0,))
     return _make(out, parents, bw)

@@ -238,9 +238,12 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
+    """Tensors joined along ``axis``; one tensor is returned as it is."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat: empty input list")
+    if len(tensors) == 1:
+        return tensors[0]
     sizes = [t.data.shape[axis] for t in tensors]
     ref = list(tensors[0].data.shape)
     for t in tensors[1:]:
@@ -264,6 +267,9 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Rows or columns [start, stop) of ``a``; the full range is ``a`` itself."""
+    if start == 0 and stop == a.data.shape[axis]:
+        return a
     index = [slice(None)] * a.data.ndim
     index[axis] = slice(start, stop)
     index = tuple(index)

@@ -223,7 +223,7 @@ def test_c3_reinforce_matches_exact_expectation():
     with no_grad():
         enc = model.encode_document(doc)
         for j in range(n_samples):
-            z = tuple(model.decode_labels(enc, feed="sample", rng=rng).labels)
+            z = tuple(model.choose_labels(enc, rng))  # decode_labels' sample draw
             counts[z] = counts.get(z, 0) + 1
             sample_rewards[j] = rewards[z]
     mc_mean = float(sample_rewards.mean())

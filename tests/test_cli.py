@@ -248,6 +248,21 @@ class TestExitCodes:
         assert "error[data]" in err and f"line {len(lines) + 1}: duplicate document id" in err
         assert not (tmp_path / "ext.ckpt").exists()
 
+    def test_empty_training_summary_is_data_error(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["corpus"] / "train.jsonl").read_text().splitlines()
+        last = {**json.loads(lines[-1]), "summary": []}
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "train.jsonl").write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+        assert run(["--config", pipeline["config"], "train-latent", "--corpus", corpus,
+                    "--checkpoint", pipeline["extractive"],
+                    "--compression", pipeline["compression"], "--vocab", pipeline["vocab"],
+                    "--out", tmp_path / "latent.ckpt", "--trace", tmp_path / "t.jsonl",
+                    "--metrics", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"{last['id']!r} has an empty summary" in err
+        assert not (tmp_path / "latent.ckpt").exists()
+
     def test_missing_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys):
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],

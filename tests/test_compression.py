@@ -9,6 +9,7 @@ from latentsum.compression import (
     load_compression,
     perplexity,
     s_score,
+    s_scores,
     save_compression,
     seq2seq_logprob,
     train_compression,
@@ -16,7 +17,7 @@ from latentsum.compression import (
 from latentsum.corpus import BOS, EOS, PAD, Sentence, build_vocab
 from latentsum.errors import CheckpointError, DataError
 from latentsum.labeling import CompressionPair
-from latentsum.numerics import Tensor, finite_difference_check, matmul
+from latentsum.numerics import Tensor, finite_difference_check, matmul, no_grad
 
 from conftest import doc_from, summary_from
 
@@ -82,7 +83,7 @@ class TestScoring:
         src = encoded(vocab, "the fox ran home")
         tgt = encoded(vocab, "fox ran")
         total, count = seq2seq_logprob(model, src, tgt)
-        dec = model.decode_teacher(src.ids, tgt.ids)
+        dec = model.decode_teacher(src.ids, [tgt.ids])
         assert dec.log_probs.shape == (count, model.vocab_size)
         stepwise = 0.0
         for lp, t in zip(dec.log_probs.data, dec.targets):
@@ -99,7 +100,64 @@ class TestScoring:
     def test_empty_inputs_refused(self):
         model = tiny_model()
         with pytest.raises(DataError, match="non-empty"):
-            model.decode_teacher([], [4])
+            model.decode_teacher([], [[4]])
+
+
+def ids_sentence(ids):
+    return Sentence(tokens=tuple(f"w{i}" for i in ids), ids=tuple(ids))
+
+
+class TestBatchedScoring:
+    """One source encoding scores every target with the numbers of a
+    per-target decode."""
+
+    def _cases(self, dtype, count=30, seed=41):
+        rng = np.random.default_rng(seed)
+        for case in range(count):
+            model = tiny_model(d=int(rng.choice([4, 6, 16])), seed=case, dtype=dtype)
+            source = [int(v) for v in rng.integers(4, 14, size=int(rng.integers(1, 10)))]
+            lengths = [1] + [int(v) for v in rng.integers(1, 9, size=int(rng.integers(0, 4)))]
+            rng.shuffle(lengths)
+            targets = [[int(v) for v in rng.integers(4, 14, size=n)] for n in lengths]
+            yield model, source, targets
+
+    @staticmethod
+    def _reference(model, source, target):
+        """s_score's arithmetic on a one-target decode_teacher."""
+        with no_grad():
+            dec = model.decode_teacher(source, [target])
+        total = sum(lp[t] for lp, t in zip(dec.log_probs.data, dec.targets))
+        return dec.log_probs.data, float(np.exp(float(total) / len(dec.targets)))
+
+    def test_float32_bitwise_equal_to_per_target_decodes(self):
+        for model, source, targets in self._cases(np.float32):
+            refs = [self._reference(model, source, t) for t in targets]
+            with no_grad():
+                dec = model.decode_teacher(source, targets)
+            assert dec.lengths == [len(t) + 1 for t in targets]
+            assert np.array_equal(dec.log_probs.data, np.concatenate([lp for lp, _ in refs]))
+            got = s_scores(model, ids_sentence(source), [ids_sentence(t) for t in targets])
+            assert got == [s for _, s in refs]
+
+    def test_float64_matches_per_target_decodes(self):
+        for model, source, targets in self._cases(np.float64, seed=43):
+            got = s_scores(model, ids_sentence(source), [ids_sentence(t) for t in targets])
+            want = [self._reference(model, source, t)[1] for t in targets]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_s_score_is_the_one_target_case(self):
+        model = tiny_model(dtype=np.float32)
+        source, targets = ids_sentence([4, 5, 6]), [ids_sentence([7]), ids_sentence([8, 9])]
+        assert s_scores(model, source, targets) == [s_score(model, source, t) for t in targets]
+
+    def test_empty_targets_refused(self):
+        model = tiny_model()
+        with pytest.raises(DataError, match="non-empty"):
+            model.decode_teacher([4, 5], [])
+        with pytest.raises(DataError, match="non-empty"):
+            model.decode_teacher([4, 5], [[6], []])
+        with pytest.raises(DataError, match="ids"):
+            s_scores(model, ids_sentence([4]), [ids_sentence([5]), Sentence(tokens=("b",))])
 
 
 def attention_rows(model, source_ids, steps):
@@ -170,7 +228,7 @@ class TestGreedyDecode:
         assert all(isinstance(t, str) for t in out.tokens)
 
     def test_matches_stepwise_reference_on_fuzzed_sources(self):
-        from latentsum.numerics import embedding_lookup, no_grad
+        from latentsum.numerics import embedding_lookup
         rng = np.random.default_rng(31)
         for case in range(40):
             model = tiny_model(seed=case)

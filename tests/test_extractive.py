@@ -418,5 +418,20 @@ class TestTraining:
         acc = label_accuracy(model, records, labels)
         assert 0.0 <= acc <= 1.0
 
+    def test_label_accuracy_skips_the_scoring_pass(self, small_config, monkeypatch):
+        records, labels, model = self._setup(small_config)
+        hits = total = 0
+        with no_grad():
+            for doc, _ in records:
+                dec = model.decode_labels(model.encode_document(doc), feed="greedy")
+                hits += sum(int(p == g) for p, g in zip(dec.labels, labels[doc.id].labels))
+                total += len(doc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("label_accuracy ran decode_labels' scoring pass")
+
+        monkeypatch.setattr(ExtractiveModel, "decode_labels", refuse)
+        assert label_accuracy(model, records, labels) == hits / total
+
     def test_evaluate_rouge_mean_empty(self):
         assert evaluate_rouge_mean(tiny_model(), [], 3) == 0.0

@@ -1,5 +1,6 @@
 """REINFORCE refinement: rewards, sampling, surrogate, exact enumeration."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from latentsum.labeling import LabelSequence
 from latentsum.latent import (
     BaselineModel,
     RewardBreakdown,
+    _score_matrix,
     _selected_logprob_sum,
     exhaustive_expectation,
     reinforce_step,
@@ -267,8 +269,8 @@ class TestReinforceStep:
         cfg = small_config
         cfg.dropout = 0.0
         cfg.word_dropout = 0.0
-        step = reinforce_step(model, baseline, doc, summary, comp, cfg,
-                              np.random.default_rng(0))  # seed picks a non-empty mask
+        step = reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, summary),
+                              cfg, np.random.default_rng(0))  # seed picks a non-empty mask
         assert len(step.baseline_values) == len(doc)
         assert len(step.labels) == len(doc) and sum(step.labels) > 0
         assert 0.0 <= step.breakdown.r <= 1.0
@@ -280,8 +282,9 @@ class TestReinforceStep:
         baseline = BaselineModel(model.d, dtype=np.float64)
         comp = scorer(seed=12)
         cfg = small_config
-        reinforce_step(model, baseline, tiny_doc(), tiny_summary(), comp, cfg,
-                       np.random.default_rng(5))
+        doc = tiny_doc()
+        reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, tiny_summary()),
+                       cfg, np.random.default_rng(5))
         for p in comp.parameters():
             assert p.grad is None
 
@@ -299,8 +302,8 @@ class TestReinforceStep:
         from latentsum.latent import reward as reward_fn
         r = reward_fn(comp, list(doc.sentences), summary, cfg.alpha).r
         baseline.b.data = np.array([[r]])
-        step = reinforce_step(model, baseline, doc, summary, comp, cfg,
-                              np.random.default_rng(6))
+        step = reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, summary),
+                              cfg, np.random.default_rng(6))
         assert step.surrogate == pytest.approx(0.0, abs=1e-12)
         for p in model.parameters():
             if p.grad is not None:
@@ -470,13 +473,94 @@ class TestTrainLatent:
             train_latent(model, BaselineModel(model.d), [], scorer(), small_config,
                          np.random.default_rng(0))
 
+    def test_empty_summary_refused_before_any_update(self, small_config):
+        records, vocab = self._records()
+        empty = object.__new__(SummarySet)  # SummarySet() itself refuses no sentences
+        object.__setattr__(empty, "sentences", ())
+        records[-1] = (records[-1][0], empty)
+        model = ExtractiveModel(len(vocab), small_config.d, np.random.default_rng(0))
+        baseline = BaselineModel(small_config.d)
+        baseline.w.data += 0.25
+        before = [p.data.copy() for p in model.parameters() + baseline.parameters()]
+        comp = CompressionModel(len(vocab), small_config.d, np.random.default_rng(7))
+        with pytest.raises(DataError, match=f"{records[-1][0].id!r} has an empty summary"):
+            # this seed's first epoch visits the records in order, the empty one last
+            train_latent(model, baseline, records, comp, small_config, np.random.default_rng(1))
+        after = [p.data for p in model.parameters() + baseline.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_each_training_sentence_encoded_once(self, small_config, monkeypatch):
+        records, vocab = self._records(n=4)
+        calls = []
+        encode = CompressionModel._encode_source
+
+        def counting(self, source_ids, *args, **kwargs):
+            calls.append(tuple(source_ids))
+            return encode(self, source_ids, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionModel, "_encode_source", counting)
+        cfg = dataclasses.replace(small_config, num_samples=3, latent_epochs=2)
+        model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))
+        comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(1))
+        train_latent(model, BaselineModel(cfg.d), records, comp, cfg, np.random.default_rng(2))
+        assert len(calls) == sum(len(doc) for doc, _ in records)
+        assert sorted(calls) == sorted(s.ids for doc, _ in records for s in doc.sentences)
+
+    def test_trace_rewards_equal_per_sample_reward_oracle(self, small_config, monkeypatch):
+        # float32, as in production: every traced reward must carry the bits
+        # of reward() on the sentences that sample selected
+        records, vocab = self._records(n=4)
+        sampled = []
+        decode = ExtractiveModel.decode_labels
+
+        def recording(self, enc, feed="greedy", teacher_labels=None, rng=None):
+            dec = decode(self, enc, feed=feed, teacher_labels=teacher_labels, rng=rng)
+            if feed == "sample":
+                sampled.append(tuple(dec.labels))
+            return dec
+
+        monkeypatch.setattr(ExtractiveModel, "decode_labels", recording)
+        cfg = dataclasses.replace(small_config, num_samples=2, latent_epochs=2)
+        model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(3))
+        comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(4))
+        rows = []
+        train_latent(model, BaselineModel(cfg.d), records, comp, cfg,
+                     np.random.default_rng(5), trace_sink=rows.append)
+        by_id = {doc.id: (doc, summary) for doc, summary in records}
+        last_samples = sampled[cfg.num_samples - 1 :: cfg.num_samples]
+        assert len(last_samples) == len(rows) == cfg.latent_epochs * len(records)
+        assert any(sum(z) > 0 for z in last_samples)
+        for row, z in zip(rows, last_samples):
+            doc, summary = by_id[row["doc_id"]]
+            picked = [s for s, zi in zip(doc.sentences, z) if zi]
+            want = reward(comp, picked, summary, cfg.alpha)
+            assert (row["r"], row["r_p"], row["r_r"]) == (want.r, want.r_p, want.r_r)
+
+
+class TestRewardMatrixIsTheOnlyPath:
+    @pytest.mark.parametrize("num_samples", [1, 3])
+    def test_training_never_scores_per_pair(self, small_config, monkeypatch, num_samples):
+        # the per-pair scorer and reward() are test oracles; training reads
+        # every reward from the matrix built before the first epoch
+        from latentsum import compression, latent
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-pair scoring called from train_latent")
+
+        monkeypatch.setattr(compression, "s_score", refuse)
+        monkeypatch.setattr(latent, "reward", refuse)
+        records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
+        cfg = dataclasses.replace(small_config, num_samples=num_samples, latent_epochs=1)
+        model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))
+        comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(1))
+        assert train_latent(model, BaselineModel(cfg.d), records, comp, cfg,
+                            np.random.default_rng(2))
+
 
 class TestStepIsOracleOnly:
     def test_pipeline_runs_without_lstm_step(self, small_config, monkeypatch):
         # LSTMCell.step is kept as a stepwise test oracle; no training or
         # inference path may build the tape step
-        import dataclasses
-
         from latentsum.compression import decode_greedy, train_compression
         from latentsum.extractive import train_extractive
         from latentsum.labeling import compression_pairs, oracle_labels

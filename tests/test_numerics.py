@@ -108,6 +108,12 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(slice_axis(joined, 1, 0, 2).data, a.data)
         np.testing.assert_array_equal(slice_axis(joined, 1, 2, 5).data, b.data)
 
+    def test_one_tensor_concat_and_full_slice_add_no_node(self):
+        a = constant(np.ones((2, 3)))
+        assert concat([a], axis=0) is a
+        assert slice_axis(a, 0, 0, 2) is a and slice_axis(a, 1, 0, 3) is a
+        assert slice_axis(a, 1, 0, 2) is not a
+
 
 class TestBackwardHandDerivatives:
     def test_sum_of_matmul_gives_outer_product_structure(self):
@@ -337,6 +343,32 @@ class TestLSTM:
 
         report = finite_difference_check(cell.parameters() + [x, h0], loss_fn, rng,
                                          num_coords=80)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_shared_h0_row(self, reverse):
+        # one (1, h) row starts every sequence: the states of that row repeated,
+        # and the sum of the repeated rows' gradients
+        rng = np.random.default_rng(17)
+        cell = LSTMCell("h", 2, 3, rng, dtype=np.float64)
+        lengths = [2, 4, 1]
+        x = constant(rng.normal(size=(sum(lengths), 2)))
+        shared = Parameter("shared", rng.normal(size=(1, 3)))
+        repeated = Parameter("repeated", np.repeat(shared.data, len(lengths), axis=0))
+        weights = constant(rng.normal(size=(sum(lengths), 3)))
+
+        def loss_fn(h0):
+            return tensor_sum(mul(lstm_sequence(cell, x, lengths, h0=h0, reverse=reverse),
+                                  weights))
+
+        for h0 in (shared, repeated):
+            backward(loss_fn(h0))
+        np.testing.assert_array_equal(
+            lstm_sequence(cell, x, lengths, h0=shared, reverse=reverse).data,
+            lstm_sequence(cell, x, lengths, h0=repeated, reverse=reverse).data)
+        np.testing.assert_allclose(shared.grad, repeated.grad.sum(axis=0, keepdims=True),
+                                   rtol=1e-12)
+        report = finite_difference_check([shared], lambda: loss_fn(shared), rng, num_coords=3)
         assert report.passed, report.failures
 
     def test_lstm_sequence_rejects_bad_lengths(self):
