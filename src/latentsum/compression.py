@@ -21,9 +21,11 @@ from .numerics import (
     add,
     concat,
     dropout,
+    dropout_mask,
     embedding_lookup,
     gather_rows,
     init_uniform,
+    join_masks,
     log_softmax,
     lstm_sequence,
     matmul,
@@ -39,10 +41,13 @@ from .numerics import (
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.optim import Adam, fit
 
+EVAL_CHUNK = 32  # pairs decoded together by perplexity
+
 
 @dataclass
 class TeacherDecode:
-    """Stepwise outputs of a teacher-forced decode of one or more targets."""
+    """Stepwise outputs of a teacher-forced decode of one or more targets,
+    each target's rows contiguous."""
 
     log_probs: Tensor  # (T, V) log-distributions, each target's rows in turn
     targets: list[int]  # gold next-token ids, each target's EOS last
@@ -54,6 +59,10 @@ class TeacherDecode:
         picked = self.log_probs.data[np.arange(len(self.targets)), self.targets]
         ends = np.cumsum(self.lengths)
         return [float(sum(picked[end - n : end])) for n, end in zip(self.lengths, ends)]
+
+    def nll(self) -> Tensor:
+        """Negative log-likelihood of every target, summed."""
+        return -tensor_sum(gather_rows(self.log_probs, self.targets))
 
 
 class CompressionModel:
@@ -84,17 +93,25 @@ class CompressionModel:
             params.extend(cell.parameters())
         return params
 
-    def _encode_source(self, source_ids, rng=None, training: bool = False,
-                       drop: float = 0.0):
-        n, d = len(source_ids), self.d
+    def _encode_sources(self, sources):
+        """One Bi-LSTM over packed sources: their (sum |S|, 2d) states, each
+        source's rows contiguous, and the (len(sources), d) initial decoder
+        states s0, one row per source."""
+        lengths = np.array([len(source) for source in sources])
         states = run_bilstm(self.enc_fwd, self.enc_bwd,
-                            embedding_lookup(self.src_embed, list(source_ids)), [n])
-        # the last forward state and the first backward state, before dropout
-        ends = concat([slice_axis(slice_axis(states, 0, n - 1, n), 1, 0, d),
-                       slice_axis(slice_axis(states, 0, 0, 1), 1, d, 2 * d)], axis=1)
-        s0 = tanh(add(matmul(ends, self.w_init), self.b_init))
-        annotations = dropout(states, drop, rng, training=training)  # (|S|, 2d)
-        return annotations, s0
+                            embedding_lookup(self.src_embed, [i for s in sources for i in s]),
+                            lengths)
+        ends = lengths.cumsum()
+        d = self.d
+        # each source's last forward state and first backward state
+        last = slice_axis(embedding_lookup(states, ends - 1), 1, 0, d)
+        first = slice_axis(embedding_lookup(states, ends - lengths), 1, d, 2 * d)
+        s0 = tanh(add(matmul(concat([last, first], axis=1), self.w_init), self.b_init))
+        return states, s0
+
+    def _encode_source(self, source_ids):
+        """The one-source case of ``_encode_sources``."""
+        return self._encode_sources([source_ids])
 
     def _attend(self, state: Tensor, annotations: Tensor, projected: Tensor):
         # additive scores: v_a^T tanh(W_s s_t + U_h h_k) per source position
@@ -106,45 +123,73 @@ class CompressionModel:
     def _output_logits(self, state: Tensor, context: Tensor) -> Tensor:
         return add(matmul(concat([state, context], axis=1), self.w_out), self.b_out)
 
-    def decode_teacher(self, source_ids, targets, rng=None,
-                       training: bool = False, drop: float = 0.0) -> TeacherDecode:
-        """Teacher-forced decode of each target given one source; predicts
-        each target token then EOS.
+    def decode_teacher(self, items, rng=None, training: bool = False,
+                       drop: float = 0.0) -> TeacherDecode:
+        """Teacher-forced decode of (source_ids, targets) items as one packed
+        graph; predicts each target token then EOS.
 
-        The source is encoded once. The decoder reads only gold tokens, so
-        the states of every target come from one packed recurrence, each
-        started from the source's s0, and attention, output layer and
-        log_softmax each run once over all T rows.
+        All sources go through one Bi-LSTM. The decoder reads only gold
+        tokens, so the states of every target come from one packed
+        recurrence, each target started from its own source's s0. Each
+        target attends only its own source's rows, normalized over that
+        source's length; the output layer and log_softmax run once over all
+        rows. When training, the dropout masks are drawn item by item (the
+        source annotations, then the decoder states), so the generator moves
+        as if each item were decoded alone.
         """
-        if not source_ids or not targets or not all(targets):
+        if not items or not all(source and targets and all(targets)
+                                for source, targets in items):
             raise DataError("compression needs a non-empty source and non-empty targets")
-        annotations, s0 = self._encode_source(source_ids, rng=rng, training=training, drop=drop)
-        projected = matmul(annotations, self.u_h)  # (S, a)
+        d = self.d
+        src_len = np.array([len(source) for source, _ in items])
+        src_start = src_len.cumsum() - src_len
+        counts = [len(item_targets) for _, item_targets in items]
+        targets = [target for _, item_targets in items for target in item_targets]
+        lengths = np.array([len(target) + 1 for target in targets])
+        owner = np.arange(len(items)).repeat(counts)  # each target's item
+        item_rows = [sum(len(t) + 1 for t in item_targets) for _, item_targets in items]
+        src_masks, dec_masks = [], []
+        for n, rows in zip(src_len, item_rows):
+            src_masks.append(dropout_mask((n, 2 * d), drop, rng, training))
+            dec_masks.append(dropout_mask((rows, d), drop, rng, training))
+
+        encoded, s0 = self._encode_sources([source for source, _ in items])
+        annotations = dropout(encoded, join_masks(src_masks))  # (sum |S|, 2d)
+        projected = matmul(annotations, self.u_h)  # (sum |S|, a)
         inputs = embedding_lookup(self.tgt_embed,
                                   [i for target in targets for i in [BOS, *target]])
         gold = [i for target in targets for i in [*target, EOS]]
-        lengths = [len(target) + 1 for target in targets]
-        steps, n_src = len(gold), len(source_ids)
-        states = dropout(lstm_sequence(self.dec, inputs, lengths, h0=s0), drop, rng,
-                         training=training)  # (T, d), every target started from s0
-        # _attend's additive scores for all T states at once, row t * S + k
-        query = embedding_lookup(matmul(states, self.w_s), np.repeat(np.arange(steps), n_src))
-        key = embedding_lookup(projected, np.tile(np.arange(n_src), steps))
+        states = dropout(lstm_sequence(self.dec, inputs, lengths,
+                                       h0=embedding_lookup(s0, owner)),
+                         join_masks(dec_masks))  # (T, d)
+        # _attend's additive scores of every state against its own source:
+        # state t's block holds one row per position of that source
+        row_item = owner.repeat(lengths)
+        width = src_len[row_item]
+        shift = (width.cumsum() - width - src_start[row_item]).repeat(width)
+        query = embedding_lookup(matmul(states, self.w_s), np.arange(len(gold)).repeat(width))
+        key = embedding_lookup(projected, np.arange(shift.size) - shift)
         hidden = tanh(add(query, key))
         # a matrix-vector product's rounding depends on its row count, so
         # each target gets its own, with the bits of a one-target decode
-        blocks = np.cumsum([0, *lengths]) * n_src
-        scores = reshape(concat([matmul(slice_axis(hidden, 0, lo, hi), self.v_a)
-                                 for lo, hi in zip(blocks[:-1], blocks[1:])], axis=0),
-                         (steps, n_src))
-        context = matmul(softmax(scores, axis=1), annotations)  # (T, 2d)
-        log_probs = log_softmax(self._output_logits(states, context), axis=1)
-        return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths)
+        blocks = src_len[owner] * lengths  # hidden rows per target
+        scores = [matmul(slice_axis(hidden, 0, end - n, end), self.v_a)
+                  for n, end in zip(blocks, blocks.cumsum())]
+        contexts = []
+        first = 0
+        for count, rows, n, start in zip(counts, item_rows, src_len, src_start):
+            item_scores = reshape(concat(scores[first : first + count], axis=0), (rows, int(n)))
+            contexts.append(matmul(softmax(item_scores, axis=1),
+                                   slice_axis(annotations, 0, start, start + n)))
+            first += count
+        log_probs = log_softmax(self._output_logits(states, concat(contexts, axis=0)), axis=1)
+        return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths.tolist())
 
     def nll_loss(self, source_ids, target_ids, rng=None, training: bool = False,
                  drop: float = 0.0) -> Tensor:
-        dec = self.decode_teacher(source_ids, [target_ids], rng=rng, training=training, drop=drop)
-        return -tensor_sum(gather_rows(dec.log_probs, dec.targets))
+        """The one-pair case of ``decode_teacher``'s summed NLL."""
+        return self.decode_teacher([(source_ids, [target_ids])], rng=rng, training=training,
+                                   drop=drop).nll()
 
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
@@ -197,25 +242,29 @@ def load_compression(path, vocab) -> CompressionModel:
     return model
 
 
-def _logprobs(model: CompressionModel, source: Sentence, targets) -> list[tuple[float, int]]:
-    """Total teacher-forced log-probability of each target (EOS included)
-    and the token count it was summed over, from one source encoding."""
-    if source.ids is None or any(target.ids is None for target in targets):
+def _logprobs(model: CompressionModel, items) -> list[tuple[float, int]]:
+    """Total teacher-forced log-probability (EOS included) of each target of
+    (source, targets) items, and the token count it was summed over, from
+    one packed decode."""
+    if any(source.ids is None or any(target.ids is None for target in targets)
+           for source, targets in items):
         raise DataError("sentences must carry vocabulary ids")
     with no_grad():
-        dec = model.decode_teacher(source.ids, [target.ids for target in targets])
+        dec = model.decode_teacher([(source.ids, [target.ids for target in targets])
+                                    for source, targets in items])
     return list(zip(dec.total_logprobs(), dec.lengths))
 
 
 def seq2seq_logprob(model: CompressionModel, source: Sentence, target: Sentence) -> tuple[float, int]:
     """Total teacher-forced log-probability of target (EOS included) and
     the token count it was summed over."""
-    return _logprobs(model, source, [target])[0]
+    return _logprobs(model, [(source, [target])])[0]
 
 
 def s_scores(model: CompressionModel, source: Sentence, targets) -> list[float]:
     """s_score of source against every target; the source is encoded once."""
-    return [float(np.exp(total / count)) for total, count in _logprobs(model, source, targets)]
+    return [float(np.exp(total / count))
+            for total, count in _logprobs(model, [(source, targets)])]
 
 
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
@@ -232,13 +281,15 @@ def decode_greedy(model: CompressionModel, vocab: Vocabulary, source: Sentence,
 
 
 def perplexity(model: CompressionModel, pairs) -> float:
-    """exp of mean per-token NLL over encoded compression pairs."""
+    """exp of mean per-token NLL over encoded compression pairs, decoded
+    EVAL_CHUNK pairs at a time."""
     total = 0.0
     count = 0
-    for pair in pairs:
-        logprob, tokens = seq2seq_logprob(model, pair.source, pair.target)
-        total += logprob
-        count += tokens
+    for start in range(0, len(pairs), EVAL_CHUNK):
+        chunk = pairs[start : start + EVAL_CHUNK]
+        for logprob, tokens in _logprobs(model, [(p.source, [p.target]) for p in chunk]):
+            total += logprob
+            count += tokens
     if count == 0:
         raise DataError("perplexity over an empty pair set")
     return float(np.exp(-total / count))
@@ -252,11 +303,11 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
     encoded = [(list(p.source.ids), list(p.target.ids)) for p in pairs]
     opt = Adam(model.parameters(), lr=config.compression_lr)
 
-    def item_loss(pair):
-        source_ids, target_ids = pair
-        loss = model.nll_loss(source_ids, target_ids, rng=rng,
-                              training=True, drop=config.dropout)
-        return loss, float(loss.data), len(target_ids) + 1
+    def batch_loss(batch):
+        dec = model.decode_teacher([(source, [target]) for source, target in batch], rng=rng,
+                                   training=True, drop=config.dropout)
+        loss = dec.nll()
+        return loss, float(loss.data), sum(dec.lengths)
 
     def end_epoch(epoch, nll_sum, tokens):
         row = {"epoch": epoch, "train_ppl": float(np.exp(nll_sum / max(tokens, 1)))}
@@ -265,5 +316,5 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
         row["val_ppl"] = perplexity(model, val_pairs)
         return row, -row["val_ppl"], False
 
-    return fit(opt, encoded, item_loss, end_epoch, epochs=config.compression_epochs,
+    return fit(opt, encoded, batch_loss, end_epoch, epochs=config.compression_epochs,
                batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

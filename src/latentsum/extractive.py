@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import UNK, Document, Sentence
+from .corpus import UNK, Document
 from .errors import DataError
 from .labeling import LabelSequence
 from .numerics import (
@@ -24,9 +24,11 @@ from .numerics import (
     concat,
     constant,
     dropout,
+    dropout_mask,
     embedding_lookup,
     gather_rows,
     init_uniform,
+    join_masks,
     log_softmax,
     lstm_sequence,
     matmul,
@@ -44,13 +46,17 @@ START_LABEL = 0
 
 FEED_MODES = ("teacher", "greedy", "sample")
 
+EVAL_CHUNK = 16  # documents encoded together by label_accuracy
+
 
 @dataclass
 class EncodedDocument:
-    """Projected sentence vectors and their document-context vectors."""
+    """Projected sentence vectors and their document-context vectors of one
+    or more documents, each document's rows contiguous."""
 
-    v: Tensor  # (|D|, d), one row per sentence
-    h_e: Tensor  # (|D|, 2d)
+    v: Tensor  # (sum |D|, d), one row per sentence
+    h_e: Tensor  # (sum |D|, 2d)
+    lengths: tuple[int, ...]  # sentences per document
 
     def __post_init__(self):
         if self.v.shape[0] != self.h_e.shape[0]:
@@ -65,7 +71,7 @@ class EncodedDocument:
 
 @dataclass
 class DecodeResult:
-    """Per-step decoder outputs for one document."""
+    """Per-step decoder outputs, documents one after another."""
 
     log_probs: Tensor  # (n, 2) log-distributions over {0, 1}, one row per step
     labels: list[int]  # the label chosen (or given) at each step
@@ -73,6 +79,10 @@ class DecodeResult:
 
     def prob_true(self) -> list[float]:
         return [float(np.exp(lp)) for lp in self.log_probs.data[:, 1]]
+
+    def chosen_log_probs(self) -> Tensor:
+        """(n, 1) log-probability of each step's label."""
+        return gather_rows(self.log_probs, self.labels)
 
 
 @dataclass
@@ -105,12 +115,11 @@ class ExtractiveModel:
             params.extend(cell.parameters())
         return params
 
-    def _pool_sentences(self, sentences, rng=None, training: bool = False,
-                        word_dropout: float = 0.0) -> Tensor:
+    def _pool_sentences(self, sentences, dropped=None) -> Tensor:
         """Mean of each sentence's word-level Bi-LSTM states, shape (n, 2d).
 
-        One embedding lookup and one Bi-LSTM run over all the words; word
-        dropout draws once per token, in sentence order.
+        One embedding lookup and one Bi-LSTM run over all the words, and one
+        averaging matmul. ``dropped`` marks the words replaced by UNK.
         """
         ids, lengths = [], []
         for sentence in sentences:
@@ -118,8 +127,8 @@ class ExtractiveModel:
                 raise DataError("sentence has no vocabulary ids; encode the corpus first")
             ids.extend(sentence.ids)
             lengths.append(len(sentence.ids))
-        if training and word_dropout > 0.0:
-            ids = [UNK if rng.random() < word_dropout else t for t in ids]
+        if dropped is not None:
+            ids = np.where(dropped, UNK, ids)
         emb = embedding_lookup(self.embed, ids)
         states = run_bilstm(self.word_fwd, self.word_bwd, emb, lengths)
         averaging = np.zeros((len(lengths), len(ids)), dtype=states.data.dtype)
@@ -129,79 +138,125 @@ class ExtractiveModel:
             start += length
         return matmul(constant(averaging), states)
 
-    def encode_sentence(self, sentence: Sentence, rng=None, training: bool = False,
-                        word_dropout: float = 0.0) -> Tensor:
-        """Mean of the word-level Bi-LSTM states, shape (1, 2d)."""
-        return self._pool_sentences([sentence], rng=rng, training=training,
-                                    word_dropout=word_dropout)
+    def encode_documents(self, docs, rng=None, training: bool = False,
+                         drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
+        """Several documents as one packed graph: one word-level Bi-LSTM over
+        all their sentences, one sentence-level Bi-LSTM with one sequence
+        per document.
+
+        When training, the masks are drawn document by document (word
+        dropout, one draw per token, then v, then h_e), so the generator
+        moves as if each document were encoded alone.
+        """
+        sentences = [s for doc in docs for s in doc.sentences]
+        dropped, v_masks, h_masks = [], [], []
+        for doc in docs:
+            n = len(doc.sentences)
+            if training and word_dropout > 0.0:
+                words = sum(len(s.tokens) for s in doc.sentences)
+                dropped.append(rng.random(words) < word_dropout)
+            v_masks.append(dropout_mask((n, self.d), drop, rng, training))
+            h_masks.append(dropout_mask((n, 2 * self.d), drop, rng, training))
+        pooled = self._pool_sentences(sentences, np.concatenate(dropped) if dropped else None)
+        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b), join_masks(v_masks))
+        lengths = tuple(len(doc.sentences) for doc in docs)
+        h_e = run_bilstm(self.sent_fwd, self.sent_bwd, v, lengths)
+        return EncodedDocument(v=v, h_e=dropout(h_e, join_masks(h_masks)), lengths=lengths)
 
     def encode_document(self, doc: Document, rng=None, training: bool = False,
                         drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
-        pooled = self._pool_sentences(doc.sentences, rng=rng, training=training,
-                                      word_dropout=word_dropout)
-        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b), drop, rng, training=training)
-        h_e = run_bilstm(self.sent_fwd, self.sent_bwd, v, [len(doc.sentences)])
-        return EncodedDocument(v=v, h_e=dropout(h_e, drop, rng, training=training))
+        """The one-document case of ``encode_documents``."""
+        return self.encode_documents([doc], rng=rng, training=training, drop=drop,
+                                     word_dropout=word_dropout)
 
     def decode_labels(self, enc: EncodedDocument, feed: str = "greedy",
-                      teacher_labels: LabelSequence | None = None,
-                      rng=None) -> DecodeResult:
-        """Run the label decoder over an encoded document.
+                      teacher_labels=None, rng=None) -> DecodeResult:
+        """Run the label decoder over encoded documents.
 
-        feed="teacher" conditions each step on the given previous label,
-        "greedy" on the argmax prediction, "sample" on a draw from the
-        predicted distribution. Greedy and sample labels are chosen by a
-        tape-free loop; whatever the feed, the chosen labels are then scored
-        by one teacher-forced pass, which puts log p(label_i | label_<i) on
-        the tape.
+        feed="teacher" conditions each step on the given previous label
+        (``teacher_labels``: one LabelSequence per document, or one
+        LabelSequence for a one-document ``enc``), "greedy" on the argmax
+        prediction, "sample" on a draw from the predicted distribution.
+        Greedy and sample labels are chosen by a tape-free loop; whatever the
+        feed, the chosen labels are then scored by one teacher-forced pass,
+        which puts log p(label_i | label_<i) on the tape.
         """
         if feed not in FEED_MODES:
             raise DataError(f"unknown feed mode {feed!r}")
         if feed == "teacher":
             if teacher_labels is None:
                 raise DataError("teacher feed requires labels")
-            if len(teacher_labels) != len(enc):
+            if isinstance(teacher_labels, LabelSequence):
+                teacher_labels = [teacher_labels]
+            given = tuple(len(t) for t in teacher_labels)
+            if given != enc.lengths:
                 raise DataError(
-                    f"teacher labels length {len(teacher_labels)} != document length {len(enc)}"
+                    f"teacher labels length {list(given)} != document length {list(enc.lengths)}"
                 )
-            labels = list(teacher_labels.labels)
+            labels = [y for t in teacher_labels for y in t.labels]
         elif feed == "sample" and rng is None:
             raise DataError("sample feed requires an rng")
         else:
             labels = self.choose_labels(enc, rng if feed == "sample" else None)
-        previous = embedding_lookup(transpose(self.w_e), [START_LABEL] + labels[:-1])
-        h_d = lstm_sequence(self.dec, concat([previous, enc.h_e], axis=1), [len(labels)])
+        previous = [START_LABEL] + labels[:-1]
+        start = 0
+        for n in enc.lengths:
+            previous[start] = START_LABEL  # each document starts afresh
+            start += n
+        previous = embedding_lookup(transpose(self.w_e), previous)
+        h_d = lstm_sequence(self.dec, concat([previous, enc.h_e], axis=1), enc.lengths)
         log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
     def choose_labels(self, enc: EncodedDocument, rng=None) -> list[int]:
-        """Greedy labels, or with an rng one draw of rng.random() per step;
-        tape-free, and without ``decode_labels``' scoring pass.
+        """Greedy labels, or with an rng one draw of rng.random() per
+        sentence, taken document by document; tape-free, and without
+        ``decode_labels``' scoring pass.
 
-        Each step does the arithmetic of a one-row ``LSTMCell.step`` and of
-        ``log_softmax``, so the labels match a stepwise decode.
+        Each step advances every still-active document's row at once, with
+        the arithmetic of ``LSTMCell.step`` and of ``log_softmax``, so the
+        labels match a stepwise decode of each document alone.
         """
-        h_e = enc.h_e.data
-        h = np.zeros((1, self.d), dtype=self.dtype)
+        lengths = np.asarray(enc.lengths)
+        # longest first, so the documents still active at step t are a prefix
+        order = (-lengths).argsort(kind="stable")
+        steps = np.arange(lengths.max())[:, None]
+        live = steps < lengths[order]
+        rows = ((lengths.cumsum() - lengths)[order] + steps)[live]  # step by step
+        d = self.d
+        # decoder inputs concat(label embedding, h_e row), step by step
+        x = np.empty((rows.size, 3 * d), dtype=self.dtype)
+        x[:, d:] = enc.h_e.data[rows]
+        # one draw per sentence, taken document by document, read step by step;
+        # in the model's dtype, as comparing a Python float with a numpy
+        # float32 scalar would round it
+        draws = None if rng is None else rng.random(rows.size).astype(x.dtype)[rows]
+        emb = self.w_e.data.T  # one row per label
+        w_x, w_o = self.dec.w_x.data, self.w_o.data
+        h = np.zeros((lengths.size, d), dtype=self.dtype)
         c = np.zeros_like(h)
-        w_x, w_e, w_o = self.dec.w_x.data, self.w_e.data, self.w_o.data
-        prev = START_LABEL
-        labels = []
-        for i in range(h_e.shape[0]):
-            x = np.concatenate([w_e[:, prev : prev + 1].T, h_e[i : i + 1]], axis=1)
-            h, c, _, _ = self.dec.advance(x @ w_x, h, c)
+        prev = np.full(lengths.size, START_LABEL)
+        chosen = np.empty(rows.size, dtype=np.int64)
+        at = 0
+        for k in live.sum(axis=1).tolist():
+            x[at : at + k, :d] = emb[prev[:k]]
+            h, c, _, _ = self.dec.advance(x[at : at + k] @ w_x, h[:k], c[:k])
             lp = stable_log_softmax(h @ w_o.T, axis=1)
-            if rng is None:
-                prev = int(np.argmax(lp[0]))
+            if draws is None:
+                chosen[at : at + k] = np.argmax(lp, axis=1)
             else:
-                prev = int(rng.random() < np.exp(lp[0, 1]))
-            labels.append(prev)
-        return labels
+                chosen[at : at + k] = draws[at : at + k] < np.exp(lp[:, 1])
+            prev = chosen[at : at + k]
+            at += k
+        labels = np.empty_like(chosen)
+        labels[rows] = chosen
+        return labels.tolist()
 
-    def nll_loss(self, enc: EncodedDocument, labels: LabelSequence) -> Tensor:
-        """Negative log-likelihood of the gold labels under teacher feed."""
+    def nll_loss(self, enc: EncodedDocument, labels) -> Tensor:
+        """Negative log-likelihood of the gold labels under teacher feed,
+        summed over the documents of ``enc``."""
         dec = self.decode_labels(enc, feed="teacher", teacher_labels=labels)
-        return -tensor_sum(gather_rows(dec.log_probs, dec.labels))
+        return -tensor_sum(dec.chosen_log_probs())
 
     def select_top_k(self, doc: Document, k: int) -> TopK:
         """Greedy-feed inference; rank by p(y_i=1), ties to lower index."""
@@ -247,14 +302,20 @@ def evaluate_rouge_mean(model: ExtractiveModel, records, k: int) -> float:
 
 
 def label_accuracy(model: ExtractiveModel, records, labels_by_id) -> float:
-    """Greedy-feed prediction accuracy against stored labels."""
+    """Greedy-feed prediction accuracy against stored labels; documents
+    are encoded EVAL_CHUNK at a time."""
     hits = total = 0
     with no_grad():
-        for doc, _ in records:
-            gold = labels_by_id[doc.id]
-            labels = model.choose_labels(model.encode_document(doc))
-            hits += sum(int(p == g) for p, g in zip(labels, gold.labels))
-            total += len(gold)
+        for start in range(0, len(records), EVAL_CHUNK):
+            docs = [doc for doc, _ in records[start : start + EVAL_CHUNK]]
+            labels = model.choose_labels(model.encode_documents(docs))
+            offset = 0
+            for doc in docs:
+                gold = labels_by_id[doc.id]
+                predicted = labels[offset : offset + len(doc)]
+                hits += sum(int(p == g) for p, g in zip(predicted, gold.labels))
+                total += len(gold)
+                offset += len(doc)
     return hits / total if total else 0.0
 
 
@@ -269,15 +330,20 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
             raise DataError(f"no oracle labels for document {doc.id!r}")
     opt = Adam(model.parameters(), lr=config.extractive_lr)
 
-    def item_loss(record):
-        doc, _ = record
-        gold = labels_by_id[doc.id]
-        enc = model.encode_document(
-            doc, rng=rng, training=True,
+    def batch_loss(records):
+        docs = [doc for doc, _ in records]
+        enc = model.encode_documents(
+            docs, rng=rng, training=True,
             drop=config.dropout, word_dropout=config.word_dropout,
         )
-        loss = model.nll_loss(enc, gold)
-        return loss, float(loss.data) / len(gold), 1
+        dec = model.decode_labels(enc, feed="teacher",
+                                  teacher_labels=[labels_by_id[doc.id] for doc in docs])
+        chosen = dec.chosen_log_probs()
+        # each document's mean NLL per sentence, as the metric reports it
+        ends = np.cumsum(enc.lengths)
+        value = sum(-float(chosen.data[end - n : end].sum()) / n
+                    for n, end in zip(enc.lengths, ends))
+        return -tensor_sum(chosen), value, len(docs)
 
     def end_epoch(epoch, loss_sum, steps):
         train_acc = label_accuracy(model, train_records, labels_by_id)
@@ -291,5 +357,5 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
         stop = config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc
         return row, (val_rouge if val_records else None), stop
 
-    return fit(opt, train_records, item_loss, end_epoch, epochs=config.extractive_epochs,
+    return fit(opt, train_records, batch_loss, end_epoch, epochs=config.extractive_epochs,
                batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

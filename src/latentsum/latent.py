@@ -29,7 +29,6 @@ from .numerics import (
     clip_global_norm,
     constant,
     detach,
-    gather_rows,
     matmul,
     mul,
     tensor_sum,
@@ -106,14 +105,14 @@ def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
 
 
 def _selected_logprob_sum(dec: DecodeResult) -> Tensor:
-    return tensor_sum(gather_rows(dec.log_probs, dec.labels))
+    return tensor_sum(dec.chosen_log_probs())
 
 
 def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
     """-sum_i A_i * log p(z_i) with the advantages treated as constants."""
     if len(advantages) != len(dec.labels):
         raise DataError("advantage count must match the decode length")
-    stacked = gather_rows(dec.log_probs, dec.labels)  # (n, 1)
+    stacked = dec.chosen_log_probs()  # (n, 1)
     adv = constant(np.asarray(advantages, dtype=stacked.data.dtype).reshape(-1, 1))
     return -tensor_sum(mul(adv, stacked))
 

@@ -11,8 +11,10 @@ from .tensor import (
     constant,
     detach,
     dropout,
+    dropout_mask,
     embedding_lookup,
     gather_rows,
+    join_masks,
     log_softmax,
     matmul,
     mul,
@@ -42,7 +44,8 @@ from .checkpoint import (
 
 __all__ = [
     "ShapeError", "Tensor", "Parameter", "add", "backward", "concat", "constant",
-    "detach", "dropout", "embedding_lookup", "gather_rows", "log_softmax", "matmul",
+    "detach", "dropout", "dropout_mask", "embedding_lookup", "gather_rows", "join_masks",
+    "log_softmax", "matmul",
     "mul", "neg", "no_grad", "reshape", "sigmoid", "slice_axis", "softmax",
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
     "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm",

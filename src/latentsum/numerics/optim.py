@@ -37,18 +37,21 @@ def clip_global_norm(params, max_norm: float) -> float:
     return norm
 
 
-def fit(opt, items, item_loss, end_epoch, *, epochs: int, batch_size: int,
+def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
         clip_norm: float, rng) -> list[dict]:
     """Minibatch training of opt.params with best-by-validation selection.
 
     Each epoch draws one permutation of items; per minibatch the grads are
-    zeroed, every item's loss is backpropagated scaled by 1/len(batch), the
-    global norm is clipped and opt steps. item_loss(item) returns
-    (loss, value, count); their per-epoch sums go to
-    end_epoch(epoch, value_sum, count_sum), which returns
+    zeroed, batch_loss(batch) builds one graph for the whole list of items
+    and returns (loss, value_sum, count), the loss summed over the items,
+    which is backpropagated once scaled by 1/len(batch); then the global
+    norm is clipped and opt steps. The per-epoch sums of value_sum and
+    count go to end_epoch(epoch, value_sum, count_sum), which returns
     (metrics_row, score, stop). score is the validation score, higher is
-    better, or None without validation; stop ends training early. When any
-    epoch was scored, the parameters of the best-scored epoch are restored.
+    better, or None without validation; stop ends training early. Each row
+    gains the epoch's mean pre-clip gradient norm and the share of steps
+    that clipping rescaled. When any epoch was scored, the parameters of
+    the best-scored epoch are restored.
     """
     params = opt.params
     best_score = -np.inf
@@ -59,17 +62,19 @@ def fit(opt, items, item_loss, end_epoch, *, epochs: int, batch_size: int,
         order = rng.permutation(len(items))
         value_sum = 0.0
         count_sum = 0
+        norms = []
         for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
+            batch = [items[int(idx)] for idx in order[start : start + batch_size]]
             zero_grads(params)
-            for idx in batch:
-                loss, value, count = item_loss(items[int(idx)])
-                value_sum += value
-                count_sum += count
-                backward(loss * (1.0 / len(batch)))
-            clip_global_norm(params, clip_norm)
+            loss, value, count = batch_loss(batch)
+            value_sum += value
+            count_sum += count
+            backward(loss * (1.0 / len(batch)))
+            norms.append(clip_global_norm(params, clip_norm))
             opt.step()
         row, score, stop = end_epoch(epoch, value_sum, count_sum)
+        row["grad_norm_mean"] = float(np.mean(norms))
+        row["clipped_share"] = sum(norm > clip_norm for norm in norms) / len(norms)
         metrics.append(row)
         if score is not None:
             scored = True

@@ -221,8 +221,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), bw)
 
@@ -377,14 +379,30 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[rows, idx][:, None], (a,), bw)
 
 
-def dropout(a: Tensor, p: float, rng, training: bool) -> Tensor:
-    """Zero entries with probability p and scale survivors by 1/(1-p);
-    identity when not training or p == 0."""
+def dropout_mask(shape, p: float, rng, training: bool) -> np.ndarray | None:
+    """Inverted-dropout mask: 0 with probability p, else 1/(1-p). None,
+    without drawing, when not training or p == 0."""
     if not training or p == 0.0:
-        return a
+        return None
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def join_masks(masks) -> np.ndarray | None:
+    """Per-item masks from ``dropout_mask`` stacked along rows; None when
+    dropout is off."""
+    return None if not masks or masks[0] is None else np.concatenate(masks)
+
+
+def dropout(a: Tensor, mask: np.ndarray | None) -> Tensor:
+    """``a`` times a mask from ``dropout_mask``; ``a`` itself for None.
+
+    Drawing the masks apart from applying them lets a packed batch draw
+    each item's masks in the order the items would draw them one by one.
+    """
+    if mask is None:
+        return a
     mask = mask.astype(a.data.dtype)
 
     def bw(g):

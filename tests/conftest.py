@@ -1,10 +1,24 @@
 """Shared builders for the test suite."""
 
-import numpy as np
-import pytest
+import os
 
-from latentsum.config import RunConfig
-from latentsum.corpus import Document, Sentence, SummarySet, build_vocab, encode_records
+# OpenBLAS reads its thread count when numpy loads it, so pin it first:
+# the recurrences run one matmul of a few rows per step, and extra BLAS
+# threads only wait on busy cores of a small shared host
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from latentsum.config import RunConfig  # noqa: E402
+from latentsum.corpus import (  # noqa: E402
+    Document,
+    Sentence,
+    SummarySet,
+    build_vocab,
+    encode_records,
+)
 
 
 def sent(text: str, vocab=None) -> Sentence:

@@ -87,6 +87,35 @@ def read_rows(path):
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
 
 
+def walkthrough_config():
+    """The config of the README walkthrough."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF", 1)[0])
+
+
+@pytest.mark.parametrize("seed", [13, 14, 15])
+def test_walkthrough_extractor_beats_lead3(tmp_path, seed):
+    """On the toy test split, the README walkthrough's trained extractor
+    beats lead-3 by at least 0.05 ROUGE-1 F1."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(walkthrough_config(), seed=seed)))
+    corpus, out = tmp_path / "toy", tmp_path / "out"
+    cfg = ["--config", config]
+    assert run(cfg + ["make-toy", "--out", corpus]) == 0
+    assert run(cfg + ["make-labels", "--corpus", corpus, "--out", out / "labels.jsonl"]) == 0
+    assert run(cfg + ["train-extractive", "--corpus", corpus, "--labels", out / "labels.jsonl",
+                      "--vocab", out / "vocab.json", "--checkpoint", out / "extractive.ckpt",
+                      "--metrics", out / "ext_metrics.json"]) == 0
+    assert run(cfg + ["summarize", "--corpus", corpus, "--checkpoint", out / "extractive.ckpt",
+                      "--vocab", out / "vocab.json", "--out", out / "extract.jsonl"]) == 0
+    assert run(cfg + ["lead3", "--corpus", corpus, "--out", out / "lead3.jsonl"]) == 0
+    assert run(cfg + ["evaluate", "--corpus", corpus, "--generated", out / "extract.jsonl",
+                      "--generated", out / "lead3.jsonl", "--out", out / "table.txt"]) == 0
+    r1_f1 = {line.split()[0]: float(line.split()[1])
+             for line in (out / "table.txt").read_text().splitlines()[2:]}
+    assert r1_f1["extract"] >= r1_f1["lead3"] + 0.05, r1_f1
+
+
 class TestArtifacts:
     def test_all_outputs_exist(self, pipeline):
         for key in ("labels", "pairs", "vocab", "extractive", "compression",

@@ -17,7 +17,17 @@ from latentsum.compression import (
 from latentsum.corpus import BOS, EOS, PAD, Sentence, build_vocab
 from latentsum.errors import CheckpointError, DataError
 from latentsum.labeling import CompressionPair
-from latentsum.numerics import Tensor, finite_difference_check, matmul, no_grad
+from latentsum.numerics import (
+    Tensor,
+    backward,
+    finite_difference_check,
+    gather_rows,
+    matmul,
+    no_grad,
+    slice_axis,
+    tensor_sum,
+    zero_grads,
+)
 
 from conftest import doc_from, summary_from
 
@@ -83,7 +93,7 @@ class TestScoring:
         src = encoded(vocab, "the fox ran home")
         tgt = encoded(vocab, "fox ran")
         total, count = seq2seq_logprob(model, src, tgt)
-        dec = model.decode_teacher(src.ids, [tgt.ids])
+        dec = model.decode_teacher([(src.ids, [tgt.ids])])
         assert dec.log_probs.shape == (count, model.vocab_size)
         stepwise = 0.0
         for lp, t in zip(dec.log_probs.data, dec.targets):
@@ -100,7 +110,7 @@ class TestScoring:
     def test_empty_inputs_refused(self):
         model = tiny_model()
         with pytest.raises(DataError, match="non-empty"):
-            model.decode_teacher([], [[4]])
+            model.decode_teacher([([], [[4]])])
 
 
 def ids_sentence(ids):
@@ -125,7 +135,7 @@ class TestBatchedScoring:
     def _reference(model, source, target):
         """s_score's arithmetic on a one-target decode_teacher."""
         with no_grad():
-            dec = model.decode_teacher(source, [target])
+            dec = model.decode_teacher([(source, [target])])
         total = sum(lp[t] for lp, t in zip(dec.log_probs.data, dec.targets))
         return dec.log_probs.data, float(np.exp(float(total) / len(dec.targets)))
 
@@ -133,7 +143,7 @@ class TestBatchedScoring:
         for model, source, targets in self._cases(np.float32):
             refs = [self._reference(model, source, t) for t in targets]
             with no_grad():
-                dec = model.decode_teacher(source, targets)
+                dec = model.decode_teacher([(source, targets)])
             assert dec.lengths == [len(t) + 1 for t in targets]
             assert np.array_equal(dec.log_probs.data, np.concatenate([lp for lp, _ in refs]))
             got = s_scores(model, ids_sentence(source), [ids_sentence(t) for t in targets])
@@ -153,11 +163,67 @@ class TestBatchedScoring:
     def test_empty_targets_refused(self):
         model = tiny_model()
         with pytest.raises(DataError, match="non-empty"):
-            model.decode_teacher([4, 5], [])
+            model.decode_teacher([([4, 5], [])])
         with pytest.raises(DataError, match="non-empty"):
-            model.decode_teacher([4, 5], [[6], []])
+            model.decode_teacher([([4, 5], [[6], []])])
         with pytest.raises(DataError, match="ids"):
             s_scores(model, ids_sentence([4]), [ids_sentence([5]), Sentence(tokens=("b",))])
+
+
+class TestPackedBatch:
+    """(source, targets) items packed into one decode against each item
+    decoded alone, in float64 and in training mode, so the dropout masks
+    must line up too."""
+
+    # uneven sources, a one-token source, a length-1 target, and one item
+    # with two targets (as s_scores packs them)
+    ITEMS = [([4, 5, 6], [[7]]), ([9], [[5, 6, 7, 8]]), ([4, 8, 10, 12, 13], [[6, 9], [11]]),
+             ([7, 5], [[13, 4, 6]])]
+
+    def test_each_item_matches_itself_alone(self):
+        model = tiny_model(seed=12)
+        params = model.parameters()
+        alone_rng = np.random.default_rng(6)
+        row = 0
+        for item in self.ITEMS:
+            zero_grads(params)
+            alone = model.decode_teacher([item], rng=alone_rng, training=True, drop=0.3)
+            alone_loss = alone.nll()
+            backward(alone_loss)
+            want = {p.name: p.grad_or_zeros().copy() for p in params}
+            # this item's rows of a fresh packed decode, drawn from the same seed
+            zero_grads(params)
+            rng = np.random.default_rng(6)
+            dec = model.decode_teacher(self.ITEMS, rng=rng, training=True, drop=0.3)
+            rows = slice(row, row + sum(alone.lengths))
+            np.testing.assert_allclose(dec.log_probs.data[rows], alone.log_probs.data,
+                                       rtol=0, atol=1e-10)
+            assert dec.targets[rows] == alone.targets
+            packed = -tensor_sum(slice_axis(gather_rows(dec.log_probs, dec.targets), 0,
+                                            rows.start, rows.stop))
+            backward(packed)
+            np.testing.assert_allclose(float(packed.data), float(alone_loss.data),
+                                       rtol=0, atol=1e-10)
+            for p in params:
+                np.testing.assert_allclose(p.grad_or_zeros(), want[p.name], rtol=0, atol=1e-10,
+                                           err_msg=p.name)
+            row = rows.stop
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+    def test_targets_attend_only_their_own_source(self):
+        model = tiny_model(seed=13)
+        with no_grad():
+            base = model.decode_teacher(self.ITEMS)
+            row = 0
+            for j, (source, targets) in enumerate(self.ITEMS):
+                other = [4 + (i + 5) % 10 for i in source]  # same length, other tokens
+                changed = self.ITEMS[:j] + [(other, targets)] + self.ITEMS[j + 1:]
+                moved = model.decode_teacher(changed).log_probs.data
+                mine = slice(row, row + sum(len(t) + 1 for t in targets))
+                assert np.abs(moved[mine] - base.log_probs.data[mine]).max() > 1e-8
+                np.testing.assert_array_equal(np.delete(moved, mine, axis=0),
+                                              np.delete(base.log_probs.data, mine, axis=0))
+                row = mine.stop
 
 
 def attention_rows(model, source_ids, steps):
@@ -311,6 +377,20 @@ class TestTraining:
     def test_perplexity_empty_refused(self):
         with pytest.raises(DataError, match="empty"):
             perplexity(tiny_model(), [])
+
+    def test_generator_state_after_an_epoch_matches_per_pair_draws(self, small_config):
+        vocab = word_vocab()
+        pairs = self._pairs(vocab) * 3  # 9 pairs: minibatches of 4, 4 and 1
+        cfg = small_config
+        cfg.compression_epochs = 1
+        model = CompressionModel(len(vocab), cfg.d, np.random.default_rng(6))
+        rng = np.random.default_rng(22)
+        train_compression(model, pairs, pairs[:1], cfg, rng)
+        ref = np.random.default_rng(22)
+        for idx in ref.permutation(len(pairs)):
+            ref.random((len(pairs[idx].source.ids), 2 * cfg.d))  # the source annotations
+            ref.random((len(pairs[idx].target.ids) + 1, cfg.d))  # the decoder states
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_training_deterministic(self, small_config):
         vocab = word_vocab()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latentsum.corpus import UNK, Sentence
+from latentsum.corpus import UNK, Document, Sentence
 from latentsum.errors import CheckpointError, DataError
 from latentsum.extractive import (
     ExtractiveModel,
@@ -14,7 +14,14 @@ from latentsum.extractive import (
     train_extractive,
 )
 from latentsum.labeling import LabelSequence, oracle_labels
-from latentsum.numerics import backward, finite_difference_check, no_grad
+from latentsum.numerics import (
+    backward,
+    finite_difference_check,
+    no_grad,
+    slice_axis,
+    tensor_sum,
+    zero_grads,
+)
 
 from conftest import doc_from, tiny_records
 
@@ -30,7 +37,6 @@ def encoded_doc(n_sents=4, seed=11, lengths=None):
         n = int(rng.integers(2, 6)) if lengths is None else lengths[k]
         ids = tuple(int(i) for i in rng.integers(4, 12, size=n))
         sentences.append(Sentence(tokens=tuple(f"t{i}" for i in ids), ids=ids))
-    from latentsum.corpus import Document
     return Document(id="d", sentences=tuple(sentences))
 
 
@@ -81,17 +87,17 @@ class TestEncoding:
     def test_sentence_encoding_shape(self):
         model = tiny_model()
         s = Sentence(tokens=("a",), ids=(5,))
-        assert model.encode_sentence(s).data.shape == (1, 2 * model.d)
+        assert model._pool_sentences([s]).data.shape == (1, 2 * model.d)
 
     def test_requires_ids(self):
         model = tiny_model()
         with pytest.raises(DataError, match="ids"):
-            model.encode_sentence(Sentence(tokens=("a",)))
+            model._pool_sentences([Sentence(tokens=("a",))])
 
     def test_single_token_mean_is_the_state_itself(self):
         model = tiny_model()
         s = Sentence(tokens=("a",), ids=(7,))
-        enc = model.encode_sentence(s)
+        enc = model._pool_sentences([s])
         # with one word the mean over positions is that position
         from latentsum.numerics import run_bilstm, embedding_lookup
         states = run_bilstm(model.word_fwd, model.word_bwd,
@@ -106,26 +112,24 @@ class TestEncoding:
         pooled = model._pool_sentences(doc.sentences)
         assert pooled.data.shape == (4, 2 * model.d)
         for row, sentence in zip(pooled.data, doc.sentences):
-            alone = model.encode_sentence(sentence)
+            alone = model._pool_sentences([sentence])
             np.testing.assert_allclose(row[None, :], alone.data, rtol=0, atol=1e-10)
             np.testing.assert_allclose(row, stepwise_mean(model, sentence.ids),
                                        rtol=0, atol=1e-10)
 
     def test_word_order_matters(self):
         model = tiny_model()
-        a = model.encode_sentence(Sentence(tokens=("x", "y"), ids=(5, 6)))
-        b = model.encode_sentence(Sentence(tokens=("y", "x"), ids=(6, 5)))
+        a = model._pool_sentences([Sentence(tokens=("x", "y"), ids=(5, 6))])
+        b = model._pool_sentences([Sentence(tokens=("y", "x"), ids=(6, 5))])
         assert not np.allclose(a.data, b.data)
 
     def test_word_dropout_one_maps_everything_to_unk(self):
         model = tiny_model()
         rng = np.random.default_rng(0)
-        dropped = model.encode_sentence(
-            Sentence(tokens=("x", "y"), ids=(5, 6)),
-            rng=rng, training=True, word_dropout=1.0,
-        )
-        all_unk = model.encode_sentence(Sentence(tokens=("u", "u"), ids=(UNK, UNK)))
-        np.testing.assert_array_equal(dropped.data, all_unk.data)
+        doc = Document(id="x", sentences=(Sentence(tokens=("x", "y"), ids=(5, 6)),))
+        dropped = model.encode_document(doc, rng=rng, training=True, word_dropout=1.0)
+        unk = Document(id="u", sentences=(Sentence(tokens=("u", "u"), ids=(UNK, UNK)),))
+        np.testing.assert_array_equal(dropped.v.data, model.encode_document(unk).v.data)
 
     def test_document_encoding_lengths(self):
         model = tiny_model()
@@ -347,6 +351,93 @@ class TestCheckpointing:
             load_extractive(path, other_vocab)
 
 
+class TestPackedBatch:
+    """Documents packed into one graph against each document alone, in
+    float64 and in training mode, so the dropout masks must line up too."""
+
+    TRAINING = {"training": True, "drop": 0.3, "word_dropout": 0.4}
+
+    @staticmethod
+    def _batch():
+        # uneven: one-sentence documents and one-word sentences
+        docs = [encoded_doc(lengths=[3, 1, 4], seed=1), encoded_doc(lengths=[2], seed=2),
+                encoded_doc(lengths=[5, 2, 1, 3], seed=3), encoded_doc(lengths=[1], seed=4)]
+        golds = [LabelSequence((1, 0, 1)), LabelSequence((1,)),
+                 LabelSequence((0, 1, 1, 0)), LabelSequence((0,))]
+        return docs, golds
+
+    def test_each_document_matches_itself_alone(self):
+        model = tiny_model(seed=8)
+        params = model.parameters()
+        docs, golds = self._batch()
+        alone_rng = np.random.default_rng(5)
+        offset = 0
+        for doc, gold in zip(docs, golds):
+            zero_grads(params)
+            alone = model.nll_loss(model.encode_document(doc, rng=alone_rng, **self.TRAINING),
+                                   gold)
+            backward(alone)
+            want = {p.name: p.grad_or_zeros().copy() for p in params}
+            # this document's rows of a fresh packed graph, drawn from the same seed
+            zero_grads(params)
+            rng = np.random.default_rng(5)
+            enc = model.encode_documents(docs, rng=rng, **self.TRAINING)
+            chosen = model.decode_labels(enc, feed="teacher",
+                                         teacher_labels=golds).chosen_log_probs()
+            packed = -tensor_sum(slice_axis(chosen, 0, offset, offset + len(doc)))
+            backward(packed)
+            np.testing.assert_allclose(float(packed.data), float(alone.data), rtol=0, atol=1e-10)
+            for p in params:
+                np.testing.assert_allclose(p.grad_or_zeros(), want[p.name], rtol=0, atol=1e-10,
+                                           err_msg=p.name)
+            offset += len(doc)
+        assert rng.bit_generator.state == alone_rng.bit_generator.state
+
+    def test_documents_do_not_see_each_other(self):
+        model = tiny_model(seed=9)
+        docs, golds = self._batch()
+        with no_grad():
+            base = model.decode_labels(model.encode_documents(docs), feed="teacher",
+                                       teacher_labels=golds).log_probs.data
+            offset = 0
+            for j, doc in enumerate(docs):
+                other = Document(id="other", sentences=tuple(
+                    Sentence(tokens=s.tokens, ids=tuple(4 + (i + 3) % 8 for i in s.ids))
+                    for s in doc.sentences))
+                changed = docs[:j] + [other] + docs[j + 1:]
+                moved = model.decode_labels(model.encode_documents(changed), feed="teacher",
+                                            teacher_labels=golds).log_probs.data
+                mine = slice(offset, offset + len(doc))
+                assert np.abs(moved[mine] - base[mine]).max() > 1e-8
+                np.testing.assert_array_equal(np.delete(moved, mine, axis=0),
+                                              np.delete(base, mine, axis=0))
+                offset += len(doc)
+
+    @pytest.mark.parametrize("feed", ["greedy", "sample"])
+    def test_chosen_labels_match_each_document_alone(self, feed):
+        model = tiny_model(seed=10)
+        docs, _ = self._batch()
+        docs += [encoded_doc(n_sents=9, seed=5)]
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        sample = feed == "sample"
+        with no_grad():
+            packed = model.choose_labels(model.encode_documents(docs), rng_a if sample else None)
+            alone = [y for doc in docs
+                     for y in model.choose_labels(model.encode_document(doc),
+                                                  rng_b if sample else None)]
+        assert packed == alone
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_teacher_labels_must_match_every_document(self):
+        model = tiny_model()
+        docs, golds = self._batch()
+        enc = model.encode_documents(docs)
+        with pytest.raises(DataError, match="length"):
+            model.decode_labels(enc, feed="teacher", teacher_labels=golds[:-1])
+        with pytest.raises(DataError, match="length"):
+            model.decode_labels(enc, feed="teacher", teacher_labels=golds[1:] + golds[:1])
+
+
 class TestTraining:
     def _setup(self, small_config, n_docs=6):
         records, vocab = tiny_records(n_docs=n_docs, n_sents=4, seed=2)
@@ -374,7 +465,8 @@ class TestTraining:
                               np.random.default_rng(0))
         assert m1 == m2
         for row in m1:
-            assert set(row) == {"epoch", "train_loss", "train_acc", "val_rouge_mean"}
+            assert set(row) == {"epoch", "train_loss", "train_acc", "val_rouge_mean",
+                                "grad_norm_mean", "clipped_share"}
 
     def test_validation_selects_best(self, small_config):
         # train toward the last sentence while validating against the first
@@ -412,6 +504,23 @@ class TestTraining:
         metrics = train_extractive(model, records, labels, [], cfg,
                                    np.random.default_rng(0))
         assert len(metrics) == 1
+
+    def test_generator_state_after_an_epoch_matches_per_document_draws(self, small_config):
+        records, labels, model = self._setup(small_config, n_docs=7)
+        cfg = small_config
+        cfg.extractive_epochs = 1
+        cfg.batch_size = 3
+        rng = np.random.default_rng(21)
+        train_extractive(model, records, labels, records[:2], cfg, rng)
+        ref = np.random.default_rng(21)
+        for idx in ref.permutation(len(records)):
+            doc = records[idx][0]
+            for sentence in doc.sentences:
+                for _ in sentence.ids:
+                    ref.random()  # word dropout, one draw per token
+            ref.random((len(doc), cfg.d))  # the mask of v
+            ref.random((len(doc), 2 * cfg.d))  # the mask of h_e
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_label_accuracy_bounds(self, small_config):
         records, labels, model = self._setup(small_config)

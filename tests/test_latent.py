@@ -492,13 +492,13 @@ class TestTrainLatent:
     def test_each_training_sentence_encoded_once(self, small_config, monkeypatch):
         records, vocab = self._records(n=4)
         calls = []
-        encode = CompressionModel._encode_source
+        encode = CompressionModel._encode_sources
 
-        def counting(self, source_ids, *args, **kwargs):
-            calls.append(tuple(source_ids))
-            return encode(self, source_ids, *args, **kwargs)
+        def counting(self, sources):
+            calls.extend(tuple(source) for source in sources)
+            return encode(self, sources)
 
-        monkeypatch.setattr(CompressionModel, "_encode_source", counting)
+        monkeypatch.setattr(CompressionModel, "_encode_sources", counting)
         cfg = dataclasses.replace(small_config, num_samples=3, latent_epochs=2)
         model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))
         comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(1))

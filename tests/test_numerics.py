@@ -5,6 +5,8 @@ against central finite differences for composite ones. All gradient
 comparisons run in 64-bit.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,10 @@ from latentsum.numerics import (
     constant,
     detach,
     dropout,
+    dropout_mask,
     embedding_lookup,
     finite_difference_check,
+    fit,
     gather_rows,
     init_uniform,
     load_checkpoint,
@@ -74,18 +78,24 @@ class TestForwardPrimitives:
 
     def test_dropout_p_zero_is_identity(self):
         rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
         x = constant(np.ones((2, 3)))
-        np.testing.assert_array_equal(dropout(x, 0.0, rng, training=True).data, x.data)
+        mask = dropout_mask(x.shape, 0.0, rng, training=True)
+        np.testing.assert_array_equal(dropout(x, mask).data, x.data)
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_dropout_eval_mode_is_identity(self):
         rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
         x = constant(np.ones((2, 3)))
-        np.testing.assert_array_equal(dropout(x, 0.9, rng, training=False).data, x.data)
+        mask = dropout_mask(x.shape, 0.9, rng, training=False)
+        np.testing.assert_array_equal(dropout(x, mask).data, x.data)
+        assert rng.bit_generator.state == state
 
     def test_dropout_scales_survivors(self):
         rng = np.random.default_rng(4)
         x = constant(np.ones((40, 40)))
-        out = dropout(x, 0.25, rng, training=True).data
+        out = dropout(x, dropout_mask(x.shape, 0.25, rng, training=True)).data
         survivors = out[out != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
 
@@ -461,6 +471,77 @@ class TestOptimizers:
         p.grad = np.array([[0.3]])
         clip_global_norm([p], 5.0)
         np.testing.assert_array_equal(p.grad, [[0.3]])
+
+
+class TestFit:
+    """fit() on a least-squares toy: w is pulled toward each item's row."""
+
+    @staticmethod
+    def _train(monkeypatch, n_items, batch_size, epochs=2, clip_norm=5.0):
+        from latentsum.numerics import optim
+        calls, norms = [], []
+        real_backward, real_clip = optim.backward, optim.clip_global_norm
+
+        def counting_backward(loss):
+            calls.append(float(loss.data))
+            real_backward(loss)
+
+        def recording_clip(params, max_norm):
+            norms.append(real_clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(optim, "backward", counting_backward)
+        monkeypatch.setattr(optim, "clip_global_norm", recording_clip)
+        w = param("w", [[0.0, 0.0]])
+        items = [np.array([[float(i), 1.0 - i]]) for i in range(n_items)]
+
+        def batch_loss(batch):
+            losses = [tensor_sum(mul(w - constant(x), w - constant(x))) for x in batch]
+            loss = losses[0]
+            for extra in losses[1:]:
+                loss = loss + extra
+            return loss, float(loss.data), len(batch)
+
+        def end_epoch(epoch, value_sum, count):
+            return {"epoch": epoch, "loss": value_sum / count}, None, False
+
+        metrics = fit(SGD([w], lr=0.05), items, batch_loss, end_epoch, epochs=epochs,
+                      batch_size=batch_size, clip_norm=clip_norm, rng=np.random.default_rng(0))
+        return metrics, calls, norms
+
+    @pytest.mark.parametrize("n_items,batch_size", [(7, 3), (6, 3), (1, 4), (5, 1)])
+    def test_one_backward_per_minibatch(self, monkeypatch, n_items, batch_size):
+        metrics, calls, _ = self._train(monkeypatch, n_items, batch_size)
+        assert len(metrics) == 2
+        assert len(calls) == 2 * -(-n_items // batch_size)
+
+    def test_rows_report_pre_clip_norms(self, monkeypatch):
+        metrics, _, norms = self._train(monkeypatch, 7, 3, epochs=3)
+        assert len(norms) == 9
+        assert any(n > 5.0 for n in norms) and any(n <= 5.0 for n in norms)
+        for row, epoch_norms in zip(metrics, np.split(np.array(norms), 3)):
+            assert row["grad_norm_mean"] == float(np.mean(epoch_norms))
+            assert row["clipped_share"] == float(np.mean(epoch_norms > 5.0))
+
+
+def test_blas_thread_count_follows_the_environment():
+    # conftest pins OPENBLAS_NUM_THREADS before numpy loads OpenBLAS; a
+    # numpy imported earlier would keep its default thread count
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as handle:
+        paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            get = getattr(lib, symbol, None)
+            if get is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                assert get() == int(os.environ["OPENBLAS_NUM_THREADS"])
+                return
+    pytest.skip("numpy is not linked against OpenBLAS")
 
 
 class TestInit:
