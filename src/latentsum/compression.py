@@ -261,10 +261,19 @@ def seq2seq_logprob(model: CompressionModel, source: Sentence, target: Sentence)
     return _logprobs(model, [(source, [target])])[0]
 
 
+def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
+    """|sources| x |targets| matrix of s_score(source, target), from one
+    packed decode that encodes each source once."""
+    if not sources:
+        return np.zeros((0, len(targets)))
+    logprobs = _logprobs(model, [(source, targets) for source in sources])
+    return np.exp([total / count for total, count in logprobs]).reshape(len(sources),
+                                                                         len(targets))
+
+
 def s_scores(model: CompressionModel, source: Sentence, targets) -> list[float]:
     """s_score of source against every target; the source is encoded once."""
-    return [float(np.exp(total / count))
-            for total, count in _logprobs(model, [(source, targets)])]
+    return s_score_matrix(model, [source], targets)[0].tolist()
 
 
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:

@@ -70,6 +70,16 @@ class EncodedDocument:
 
 
 @dataclass
+class EncoderNoise:
+    """One document's training noise, in the order the encoder draws it;
+    each part is None when its dropout is off."""
+
+    dropped: np.ndarray | None  # True for each token replaced by UNK
+    v: np.ndarray | None  # (|D|, d) dropout mask of v
+    h_e: np.ndarray | None  # (|D|, 2d) dropout mask of h_e
+
+
+@dataclass
 class DecodeResult:
     """Per-step decoder outputs, documents one after another."""
 
@@ -138,30 +148,41 @@ class ExtractiveModel:
             start += length
         return matmul(constant(averaging), states)
 
+    def draw_noise(self, doc: Document, rng, training: bool = False, drop: float = 0.0,
+                   word_dropout: float = 0.0) -> EncoderNoise:
+        """One document's dropout draws off ``rng``: word dropout (one draw
+        per token), then the mask of v, then that of h_e. Nothing is drawn
+        when not training."""
+        dropped = None
+        if training and word_dropout > 0.0:
+            dropped = rng.random(sum(len(s.tokens) for s in doc.sentences)) < word_dropout
+        n = len(doc.sentences)
+        return EncoderNoise(dropped=dropped,
+                            v=dropout_mask((n, self.d), drop, rng, training),
+                            h_e=dropout_mask((n, 2 * self.d), drop, rng, training))
+
     def encode_documents(self, docs, rng=None, training: bool = False,
-                         drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
+                         drop: float = 0.0, word_dropout: float = 0.0,
+                         noise=None) -> EncodedDocument:
         """Several documents as one packed graph: one word-level Bi-LSTM over
         all their sentences, one sentence-level Bi-LSTM with one sequence
         per document.
 
-        When training, the masks are drawn document by document (word
-        dropout, one draw per token, then v, then h_e), so the generator
-        moves as if each document were encoded alone.
+        When training, the masks are drawn document by document with
+        ``draw_noise``, so the generator moves as if each document were
+        encoded alone. ``noise``, one ``EncoderNoise`` per document, gives
+        draws taken beforehand instead.
         """
+        if noise is None:
+            noise = [self.draw_noise(doc, rng, training, drop, word_dropout) for doc in docs]
         sentences = [s for doc in docs for s in doc.sentences]
-        dropped, v_masks, h_masks = [], [], []
-        for doc in docs:
-            n = len(doc.sentences)
-            if training and word_dropout > 0.0:
-                words = sum(len(s.tokens) for s in doc.sentences)
-                dropped.append(rng.random(words) < word_dropout)
-            v_masks.append(dropout_mask((n, self.d), drop, rng, training))
-            h_masks.append(dropout_mask((n, 2 * self.d), drop, rng, training))
-        pooled = self._pool_sentences(sentences, np.concatenate(dropped) if dropped else None)
-        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b), join_masks(v_masks))
+        pooled = self._pool_sentences(sentences, join_masks([n.dropped for n in noise]))
+        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b),
+                    join_masks([n.v for n in noise]))
         lengths = tuple(len(doc.sentences) for doc in docs)
         h_e = run_bilstm(self.sent_fwd, self.sent_bwd, v, lengths)
-        return EncodedDocument(v=v, h_e=dropout(h_e, join_masks(h_masks)), lengths=lengths)
+        return EncodedDocument(v=v, h_e=dropout(h_e, join_masks([n.h_e for n in noise])),
+                               lengths=lengths)
 
     def encode_document(self, doc: Document, rng=None, training: bool = False,
                         drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
@@ -170,13 +191,14 @@ class ExtractiveModel:
                                      word_dropout=word_dropout)
 
     def decode_labels(self, enc: EncodedDocument, feed: str = "greedy",
-                      teacher_labels=None, rng=None) -> DecodeResult:
+                      teacher_labels=None, rng=None, draws=None) -> DecodeResult:
         """Run the label decoder over encoded documents.
 
         feed="teacher" conditions each step on the given previous label
         (``teacher_labels``: one LabelSequence per document, or one
         LabelSequence for a one-document ``enc``), "greedy" on the argmax
-        prediction, "sample" on a draw from the predicted distribution.
+        prediction, "sample" on a draw from the predicted distribution
+        (off ``rng``, or from ``draws`` as in ``choose_labels``).
         Greedy and sample labels are chosen by a tape-free loop; whatever the
         feed, the chosen labels are then scored by one teacher-forced pass,
         which puts log p(label_i | label_<i) on the tape.
@@ -194,10 +216,12 @@ class ExtractiveModel:
                     f"teacher labels length {list(given)} != document length {list(enc.lengths)}"
                 )
             labels = [y for t in teacher_labels for y in t.labels]
-        elif feed == "sample" and rng is None:
-            raise DataError("sample feed requires an rng")
+        elif feed == "sample" and rng is None and draws is None:
+            raise DataError("sample feed requires an rng or draws")
+        elif feed == "sample":
+            labels = self.choose_labels(enc, rng, draws)
         else:
-            labels = self.choose_labels(enc, rng if feed == "sample" else None)
+            labels = self.choose_labels(enc)
         previous = [START_LABEL] + labels[:-1]
         start = 0
         for n in enc.lengths:
@@ -208,10 +232,11 @@ class ExtractiveModel:
         log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
-    def choose_labels(self, enc: EncodedDocument, rng=None) -> list[int]:
-        """Greedy labels, or with an rng one draw of rng.random() per
-        sentence, taken document by document; tape-free, and without
-        ``decode_labels``' scoring pass.
+    def choose_labels(self, enc: EncodedDocument, rng=None, draws=None) -> list[int]:
+        """Greedy labels, or sampled ones: with an rng one draw of
+        rng.random() per sentence, taken document by document, or the same
+        draws taken beforehand as ``draws``, one per row of ``enc``.
+        Tape-free, and without ``decode_labels``' scoring pass.
 
         Each step advances every still-active document's row at once, with
         the arithmetic of ``LSTMCell.step`` and of ``log_softmax``, so the
@@ -230,7 +255,13 @@ class ExtractiveModel:
         # one draw per sentence, taken document by document, read step by step;
         # in the model's dtype, as comparing a Python float with a numpy
         # float32 scalar would round it
-        draws = None if rng is None else rng.random(rows.size).astype(x.dtype)[rows]
+        if draws is None and rng is not None:
+            draws = rng.random(rows.size)
+        if draws is not None:
+            draws = np.asarray(draws)
+            if draws.shape != (rows.size,):
+                raise DataError(f"{draws.size} draws for {rows.size} sentences")
+            draws = draws.astype(x.dtype)[rows]
         emb = self.w_e.data.T  # one row per label
         w_x, w_o = self.dec.w_x.data, self.w_o.data
         h = np.zeros((lengths.size, d), dtype=self.dtype)

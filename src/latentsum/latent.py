@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionModel, s_scores
+from .compression import CompressionModel, s_score_matrix
 from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
@@ -86,10 +86,9 @@ def reward(compression: CompressionModel, selected, summary: SummarySet,
 
 
 def _score_matrix(compression: CompressionModel, sources, summary: SummarySet) -> np.ndarray:
-    """|sources| x |H| matrix of s_score(source, summary sentence), one
-    source encoding per row."""
-    rows = [s_scores(compression, c, summary.sentences) for c in sources]
-    return np.array(rows).reshape(len(rows), len(summary))
+    """|sources| x |H| matrix of s_score(source, summary sentence), from one
+    packed decode of every pair."""
+    return s_score_matrix(compression, list(sources), summary.sentences)
 
 
 def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
@@ -119,54 +118,83 @@ def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
 
 @dataclass
 class ReinforceStep:
-    labels: tuple[int, ...]  # the sampled extraction mask z
+    """One document step's samples. The reward, surrogate and baseline
+    reports are the last sample's; the policy diagnostics are means over
+    all samples."""
+
+    masks: tuple[tuple[int, ...], ...]  # every sampled extraction mask z, in draw order
+    rewards: tuple[float, ...]  # every sample's R
     breakdown: RewardBreakdown
     surrogate: float
     baseline_mse: float
     baseline_values: tuple[float, ...]
+    entropy: float  # binary entropy of p(y_i = 1), per sentence
+    picked: float  # sentences selected
+    advantage: float  # R - b_i, per sentence
+    baseline: float  # b_i, per sentence
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """The last sampled mask."""
+        return self.masks[-1]
 
 
 def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Document,
                    scores: np.ndarray, config, rng, num_samples: int = 1) -> ReinforceStep:
     """One policy update's worth of gradients for one document.
 
-    Draws sample(s), reads each one's reward from ``scores``, the
-    document's |D| x |H| matrix of frozen compression scores, and
-    accumulates (a) the policy surrogate gradient with the detached
-    per-step baseline subtracted and (b) the baseline MSE gradient.
-    Optimizer steps are the caller's job.
+    The ``num_samples`` samples are one graph: one encode of that many
+    copies of the document, each with its own dropout masks, one label
+    choice, one teacher-forced scoring pass and one baseline prediction
+    over all copies. All noise is drawn up front, sample by sample, in the
+    order one sample at a time would draw it: the encoder's (word dropout,
+    v, h_e), then one draw per sentence for the labels. Each sample's
+    reward is read from ``scores``, the document's |D| x |H| matrix of
+    frozen compression scores. One backward of (surrogate + baseline MSE)
+    / num_samples accumulates (a) the policy surrogate gradient with the
+    detached per-step baseline subtracted and (b) the baseline MSE
+    gradient. Optimizer steps are the caller's job.
     """
-    if scores.ndim != 2 or scores.shape[0] != len(doc) or scores.shape[1] == 0:
+    n = len(doc)
+    if scores.ndim != 2 or scores.shape[0] != n or scores.shape[1] == 0:
         raise DataError(f"document {doc.id!r}: score matrix of shape {scores.shape} "
-                        f"does not pair its {len(doc)} sentences with a summary")
-    last = None
+                        f"does not pair its {n} sentences with a summary")
+    noise, draws = [], []
     for _ in range(num_samples):
-        enc = model.encode_document(
-            doc, rng=rng, training=True,
-            drop=config.dropout, word_dropout=config.word_dropout,
-        )
-        dec = model.decode_labels(enc, feed="sample", rng=rng)
-        breakdown = reward_from_matrix(scores[np.flatnonzero(dec.labels)], config.alpha)
+        noise.append(model.draw_noise(doc, rng, training=True, drop=config.dropout,
+                                      word_dropout=config.word_dropout))
+        draws.append(rng.random(n))
+    enc = model.encode_documents([doc] * num_samples, noise=noise)
+    dec = model.decode_labels(enc, feed="sample", draws=np.concatenate(draws))
+    masks = np.array(dec.labels).reshape(num_samples, n)
+    breakdowns = [reward_from_matrix(scores[np.flatnonzero(z)], config.alpha) for z in masks]
+    r = np.repeat([b.r for b in breakdowns], n)[:, None]  # (k n, 1), each sample's R
 
-        values = baseline.predict(dec.h_d)  # (n, 1)
-        value_floats = tuple(float(v) for v in values.data[:, 0])
-        advantages = [breakdown.r - v for v in value_floats]
+    values = baseline.predict(dec.h_d)  # (k n, 1)
+    advantages = r - values.data
+    policy_loss = surrogate_loss(dec, advantages)
+    residual = values - constant(r.astype(values.data.dtype))
+    value_loss = tensor_sum(mul(residual, residual)) * (1.0 / n)
+    backward((policy_loss + value_loss) * (1.0 / num_samples))
 
-        policy_loss = surrogate_loss(dec, advantages)
-        backward(policy_loss * (1.0 / num_samples))
-
-        residual = values - constant(np.full(values.shape, breakdown.r, dtype=values.data.dtype))
-        value_loss = tensor_sum(mul(residual, residual)) * (1.0 / len(value_floats))
-        backward(value_loss * (1.0 / num_samples))
-
-        last = ReinforceStep(
-            labels=tuple(dec.labels),
-            breakdown=breakdown,
-            surrogate=float(policy_loss.data),
-            baseline_mse=float(value_loss.data),
-            baseline_values=value_floats,
-        )
-    return last
+    # the last sample's reports, with the arithmetic of a one-sample graph
+    last = slice(-n, None)
+    chosen = dec.chosen_log_probs().data
+    weighted = advantages.astype(chosen.dtype) * chosen
+    res = residual.data[last]
+    log_p = dec.log_probs.data.astype(np.float64)
+    return ReinforceStep(
+        masks=tuple(tuple(z) for z in masks.tolist()),
+        rewards=tuple(b.r for b in breakdowns),
+        breakdown=breakdowns[-1],
+        surrogate=-float(weighted[last].sum()),
+        baseline_mse=float((res * res).sum()) * (1.0 / n),
+        baseline_values=tuple(values.data[last, 0].tolist()),
+        entropy=float(-(np.exp(log_p) * log_p).sum(axis=1).mean()),
+        picked=float(masks.sum(axis=1).mean()),
+        advantage=float(advantages.mean()),
+        baseline=float(values.data.mean(dtype=np.float64)),
+    )
 
 
 def exhaustive_expectation(model: ExtractiveModel, doc: Document, summary: SummarySet,
@@ -219,7 +247,8 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
                  compression: CompressionModel, config, rng,
                  trace_sink=None) -> list[dict]:
     """SGD REINFORCE over the corpus; emits one trace line per document
-    step through trace_sink and returns per-epoch mean-reward metrics."""
+    step through trace_sink and returns per-epoch metrics: mean rewards,
+    and the policy group's mean pre-clip gradient norm and clipped share."""
     if not train_records:
         raise DataError("cannot train on an empty corpus")
     for doc, summary in train_records:
@@ -234,14 +263,14 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     metrics: list[dict] = []
     for epoch in range(1, config.latent_epochs + 1):
         order = rng.permutation(len(train_records))
-        rewards, r_ps, r_rs, mses = [], [], [], []
+        rewards, r_ps, r_rs, mses, norms = [], [], [], [], []
         for idx in map(int, order):
             doc = train_records[idx][0]
             zero_grads(policy_params)
             zero_grads(value_params)
             step = reinforce_step(model, baseline, doc, matrices[idx], config, rng,
                                   num_samples=config.num_samples)
-            clip_global_norm(policy_params, config.clip_norm)
+            norms.append(clip_global_norm(policy_params, config.clip_norm))
             clip_global_norm(value_params, config.clip_norm)
             policy_opt.step()
             value_opt.step()
@@ -257,6 +286,10 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
                     "r_r": step.breakdown.r_r,
                     "r": step.breakdown.r,
                     "baseline_mse": step.baseline_mse,
+                    "entropy": step.entropy,
+                    "picked": step.picked,
+                    "advantage": step.advantage,
+                    "baseline": step.baseline,
                 })
         metrics.append({
             "epoch": epoch,
@@ -264,5 +297,7 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
             "mean_r_p": float(np.mean(r_ps)),
             "mean_r_r": float(np.mean(r_rs)),
             "mean_baseline_mse": float(np.mean(mses)),
+            "grad_norm_mean": float(np.mean(norms)),
+            "clipped_share": sum(norm > config.clip_norm for norm in norms) / len(norms),
         })
     return metrics

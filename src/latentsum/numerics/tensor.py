@@ -390,8 +390,8 @@ def dropout_mask(shape, p: float, rng, training: bool) -> np.ndarray | None:
 
 
 def join_masks(masks) -> np.ndarray | None:
-    """Per-item masks from ``dropout_mask`` stacked along rows; None when
-    dropout is off."""
+    """Per-item masks from ``dropout_mask`` (or per-item word-dropout
+    flags) stacked along rows; None when dropout is off."""
     return None if not masks or masks[0] is None else np.concatenate(masks)
 
 

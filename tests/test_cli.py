@@ -145,7 +145,8 @@ class TestArtifacts:
         train_size = len(load_corpus(pipeline["corpus"], "train"))
         assert len(rows) == SMALL_CONFIG["latent_epochs"] * train_size
         for row in rows:
-            assert set(row) == {"epoch", "doc_id", "r_p", "r_r", "r", "baseline_mse"}
+            assert set(row) == {"epoch", "doc_id", "r_p", "r_r", "r", "baseline_mse",
+                                "entropy", "picked", "advantage", "baseline"}
             assert 0.0 <= row["r"] <= 1.0
 
     def test_labels_cover_corpus(self, pipeline):

@@ -428,6 +428,35 @@ class TestPackedBatch:
         assert packed == alone
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    def test_noise_drawn_beforehand_matches_noise_drawn_inside(self):
+        model = tiny_model(seed=11)
+        docs, _ = self._batch()
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        inside = model.encode_documents(docs, rng=rng_a, **self.TRAINING)
+        noise = [model.draw_noise(doc, rng_b, **self.TRAINING) for doc in docs]
+        before = model.encode_documents(docs, noise=noise)
+        np.testing.assert_array_equal(before.v.data, inside.v.data)
+        np.testing.assert_array_equal(before.h_e.data, inside.h_e.data)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert all(n.dropped.size == sum(len(s.tokens) for s in doc.sentences)
+                   for n, doc in zip(noise, docs))
+
+    def test_draws_given_beforehand_match_draws_off_the_rng(self):
+        model = tiny_model(seed=12)
+        docs, _ = self._batch()
+        with no_grad():
+            enc = model.encode_documents(docs)
+            rng = np.random.default_rng(6)
+            sampled = model.choose_labels(enc, rng)
+            draws = np.random.default_rng(6).random(len(enc))
+            assert model.choose_labels(enc, draws=draws) == sampled
+            dec = model.decode_labels(enc, feed="sample", draws=draws)
+            assert dec.labels == sampled
+            with pytest.raises(DataError, match="draws"):
+                model.choose_labels(enc, draws=draws[1:])
+            with pytest.raises(DataError, match="rng or draws"):
+                model.decode_labels(enc, feed="sample")
+
     def test_teacher_labels_must_match_every_document(self):
         model = tiny_model()
         docs, golds = self._batch()

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from latentsum.compression import CompressionModel
+from latentsum.compression import CompressionModel, s_scores
 from latentsum.corpus import Document, Sentence, SummarySet
 from latentsum.errors import DataError
 from latentsum.extractive import ExtractiveModel
@@ -310,6 +310,117 @@ class TestReinforceStep:
                 np.testing.assert_allclose(p.grad, 0.0, atol=1e-9)
 
 
+def per_sample_step(model, baseline, doc, scores, config, rng, num_samples):
+    """Oracle: the sample-by-sample loop the packed step replaced, one
+    graph and two backward calls per sample. Returns each sample's mask,
+    its reward, the last sample's reports and the diagnostics' means."""
+    masks, rewards, entropies, advantages, values = [], [], [], [], []
+    for _ in range(num_samples):
+        enc = model.encode_document(doc, rng=rng, training=True, drop=config.dropout,
+                                    word_dropout=config.word_dropout)
+        dec = model.decode_labels(enc, feed="sample", rng=rng)
+        breakdown = reward_from_matrix(scores[np.flatnonzero(dec.labels)], config.alpha)
+        predicted = baseline.predict(dec.h_d)
+        advantage = [breakdown.r - float(v) for v in predicted.data[:, 0]]
+        policy_loss = surrogate_loss(dec, advantage)
+        backward(policy_loss * (1.0 / num_samples))
+        residual = predicted - constant(np.full(predicted.shape, breakdown.r))
+        value_loss = tensor_sum(mul(residual, residual)) * (1.0 / len(doc))
+        backward(value_loss * (1.0 / num_samples))
+        masks.append(tuple(dec.labels))
+        rewards.append(breakdown.r)
+        log_p = dec.log_probs.data
+        entropies.append(-(np.exp(log_p) * log_p).sum(axis=1).mean())
+        advantages.append(np.mean(advantage))
+        values.append(predicted.data.mean())
+    return {
+        "masks": tuple(masks),
+        "rewards": tuple(rewards),
+        "surrogate": float(policy_loss.data),
+        "baseline_mse": float(value_loss.data),
+        "baseline_values": tuple(float(v) for v in predicted.data[:, 0]),
+        "entropy": float(np.mean(entropies)),
+        "picked": float(np.mean([sum(z) for z in masks])),
+        "advantage": float(np.mean(advantages)),
+        "baseline": float(np.mean(values)),
+    }
+
+
+class TestPackedStep:
+    """The k samples of a step as one graph against the per-sample loop,
+    in float64 and with dropout and word dropout on, so every sample's
+    noise must come off the generator in the loop's order."""
+
+    @pytest.mark.parametrize("num_samples", [1, 3])
+    def test_matches_per_sample_loop(self, small_config, num_samples):
+        doc, summary = tiny_doc(n_sents=5, seed=51), tiny_summary(seed=52)
+        scores = _score_matrix(scorer(seed=53), doc.sentences, summary)
+        cfg = dataclasses.replace(small_config, dropout=0.3, word_dropout=0.25)
+        grads, outs, states = [], [], []
+        for packed in (True, False):
+            model = policy(seed=54)
+            baseline = BaselineModel(model.d, dtype=np.float64)
+            init = np.random.default_rng(55)
+            baseline.w.data = init.normal(scale=0.3, size=baseline.w.data.shape)
+            baseline.b.data = np.array([[0.2]])
+            rng = np.random.default_rng(56)
+            if packed:
+                step = reinforce_step(model, baseline, doc, scores, cfg, rng, num_samples)
+                outs.append({key: getattr(step, key) for key in (
+                    "masks", "rewards", "surrogate", "baseline_mse", "baseline_values",
+                    "entropy", "picked", "advantage", "baseline")})
+                assert step.labels == step.masks[-1]
+                assert step.breakdown.r == step.rewards[-1]
+            else:
+                outs.append(per_sample_step(model, baseline, doc, scores, cfg, rng,
+                                            num_samples))
+            grads.append({p.name: p.grad_or_zeros().copy()
+                          for p in model.parameters() + baseline.parameters()})
+            states.append(rng.bit_generator.state)
+        packed, alone = outs
+        assert packed["masks"] == alone["masks"]
+        assert packed["rewards"] == alone["rewards"]
+        assert len({sum(z) for z in alone["masks"]}) > 1 or num_samples == 1
+        for key in ("surrogate", "baseline_mse", "entropy", "picked", "advantage",
+                    "baseline"):
+            assert packed[key] == pytest.approx(alone[key], rel=0, abs=1e-12), key
+        np.testing.assert_allclose(packed["baseline_values"], alone["baseline_values"],
+                                   rtol=0, atol=1e-12)
+        assert states[0] == states[1]
+        assert set(grads[0]) == set(grads[1])
+        for name, want in grads[1].items():
+            assert want.any(), name
+            np.testing.assert_allclose(grads[0][name], want, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("num_samples", [1, 4])
+    def test_one_encode_and_one_backward_per_document_step(self, small_config, monkeypatch,
+                                                           num_samples):
+        from latentsum import latent
+
+        encodes, backwards = [], []
+        encode = ExtractiveModel.encode_documents
+
+        def counting_encode(self, docs, *args, **kwargs):
+            encodes.append(len(docs))
+            return encode(self, docs, *args, **kwargs)
+
+        def counting_backward(loss):
+            backwards.append(loss)
+            return backward(loss)
+
+        monkeypatch.setattr(ExtractiveModel, "encode_documents", counting_encode)
+        monkeypatch.setattr(latent, "backward", counting_backward)
+        records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
+        cfg = dataclasses.replace(small_config, num_samples=num_samples, latent_epochs=2)
+        model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))
+        comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(1))
+        train_latent(model, BaselineModel(cfg.d), records, comp, cfg, np.random.default_rng(2))
+        steps = cfg.latent_epochs * len(records)
+        assert encodes == [num_samples] * steps
+        assert len(backwards) == steps
+
+
 class TestExhaustive:
     def test_probability_mass_is_one(self):
         model = policy(seed=14)
@@ -432,10 +543,15 @@ class TestTrainLatent:
         assert len(metrics) == 2
         assert len(rows) == 2 * len(records)
         for row in rows:
-            assert set(row) == {"epoch", "doc_id", "r_p", "r_r", "r", "baseline_mse"}
+            assert set(row) == {"epoch", "doc_id", "r_p", "r_r", "r", "baseline_mse",
+                                "entropy", "picked", "advantage", "baseline"}
+            assert 0.0 <= row["entropy"] <= np.log(2.0)
+            assert 0.0 <= row["picked"] <= 3.0
         for m in metrics:
             assert set(m) == {"epoch", "mean_reward", "mean_r_p", "mean_r_r",
-                              "mean_baseline_mse"}
+                              "mean_baseline_mse", "grad_norm_mean", "clipped_share"}
+            assert m["grad_norm_mean"] > 0.0
+            assert 0.0 <= m["clipped_share"] <= 1.0
 
     def test_alpha_one_reward_equals_precision_term(self, small_config):
         records, vocab = self._records(n=2)
@@ -513,10 +629,15 @@ class TestTrainLatent:
         sampled = []
         decode = ExtractiveModel.decode_labels
 
-        def recording(self, enc, feed="greedy", teacher_labels=None, rng=None):
-            dec = decode(self, enc, feed=feed, teacher_labels=teacher_labels, rng=rng)
+        def recording(self, enc, feed="greedy", teacher_labels=None, rng=None, draws=None):
+            dec = decode(self, enc, feed=feed, teacher_labels=teacher_labels, rng=rng,
+                         draws=draws)
             if feed == "sample":
-                sampled.append(tuple(dec.labels))
+                # one packed decode per step: its k copies' masks, in draw order
+                assert len(enc.lengths) == cfg.num_samples
+                ends = np.cumsum(enc.lengths)
+                sampled.extend(tuple(dec.labels[end - n : end])
+                               for n, end in zip(enc.lengths, ends))
             return dec
 
         monkeypatch.setattr(ExtractiveModel, "decode_labels", recording)
@@ -535,6 +656,33 @@ class TestTrainLatent:
             picked = [s for s, zi in zip(doc.sentences, z) if zi]
             want = reward(comp, picked, summary, cfg.alpha)
             assert (row["r"], row["r_p"], row["r_r"]) == (want.r, want.r_p, want.r_r)
+
+
+class TestPackedScoreMatrix:
+    def test_equals_per_sentence_rows_in_float32(self, monkeypatch):
+        # one decode of every (sentence, summary sentence) pair carries the
+        # bits of one decode per source sentence
+        records, vocab = tiny_records(n_docs=3, n_sents=5, vocab_words=8, seed=6)
+        comp = CompressionModel(len(vocab), 8, np.random.default_rng(9))
+        decodes = []
+        decode = CompressionModel.decode_teacher
+
+        def counting(self, items, *args, **kwargs):
+            decodes.append(len(items))
+            return decode(self, items, *args, **kwargs)
+
+        for doc, summary in records:
+            rows = np.array([s_scores(comp, c, summary.sentences) for c in doc.sentences])
+            monkeypatch.setattr(CompressionModel, "decode_teacher", counting)
+            matrix = _score_matrix(comp, doc.sentences, summary)
+            monkeypatch.undo()
+            assert decodes == [len(doc)]
+            decodes.clear()
+            assert matrix.dtype == np.float64 and matrix.shape == (len(doc), len(summary))
+            assert np.array_equal(matrix, rows)
+
+    def test_empty_source_list(self):
+        assert _score_matrix(scorer(), [], tiny_summary()).shape == (0, 2)
 
 
 class TestRewardMatrixIsTheOnlyPath:
