@@ -150,10 +150,10 @@ def cmd_train_latent(args, config: RunConfig) -> int:
     extractive_mod.save_extractive(args.out, model, config.to_dict(), vocab)
     _write_jsonl(args.trace, trace_lines)
     _write_json(args.metrics, metrics)
-    print(
-        f"latent training: epoch-1 mean reward {metrics[0]['mean_reward']:.4f}, "
-        f"epoch-{metrics[-1]['epoch']} mean reward {metrics[-1]['mean_reward']:.4f}"
-    )
+    report = f"latent training: epoch-1 mean reward {metrics[0]['mean_reward']:.4f}"
+    if len(metrics) > 1:
+        report += f", epoch-{metrics[-1]['epoch']} mean reward {metrics[-1]['mean_reward']:.4f}"
+    print(report)
     print(f"wrote {args.out}")
     return 0
 

@@ -123,8 +123,7 @@ class CompressionModel:
     def _output_logits(self, state: Tensor, context: Tensor) -> Tensor:
         return add(matmul(concat([state, context], axis=1), self.w_out), self.b_out)
 
-    def decode_teacher(self, items, rng=None, training: bool = False,
-                       drop: float = 0.0) -> TeacherDecode:
+    def decode_teacher(self, items, rng=None, drop: float = 0.0) -> TeacherDecode:
         """Teacher-forced decode of (source_ids, targets) items as one packed
         graph; predicts each target token then EOS.
 
@@ -133,9 +132,9 @@ class CompressionModel:
         recurrence, each target started from its own source's s0. Each
         target attends only its own source's rows, normalized over that
         source's length; the output layer and log_softmax run once over all
-        rows. When training, the dropout masks are drawn item by item (the
-        source annotations, then the decoder states), so the generator moves
-        as if each item were decoded alone.
+        rows. With a nonzero ``drop``, the dropout masks are drawn off
+        ``rng`` item by item (the source annotations, then the decoder
+        states), so the generator moves as if each item were decoded alone.
         """
         if not items or not all(source and targets and all(targets)
                                 for source, targets in items):
@@ -150,8 +149,8 @@ class CompressionModel:
         item_rows = [sum(len(t) + 1 for t in item_targets) for _, item_targets in items]
         src_masks, dec_masks = [], []
         for n, rows in zip(src_len, item_rows):
-            src_masks.append(dropout_mask((n, 2 * d), drop, rng, training))
-            dec_masks.append(dropout_mask((rows, d), drop, rng, training))
+            src_masks.append(dropout_mask((n, 2 * d), drop, rng))
+            dec_masks.append(dropout_mask((rows, d), drop, rng))
 
         encoded, s0 = self._encode_sources([source for source, _ in items])
         annotations = dropout(encoded, join_masks(src_masks))  # (sum |S|, 2d)
@@ -185,11 +184,9 @@ class CompressionModel:
         log_probs = log_softmax(self._output_logits(states, concat(contexts, axis=0)), axis=1)
         return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths.tolist())
 
-    def nll_loss(self, source_ids, target_ids, rng=None, training: bool = False,
-                 drop: float = 0.0) -> Tensor:
-        """The one-pair case of ``decode_teacher``'s summed NLL."""
-        return self.decode_teacher([(source_ids, [target_ids])], rng=rng, training=training,
-                                   drop=drop).nll()
+    def nll_loss(self, source_ids, target_ids) -> Tensor:
+        """The one-pair case of ``decode_teacher``'s summed NLL, without dropout."""
+        return self.decode_teacher([(source_ids, [target_ids])]).nll()
 
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
@@ -271,14 +268,9 @@ def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
                                                                          len(targets))
 
 
-def s_scores(model: CompressionModel, source: Sentence, targets) -> list[float]:
-    """s_score of source against every target; the source is encoded once."""
-    return s_score_matrix(model, [source], targets)[0].tolist()
-
-
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
     """exp(mean per-token log-probability); always in (0, 1]."""
-    return s_scores(model, source, [target])[0]
+    return float(s_score_matrix(model, [source], [target])[0, 0])
 
 
 def decode_greedy(model: CompressionModel, vocab: Vocabulary, source: Sentence,
@@ -314,7 +306,7 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
 
     def batch_loss(batch):
         dec = model.decode_teacher([(source, [target]) for source, target in batch], rng=rng,
-                                   training=True, drop=config.dropout)
+                                   drop=config.dropout)
         loss = dec.nll()
         return loss, float(loss.data), sum(dec.lengths)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .corpus import UNK, Document
 from .errors import DataError
-from .labeling import LabelSequence
 from .numerics import (
     LSTMCell,
     Parameter,
@@ -44,8 +43,6 @@ from .rouge import rouge_mean
 
 START_LABEL = 0
 
-FEED_MODES = ("teacher", "greedy", "sample")
-
 EVAL_CHUNK = 16  # documents encoded together by label_accuracy
 
 
@@ -71,12 +68,12 @@ class EncodedDocument:
 
 @dataclass
 class EncoderNoise:
-    """One document's training noise, in the order the encoder draws it;
+    """One document's training noise, in the order ``draw_noise`` draws it;
     each part is None when its dropout is off."""
 
-    dropped: np.ndarray | None  # True for each token replaced by UNK
-    v: np.ndarray | None  # (|D|, d) dropout mask of v
-    h_e: np.ndarray | None  # (|D|, 2d) dropout mask of h_e
+    dropped: np.ndarray | None = None  # True for each token replaced by UNK
+    v: np.ndarray | None = None  # (|D|, d) dropout mask of v
+    h_e: np.ndarray | None = None  # (|D|, 2d) dropout mask of h_e
 
 
 @dataclass
@@ -84,7 +81,7 @@ class DecodeResult:
     """Per-step decoder outputs, documents one after another."""
 
     log_probs: Tensor  # (n, 2) log-distributions over {0, 1}, one row per step
-    labels: list[int]  # the label chosen (or given) at each step
+    labels: list[int]  # the given label of each step
     h_d: Tensor  # (n, d) decoder hidden states, one row per step
 
     def prob_true(self) -> list[float]:
@@ -148,33 +145,29 @@ class ExtractiveModel:
             start += length
         return matmul(constant(averaging), states)
 
-    def draw_noise(self, doc: Document, rng, training: bool = False, drop: float = 0.0,
+    def draw_noise(self, doc: Document, rng, drop: float = 0.0,
                    word_dropout: float = 0.0) -> EncoderNoise:
         """One document's dropout draws off ``rng``: word dropout (one draw
-        per token), then the mask of v, then that of h_e. Nothing is drawn
-        when not training."""
+        per token), then the mask of v, then that of h_e. A zero rate draws
+        nothing."""
         dropped = None
-        if training and word_dropout > 0.0:
+        if word_dropout > 0.0:
             dropped = rng.random(sum(len(s.tokens) for s in doc.sentences)) < word_dropout
         n = len(doc.sentences)
         return EncoderNoise(dropped=dropped,
-                            v=dropout_mask((n, self.d), drop, rng, training),
-                            h_e=dropout_mask((n, 2 * self.d), drop, rng, training))
+                            v=dropout_mask((n, self.d), drop, rng),
+                            h_e=dropout_mask((n, 2 * self.d), drop, rng))
 
-    def encode_documents(self, docs, rng=None, training: bool = False,
-                         drop: float = 0.0, word_dropout: float = 0.0,
-                         noise=None) -> EncodedDocument:
+    def encode_documents(self, docs, noise=None) -> EncodedDocument:
         """Several documents as one packed graph: one word-level Bi-LSTM over
         all their sentences, one sentence-level Bi-LSTM with one sequence
         per document.
 
-        When training, the masks are drawn document by document with
-        ``draw_noise``, so the generator moves as if each document were
-        encoded alone. ``noise``, one ``EncoderNoise`` per document, gives
-        draws taken beforehand instead.
+        ``noise``, one ``EncoderNoise`` per document from ``draw_noise``,
+        is applied; without it nothing is dropped.
         """
         if noise is None:
-            noise = [self.draw_noise(doc, rng, training, drop, word_dropout) for doc in docs]
+            noise = [EncoderNoise()] * len(docs)
         sentences = [s for doc in docs for s in doc.sentences]
         pooled = self._pool_sentences(sentences, join_masks([n.dropped for n in noise]))
         v = dropout(add(matmul(pooled, self.proj_w), self.proj_b),
@@ -184,44 +177,20 @@ class ExtractiveModel:
         return EncodedDocument(v=v, h_e=dropout(h_e, join_masks([n.h_e for n in noise])),
                                lengths=lengths)
 
-    def encode_document(self, doc: Document, rng=None, training: bool = False,
-                        drop: float = 0.0, word_dropout: float = 0.0) -> EncodedDocument:
-        """The one-document case of ``encode_documents``."""
-        return self.encode_documents([doc], rng=rng, training=training, drop=drop,
-                                     word_dropout=word_dropout)
+    def encode_document(self, doc: Document) -> EncodedDocument:
+        """The one-document, noise-free case of ``encode_documents``."""
+        return self.encode_documents([doc])
 
-    def decode_labels(self, enc: EncodedDocument, feed: str = "greedy",
-                      teacher_labels=None, rng=None, draws=None) -> DecodeResult:
-        """Run the label decoder over encoded documents.
-
-        feed="teacher" conditions each step on the given previous label
-        (``teacher_labels``: one LabelSequence per document, or one
-        LabelSequence for a one-document ``enc``), "greedy" on the argmax
-        prediction, "sample" on a draw from the predicted distribution
-        (off ``rng``, or from ``draws`` as in ``choose_labels``).
-        Greedy and sample labels are chosen by a tape-free loop; whatever the
-        feed, the chosen labels are then scored by one teacher-forced pass,
-        which puts log p(label_i | label_<i) on the tape.
+    def decode_labels(self, enc: EncodedDocument, labels) -> DecodeResult:
+        """Score the given labels, one 0/1 value per row of ``enc``, with
+        one teacher-forced pass of the label decoder: each step is
+        conditioned on the previous given label, and log p(label_i |
+        label_<i) goes on the tape. Greedy or sampled labels come from
+        ``choose_labels``.
         """
-        if feed not in FEED_MODES:
-            raise DataError(f"unknown feed mode {feed!r}")
-        if feed == "teacher":
-            if teacher_labels is None:
-                raise DataError("teacher feed requires labels")
-            if isinstance(teacher_labels, LabelSequence):
-                teacher_labels = [teacher_labels]
-            given = tuple(len(t) for t in teacher_labels)
-            if given != enc.lengths:
-                raise DataError(
-                    f"teacher labels length {list(given)} != document length {list(enc.lengths)}"
-                )
-            labels = [y for t in teacher_labels for y in t.labels]
-        elif feed == "sample" and rng is None and draws is None:
-            raise DataError("sample feed requires an rng or draws")
-        elif feed == "sample":
-            labels = self.choose_labels(enc, rng, draws)
-        else:
-            labels = self.choose_labels(enc)
+        labels = list(labels)
+        if len(labels) != len(enc):
+            raise DataError(f"labels length {len(labels)} != encoded length {len(enc)}")
         previous = [START_LABEL] + labels[:-1]
         start = 0
         for n in enc.lengths:
@@ -232,10 +201,9 @@ class ExtractiveModel:
         log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
-    def choose_labels(self, enc: EncodedDocument, rng=None, draws=None) -> list[int]:
-        """Greedy labels, or sampled ones: with an rng one draw of
-        rng.random() per sentence, taken document by document, or the same
-        draws taken beforehand as ``draws``, one per row of ``enc``.
+    def choose_labels(self, enc: EncodedDocument, draws=None) -> list[int]:
+        """Greedy labels, or sampled ones: with ``draws``, one uniform draw
+        per row of ``enc``, label i is 1 when its draw is below p(y_i = 1).
         Tape-free, and without ``decode_labels``' scoring pass.
 
         Each step advances every still-active document's row at once, with
@@ -255,8 +223,6 @@ class ExtractiveModel:
         # one draw per sentence, taken document by document, read step by step;
         # in the model's dtype, as comparing a Python float with a numpy
         # float32 scalar would round it
-        if draws is None and rng is not None:
-            draws = rng.random(rows.size)
         if draws is not None:
             draws = np.asarray(draws)
             if draws.shape != (rows.size,):
@@ -284,10 +250,9 @@ class ExtractiveModel:
         return labels.tolist()
 
     def nll_loss(self, enc: EncodedDocument, labels) -> Tensor:
-        """Negative log-likelihood of the gold labels under teacher feed,
-        summed over the documents of ``enc``."""
-        dec = self.decode_labels(enc, feed="teacher", teacher_labels=labels)
-        return -tensor_sum(dec.chosen_log_probs())
+        """Negative log-likelihood of the gold labels (one per row of
+        ``enc``) under teacher feed, summed over the documents of ``enc``."""
+        return -tensor_sum(self.decode_labels(enc, labels).chosen_log_probs())
 
     def select_top_k(self, doc: Document, k: int) -> TopK:
         """Greedy-feed inference; rank by p(y_i=1), ties to lower index."""
@@ -295,7 +260,7 @@ class ExtractiveModel:
             raise DataError(f"k must be >= 1, got {k}")
         with no_grad():
             enc = self.encode_document(doc)
-            dec = self.decode_labels(enc, feed="greedy")
+            dec = self.decode_labels(enc, self.choose_labels(enc))
         probs = dec.prob_true()
         order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
         chosen = tuple(sorted(order[: min(k, len(probs))]))
@@ -359,16 +324,16 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
     for doc, _ in train_records:
         if doc.id not in labels_by_id:
             raise DataError(f"no oracle labels for document {doc.id!r}")
+        if len(labels_by_id[doc.id]) != len(doc):
+            raise DataError(f"document {doc.id!r} has {len(doc)} sentences but "
+                            f"{len(labels_by_id[doc.id])} oracle labels")
     opt = Adam(model.parameters(), lr=config.extractive_lr)
 
     def batch_loss(records):
         docs = [doc for doc, _ in records]
-        enc = model.encode_documents(
-            docs, rng=rng, training=True,
-            drop=config.dropout, word_dropout=config.word_dropout,
-        )
-        dec = model.decode_labels(enc, feed="teacher",
-                                  teacher_labels=[labels_by_id[doc.id] for doc in docs])
+        noise = [model.draw_noise(doc, rng, config.dropout, config.word_dropout) for doc in docs]
+        enc = model.encode_documents(docs, noise)
+        dec = model.decode_labels(enc, [y for doc in docs for y in labels_by_id[doc.id].labels])
         chosen = dec.chosen_log_probs()
         # each document's mean NLL per sentence, as the metric reports it
         ends = np.cumsum(enc.lengths)

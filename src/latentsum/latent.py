@@ -20,7 +20,6 @@ from .compression import CompressionModel, s_score_matrix
 from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
-from .labeling import LabelSequence
 from .numerics import (
     Parameter,
     Tensor,
@@ -82,13 +81,8 @@ def reward(compression: CompressionModel, selected, summary: SummarySet,
     this scores the given sentences afresh and is the tests' oracle."""
     if len(summary) == 0:
         raise DataError("reward needs a non-empty summary")
-    return reward_from_matrix(_score_matrix(compression, selected, summary), alpha)
-
-
-def _score_matrix(compression: CompressionModel, sources, summary: SummarySet) -> np.ndarray:
-    """|sources| x |H| matrix of s_score(source, summary sentence), from one
-    packed decode of every pair."""
-    return s_score_matrix(compression, list(sources), summary.sentences)
+    return reward_from_matrix(s_score_matrix(compression, list(selected), summary.sentences),
+                              alpha)
 
 
 def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
@@ -140,15 +134,15 @@ class ReinforceStep:
 
 
 def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Document,
-                   scores: np.ndarray, config, rng, num_samples: int = 1) -> ReinforceStep:
+                   scores: np.ndarray, config, rng) -> ReinforceStep:
     """One policy update's worth of gradients for one document.
 
-    The ``num_samples`` samples are one graph: one encode of that many
+    The ``config.num_samples`` samples are one graph: one encode of that many
     copies of the document, each with its own dropout masks, one label
     choice, one teacher-forced scoring pass and one baseline prediction
     over all copies. All noise is drawn up front, sample by sample, in the
-    order one sample at a time would draw it: the encoder's (word dropout,
-    v, h_e), then one draw per sentence for the labels. Each sample's
+    order one sample at a time would draw it: ``draw_noise`` (word dropout,
+    v, h_e), then one draw per sentence for ``choose_labels``. Each sample's
     reward is read from ``scores``, the document's |D| x |H| matrix of
     frozen compression scores. One backward of (surrogate + baseline MSE)
     / num_samples accumulates (a) the policy surrogate gradient with the
@@ -159,13 +153,13 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
     if scores.ndim != 2 or scores.shape[0] != n or scores.shape[1] == 0:
         raise DataError(f"document {doc.id!r}: score matrix of shape {scores.shape} "
                         f"does not pair its {n} sentences with a summary")
+    num_samples = config.num_samples
     noise, draws = [], []
     for _ in range(num_samples):
-        noise.append(model.draw_noise(doc, rng, training=True, drop=config.dropout,
-                                      word_dropout=config.word_dropout))
+        noise.append(model.draw_noise(doc, rng, config.dropout, config.word_dropout))
         draws.append(rng.random(n))
-    enc = model.encode_documents([doc] * num_samples, noise=noise)
-    dec = model.decode_labels(enc, feed="sample", draws=np.concatenate(draws))
+    enc = model.encode_documents([doc] * num_samples, noise)
+    dec = model.decode_labels(enc, model.choose_labels(enc, np.concatenate(draws)))
     masks = np.array(dec.labels).reshape(num_samples, n)
     breakdowns = [reward_from_matrix(scores[np.flatnonzero(z)], config.alpha) for z in masks]
     r = np.repeat([b.r for b in breakdowns], n)[:, None]  # (k n, 1), each sample's R
@@ -212,8 +206,7 @@ def exhaustive_expectation(model: ExtractiveModel, doc: Document, summary: Summa
     expected = 0.0
     total_p = 0.0
     for z in itertools.product((0, 1), repeat=n):
-        enc = model.encode_document(doc)
-        dec = model.decode_labels(enc, feed="teacher", teacher_labels=LabelSequence(labels=z))
+        dec = model.decode_labels(model.encode_document(doc), z)
         logp = _selected_logprob_sum(dec)
         p_z = float(np.exp(logp.data))
         r_z = rewards[z]
@@ -235,7 +228,7 @@ def exhaustive_expectation(model: ExtractiveModel, doc: Document, summary: Summa
 def _subset_rewards(model: ExtractiveModel, doc: Document, summary: SummarySet,
                     compression: CompressionModel, alpha: float) -> dict:
     """R for every label sequence, from one pass of pairwise scores."""
-    full = _score_matrix(compression, doc.sentences, summary)
+    full = s_score_matrix(compression, doc.sentences, summary.sentences)
     rewards = {}
     for z in itertools.product((0, 1), repeat=len(doc.sentences)):
         idx = [i for i, zi in enumerate(z) if zi == 1]
@@ -254,7 +247,7 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     for doc, summary in train_records:
         if len(summary) == 0:
             raise DataError(f"document {doc.id!r} has an empty summary")
-    matrices = [_score_matrix(compression, doc.sentences, summary)
+    matrices = [s_score_matrix(compression, doc.sentences, summary.sentences)
                 for doc, summary in train_records]
     policy_params = model.parameters()
     value_params = baseline.parameters()
@@ -268,8 +261,7 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
             doc = train_records[idx][0]
             zero_grads(policy_params)
             zero_grads(value_params)
-            step = reinforce_step(model, baseline, doc, matrices[idx], config, rng,
-                                  num_samples=config.num_samples)
+            step = reinforce_step(model, baseline, doc, matrices[idx], config, rng)
             norms.append(clip_global_norm(policy_params, config.clip_norm))
             clip_global_norm(value_params, config.clip_norm)
             policy_opt.step()

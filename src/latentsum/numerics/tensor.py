@@ -379,10 +379,10 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[rows, idx][:, None], (a,), bw)
 
 
-def dropout_mask(shape, p: float, rng, training: bool) -> np.ndarray | None:
+def dropout_mask(shape, p: float, rng) -> np.ndarray | None:
     """Inverted-dropout mask: 0 with probability p, else 1/(1-p). None,
-    without drawing, when not training or p == 0."""
-    if not training or p == 0.0:
+    without drawing, when p == 0."""
+    if p == 0.0:
         return None
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")

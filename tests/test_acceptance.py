@@ -37,7 +37,7 @@ from latentsum.extractive import (
     label_accuracy,
     train_extractive,
 )
-from latentsum.labeling import LabelSequence, compression_pairs, oracle_labels
+from latentsum.labeling import compression_pairs, oracle_labels
 from latentsum.latent import (
     BaselineModel,
     _selected_logprob_sum,
@@ -127,7 +127,7 @@ class TestC2GradientChecks:
             Sentence(tokens=("d", "e"), ids=(7, 8)),
             Sentence(tokens=("d", "e"), ids=(7, 8)),
         ))
-        gold = LabelSequence((1, 0, 1))
+        gold = (1, 0, 1)
 
         def loss_fn():
             return model.nll_loss(model.encode_document(doc), gold)
@@ -159,7 +159,8 @@ class TestC2GradientChecks:
             Sentence(tokens=("a", "b"), ids=(4, 5)) for _ in range(3)
         ))
         with no_grad():
-            dec = policy.decode_labels(policy.encode_document(doc), feed="greedy")
+            enc = policy.encode_document(doc)
+            dec = policy.decode_labels(enc, policy.choose_labels(enc))
         states = constant(dec.h_d.data.copy())
         baseline = BaselineModel(d, dtype=np.float64)
         baseline.w.data = np.random.default_rng(4).normal(size=(d, 1)) * 0.1
@@ -182,13 +183,12 @@ class TestC2GradientChecks:
         doc = Document(id="d", sentences=tuple(
             Sentence(tokens=("a", "b"), ids=(4 + i, 6)) for i in range(3)
         ))
-        z = LabelSequence((1, 0, 1))
+        z = (1, 0, 1)
         advantages = [0.3, -0.4, 0.7]
         from latentsum.latent import surrogate_loss
 
         def loss_fn():
-            dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                      teacher_labels=z)
+            dec = model.decode_labels(model.encode_document(doc), z)
             return surrogate_loss(dec, advantages)
 
         report = finite_difference_check(model.parameters(), loss_fn, rng, num_coords=200)
@@ -223,7 +223,7 @@ def test_c3_reinforce_matches_exact_expectation():
     with no_grad():
         enc = model.encode_document(doc)
         for j in range(n_samples):
-            z = tuple(model.choose_labels(enc, rng))  # decode_labels' sample draw
+            z = tuple(model.choose_labels(enc, rng.random(len(enc))))  # reinforce_step's draw
             counts[z] = counts.get(z, 0) + 1
             sample_rewards[j] = rewards[z]
     mc_mean = float(sample_rewards.mean())
@@ -238,8 +238,7 @@ def test_c3_reinforce_matches_exact_expectation():
         weight = (count / n_samples) * rewards[z]
         if weight == 0.0:
             continue
-        dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                  teacher_labels=LabelSequence(z))
+        dec = model.decode_labels(model.encode_document(doc), z)
         backward(_selected_logprob_sum(dec) * weight)
     mc_grad = np.concatenate([p.grad_or_zeros().ravel() for p in params])
     zero_grads(params)

@@ -207,6 +207,22 @@ class TestDeterminism:
         assert out2.read_bytes() == pipeline["latent"].read_bytes()
         assert metrics2.read_bytes() == pipeline["latent_metrics"].read_bytes()
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_latent_report_names_each_epoch_once(self, pipeline, tmp_path, capsys, epochs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "latent_epochs": epochs}))
+        metrics = tmp_path / "lm.json"
+        assert run(["--config", config, "train-latent", "--corpus", pipeline["corpus"],
+                    "--checkpoint", pipeline["extractive"],
+                    "--compression", pipeline["compression"],
+                    "--vocab", pipeline["vocab"], "--out", tmp_path / "lat.ckpt",
+                    "--trace", tmp_path / "t.jsonl", "--metrics", metrics]) == 0
+        rewards = [f"{row['mean_reward']:.4f}" for row in json.loads(metrics.read_text())]
+        want = f"latent training: epoch-1 mean reward {rewards[0]}"
+        if epochs > 1:
+            want += f", epoch-{epochs} mean reward {rewards[-1]}"
+        assert capsys.readouterr().out.splitlines()[0] == want
+
     def test_seed_override_changes_the_corpus(self, pipeline, tmp_path):
         other = tmp_path / "corpus_seed7"
         assert run(["--config", pipeline["config"], "--seed", "7",

@@ -9,7 +9,7 @@ from latentsum.compression import (
     load_compression,
     perplexity,
     s_score,
-    s_scores,
+    s_score_matrix,
     save_compression,
     seq2seq_logprob,
     train_compression,
@@ -146,19 +146,21 @@ class TestBatchedScoring:
                 dec = model.decode_teacher([(source, targets)])
             assert dec.lengths == [len(t) + 1 for t in targets]
             assert np.array_equal(dec.log_probs.data, np.concatenate([lp for lp, _ in refs]))
-            got = s_scores(model, ids_sentence(source), [ids_sentence(t) for t in targets])
-            assert got == [s for _, s in refs]
+            got = s_score_matrix(model, [ids_sentence(source)], [ids_sentence(t) for t in targets])
+            assert got[0].tolist() == [s for _, s in refs]
 
     def test_float64_matches_per_target_decodes(self):
         for model, source, targets in self._cases(np.float64, seed=43):
-            got = s_scores(model, ids_sentence(source), [ids_sentence(t) for t in targets])
+            got = s_score_matrix(model, [ids_sentence(source)],
+                                 [ids_sentence(t) for t in targets])[0]
             want = [self._reference(model, source, t)[1] for t in targets]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_s_score_is_the_one_target_case(self):
         model = tiny_model(dtype=np.float32)
         source, targets = ids_sentence([4, 5, 6]), [ids_sentence([7]), ids_sentence([8, 9])]
-        assert s_scores(model, source, targets) == [s_score(model, source, t) for t in targets]
+        assert (s_score_matrix(model, [source], targets)[0].tolist()
+                == [s_score(model, source, t) for t in targets])
 
     def test_empty_targets_refused(self):
         model = tiny_model()
@@ -167,16 +169,17 @@ class TestBatchedScoring:
         with pytest.raises(DataError, match="non-empty"):
             model.decode_teacher([([4, 5], [[6], []])])
         with pytest.raises(DataError, match="ids"):
-            s_scores(model, ids_sentence([4]), [ids_sentence([5]), Sentence(tokens=("b",))])
+            s_score_matrix(model, [ids_sentence([4])],
+                           [ids_sentence([5]), Sentence(tokens=("b",))])
 
 
 class TestPackedBatch:
     """(source, targets) items packed into one decode against each item
-    decoded alone, in float64 and in training mode, so the dropout masks
+    decoded alone, in float64 and with dropout, so the dropout masks
     must line up too."""
 
     # uneven sources, a one-token source, a length-1 target, and one item
-    # with two targets (as s_scores packs them)
+    # with two targets (as s_score_matrix packs them)
     ITEMS = [([4, 5, 6], [[7]]), ([9], [[5, 6, 7, 8]]), ([4, 8, 10, 12, 13], [[6, 9], [11]]),
              ([7, 5], [[13, 4, 6]])]
 
@@ -187,14 +190,14 @@ class TestPackedBatch:
         row = 0
         for item in self.ITEMS:
             zero_grads(params)
-            alone = model.decode_teacher([item], rng=alone_rng, training=True, drop=0.3)
+            alone = model.decode_teacher([item], rng=alone_rng, drop=0.3)
             alone_loss = alone.nll()
             backward(alone_loss)
             want = {p.name: p.grad_or_zeros().copy() for p in params}
             # this item's rows of a fresh packed decode, drawn from the same seed
             zero_grads(params)
             rng = np.random.default_rng(6)
-            dec = model.decode_teacher(self.ITEMS, rng=rng, training=True, drop=0.3)
+            dec = model.decode_teacher(self.ITEMS, rng=rng, drop=0.3)
             rows = slice(row, row + sum(alone.lengths))
             np.testing.assert_allclose(dec.log_probs.data[rows], alone.log_probs.data,
                                        rtol=0, atol=1e-10)

@@ -6,6 +6,7 @@ import pytest
 from latentsum.corpus import UNK, Document, Sentence
 from latentsum.errors import CheckpointError, DataError
 from latentsum.extractive import (
+    EncoderNoise,
     ExtractiveModel,
     evaluate_rouge_mean,
     label_accuracy,
@@ -56,6 +57,14 @@ def stepwise_mean(model, ids):
     fwd = states(model.word_fwd, range(len(ids)))
     bwd = states(model.word_bwd, reversed(range(len(ids))))
     return np.concatenate([fwd, bwd], axis=1).mean(axis=0)
+
+
+def chosen_labels(model, enc, feed, teacher=None, rng=None):
+    """The labels a feed mode scores: the given ``teacher`` labels, greedy
+    ones, or ones sampled with one draw off ``rng`` per row of ``enc``."""
+    if feed == "teacher":
+        return teacher
+    return model.choose_labels(enc, rng.random(len(enc)) if feed == "sample" else None)
 
 
 def stepwise_decode(model, enc, feed, teacher=None, rng=None):
@@ -127,7 +136,7 @@ class TestEncoding:
         model = tiny_model()
         rng = np.random.default_rng(0)
         doc = Document(id="x", sentences=(Sentence(tokens=("x", "y"), ids=(5, 6)),))
-        dropped = model.encode_document(doc, rng=rng, training=True, word_dropout=1.0)
+        dropped = model.encode_documents([doc], [model.draw_noise(doc, rng, word_dropout=1.0)])
         unk = Document(id="u", sentences=(Sentence(tokens=("u", "u"), ids=(UNK, UNK)),))
         np.testing.assert_array_equal(dropped.v.data, model.encode_document(unk).v.data)
 
@@ -150,7 +159,8 @@ class TestEncoding:
 class TestDecoding:
     def test_distributions_normalized(self):
         model = tiny_model()
-        dec = model.decode_labels(model.encode_document(encoded_doc()))
+        enc = model.encode_document(encoded_doc())
+        dec = model.decode_labels(enc, model.choose_labels(enc))
         assert dec.log_probs.shape == (len(dec.labels), 2)
         for lp in dec.log_probs.data:
             np.testing.assert_allclose(np.exp(lp).sum(), 1.0, atol=1e-6)
@@ -158,17 +168,16 @@ class TestDecoding:
     def test_zero_output_matrix_gives_uniform(self):
         model = tiny_model()
         model.w_o.data = np.zeros_like(model.w_o.data)
-        dec = model.decode_labels(model.encode_document(encoded_doc()))
+        enc = model.encode_document(encoded_doc())
+        dec = model.decode_labels(enc, model.choose_labels(enc))
         for lp in dec.log_probs.data:
             np.testing.assert_allclose(np.exp(lp), [0.5, 0.5], atol=1e-12)
 
     def test_teacher_labels_change_later_steps(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc(n_sents=3))
-        a = model.decode_labels(enc, feed="teacher",
-                                teacher_labels=LabelSequence((0, 0, 0)))
-        b = model.decode_labels(enc, feed="teacher",
-                                teacher_labels=LabelSequence((1, 0, 0)))
+        a = model.decode_labels(enc, (0, 0, 0))
+        b = model.decode_labels(enc, (1, 0, 0))
         # first step sees the same start label either way
         np.testing.assert_allclose(a.log_probs.data[0], b.log_probs.data[0])
         assert not np.allclose(a.log_probs.data[1], b.log_probs.data[1])
@@ -177,40 +186,29 @@ class TestDecoding:
         model = tiny_model()
         enc = model.encode_document(encoded_doc(n_sents=3))
         with pytest.raises(DataError, match="length"):
-            model.decode_labels(enc, feed="teacher", teacher_labels=LabelSequence((0, 1)))
-
-    def test_unknown_feed_mode_rejected(self):
-        model = tiny_model()
-        enc = model.encode_document(encoded_doc())
-        with pytest.raises(DataError, match="feed"):
-            model.decode_labels(enc, feed="beam")
-
-    def test_sample_requires_rng(self):
-        model = tiny_model()
-        enc = model.encode_document(encoded_doc())
-        with pytest.raises(DataError, match="rng"):
-            model.decode_labels(enc, feed="sample")
+            model.decode_labels(enc, (0, 1))
 
     def test_sample_feed_deterministic_given_seed(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc())
-        a = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(9))
-        b = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(9))
-        assert a.labels == b.labels
+        a = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))
+        b = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))
+        assert a == b
 
     def test_greedy_labels_match_argmax(self):
         model = tiny_model()
-        dec = model.decode_labels(model.encode_document(encoded_doc()))
+        enc = model.encode_document(encoded_doc())
+        dec = model.decode_labels(enc, model.choose_labels(enc))
         for lp, label in zip(dec.log_probs.data, dec.labels):
             assert label == int(np.argmax(lp))
 
     def test_nll_is_sum_of_gold_logprobs(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc(n_sents=3))
-        gold = LabelSequence((1, 0, 1))
+        gold = (1, 0, 1)
         loss = model.nll_loss(enc, gold)
-        dec = model.decode_labels(enc, feed="teacher", teacher_labels=gold)
-        manual = -sum(lp[y] for lp, y in zip(dec.log_probs.data, gold.labels))
+        dec = model.decode_labels(enc, gold)
+        manual = -sum(lp[y] for lp, y in zip(dec.log_probs.data, gold))
         np.testing.assert_allclose(float(loss.data), manual, rtol=1e-12)
 
 
@@ -226,8 +224,7 @@ class TestStepwiseOracle:
             with no_grad():
                 enc = model.encode_document(doc)
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                dec = model.decode_labels(enc, feed=feed, rng=rng_a,
-                                          teacher_labels=LabelSequence(tuple(teacher)))
+                dec = model.decode_labels(enc, chosen_labels(model, enc, feed, teacher, rng_a))
                 ref_lp, ref_labels, ref_h = stepwise_decode(model, enc, feed, teacher, rng_b)
             assert dec.labels == ref_labels
             np.testing.assert_allclose(dec.log_probs.data, ref_lp.data, rtol=0, atol=1e-10)
@@ -239,13 +236,13 @@ class TestStepwiseOracle:
         from latentsum.numerics import gather_rows, tensor_sum, zero_grads
         model = tiny_model(seed=12)
         doc = encoded_doc(n_sents=5, seed=44)
-        gold = LabelSequence((1, 0, 0, 1, 1))
+        gold = (1, 0, 0, 1, 1)
         grads = []
         for decode in ("decode_labels", "stepwise"):
             zero_grads(model.parameters())
             enc = model.encode_document(doc)
             if decode == "stepwise":
-                log_probs, labels, _ = stepwise_decode(model, enc, "teacher", gold.labels)
+                log_probs, labels, _ = stepwise_decode(model, enc, "teacher", gold)
                 loss = -tensor_sum(gather_rows(log_probs, labels))
             else:
                 loss = model.nll_loss(enc, gold)
@@ -264,7 +261,7 @@ class TestStepwiseOracle:
             with no_grad():
                 enc = model.encode_document(encoded_doc(n_sents=8, seed=60 + seed))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-                labels = model.decode_labels(enc, feed=feed, rng=rng_a).labels
+                labels = chosen_labels(model, enc, feed, rng=rng_a)
                 _, ref_labels, _ = stepwise_decode(model, enc, feed, rng=rng_b)
             assert labels == ref_labels
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -318,7 +315,7 @@ class TestGradients:
             Sentence(tokens=s.tokens, ids=tuple(min(i, 7) for i in s.ids))
             for s in doc.sentences
         ))
-        gold = LabelSequence((1, 0))
+        gold = (1, 0)
         rng = np.random.default_rng(2)
 
         def loss_fn():
@@ -353,17 +350,16 @@ class TestCheckpointing:
 
 class TestPackedBatch:
     """Documents packed into one graph against each document alone, in
-    float64 and in training mode, so the dropout masks must line up too."""
+    float64 and with dropout, so the dropout masks must line up too."""
 
-    TRAINING = {"training": True, "drop": 0.3, "word_dropout": 0.4}
+    TRAINING = {"drop": 0.3, "word_dropout": 0.4}
 
     @staticmethod
     def _batch():
         # uneven: one-sentence documents and one-word sentences
         docs = [encoded_doc(lengths=[3, 1, 4], seed=1), encoded_doc(lengths=[2], seed=2),
                 encoded_doc(lengths=[5, 2, 1, 3], seed=3), encoded_doc(lengths=[1], seed=4)]
-        golds = [LabelSequence((1, 0, 1)), LabelSequence((1,)),
-                 LabelSequence((0, 1, 1, 0)), LabelSequence((0,))]
+        golds = [(1, 0, 1), (1,), (0, 1, 1, 0), (0,)]
         return docs, golds
 
     def test_each_document_matches_itself_alone(self):
@@ -374,16 +370,16 @@ class TestPackedBatch:
         offset = 0
         for doc, gold in zip(docs, golds):
             zero_grads(params)
-            alone = model.nll_loss(model.encode_document(doc, rng=alone_rng, **self.TRAINING),
-                                   gold)
+            noise = [model.draw_noise(doc, alone_rng, **self.TRAINING)]
+            alone = model.nll_loss(model.encode_documents([doc], noise), gold)
             backward(alone)
             want = {p.name: p.grad_or_zeros().copy() for p in params}
             # this document's rows of a fresh packed graph, drawn from the same seed
             zero_grads(params)
             rng = np.random.default_rng(5)
-            enc = model.encode_documents(docs, rng=rng, **self.TRAINING)
-            chosen = model.decode_labels(enc, feed="teacher",
-                                         teacher_labels=golds).chosen_log_probs()
+            enc = model.encode_documents(docs, [model.draw_noise(doc, rng, **self.TRAINING)
+                                                for doc in docs])
+            chosen = model.decode_labels(enc, sum(golds, ())).chosen_log_probs()
             packed = -tensor_sum(slice_axis(chosen, 0, offset, offset + len(doc)))
             backward(packed)
             np.testing.assert_allclose(float(packed.data), float(alone.data), rtol=0, atol=1e-10)
@@ -397,16 +393,16 @@ class TestPackedBatch:
         model = tiny_model(seed=9)
         docs, golds = self._batch()
         with no_grad():
-            base = model.decode_labels(model.encode_documents(docs), feed="teacher",
-                                       teacher_labels=golds).log_probs.data
+            base = model.decode_labels(model.encode_documents(docs),
+                                       sum(golds, ())).log_probs.data
             offset = 0
             for j, doc in enumerate(docs):
                 other = Document(id="other", sentences=tuple(
                     Sentence(tokens=s.tokens, ids=tuple(4 + (i + 3) % 8 for i in s.ids))
                     for s in doc.sentences))
                 changed = docs[:j] + [other] + docs[j + 1:]
-                moved = model.decode_labels(model.encode_documents(changed), feed="teacher",
-                                            teacher_labels=golds).log_probs.data
+                moved = model.decode_labels(model.encode_documents(changed),
+                                            sum(golds, ())).log_probs.data
                 mine = slice(offset, offset + len(doc))
                 assert np.abs(moved[mine] - base[mine]).max() > 1e-8
                 np.testing.assert_array_equal(np.delete(moved, mine, axis=0),
@@ -419,22 +415,28 @@ class TestPackedBatch:
         docs, _ = self._batch()
         docs += [encoded_doc(n_sents=9, seed=5)]
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        sample = feed == "sample"
         with no_grad():
-            packed = model.choose_labels(model.encode_documents(docs), rng_a if sample else None)
+            packed = chosen_labels(model, model.encode_documents(docs), feed, rng=rng_a)
             alone = [y for doc in docs
-                     for y in model.choose_labels(model.encode_document(doc),
-                                                  rng_b if sample else None)]
+                     for y in chosen_labels(model, model.encode_document(doc), feed, rng=rng_b)]
         assert packed == alone
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_noise_drawn_beforehand_matches_noise_drawn_inside(self):
+        # draw_noise against masks drawn in its documented order: word
+        # dropout (one draw per token), then the mask of v, then that of h_e
         model = tiny_model(seed=11)
         docs, _ = self._batch()
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-        inside = model.encode_documents(docs, rng=rng_a, **self.TRAINING)
+        inside = []
+        for doc in docs:
+            dropped = rng_a.random(sum(len(s.tokens) for s in doc.sentences)) < 0.4
+            v, h_e = ((rng_a.random((len(doc), width)) >= 0.3) / 0.7
+                      for width in (model.d, 2 * model.d))
+            inside.append(EncoderNoise(dropped, v, h_e))
+        inside = model.encode_documents(docs, inside)
         noise = [model.draw_noise(doc, rng_b, **self.TRAINING) for doc in docs]
-        before = model.encode_documents(docs, noise=noise)
+        before = model.encode_documents(docs, noise)
         np.testing.assert_array_equal(before.v.data, inside.v.data)
         np.testing.assert_array_equal(before.h_e.data, inside.h_e.data)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -447,24 +449,27 @@ class TestPackedBatch:
         with no_grad():
             enc = model.encode_documents(docs)
             rng = np.random.default_rng(6)
-            sampled = model.choose_labels(enc, rng)
+            sampled = model.choose_labels(enc, rng.random(len(enc)))
             draws = np.random.default_rng(6).random(len(enc))
             assert model.choose_labels(enc, draws=draws) == sampled
-            dec = model.decode_labels(enc, feed="sample", draws=draws)
+            dec = model.decode_labels(enc, model.choose_labels(enc, draws))
             assert dec.labels == sampled
             with pytest.raises(DataError, match="draws"):
                 model.choose_labels(enc, draws=draws[1:])
-            with pytest.raises(DataError, match="rng or draws"):
-                model.decode_labels(enc, feed="sample")
 
-    def test_teacher_labels_must_match_every_document(self):
+    def test_teacher_labels_must_match_every_document(self, small_config):
         model = tiny_model()
         docs, golds = self._batch()
         enc = model.encode_documents(docs)
         with pytest.raises(DataError, match="length"):
-            model.decode_labels(enc, feed="teacher", teacher_labels=golds[:-1])
-        with pytest.raises(DataError, match="length"):
-            model.decode_labels(enc, feed="teacher", teacher_labels=golds[1:] + golds[:1])
+            model.decode_labels(enc, sum(golds[:-1], ()))
+        # the right total but the wrong per-document lengths: training
+        # refuses them where the labels enter
+        docs = [Document(id=f"d{j}", sentences=doc.sentences) for j, doc in enumerate(docs)]
+        shifted = {doc.id: LabelSequence(gold) for doc, gold in zip(docs, golds[1:] + golds[:1])}
+        with pytest.raises(DataError, match="'d0' has 3 sentences but 1 oracle labels"):
+            train_extractive(model, [(doc, None) for doc in docs], shifted, [], small_config,
+                             np.random.default_rng(0))
 
 
 class TestTraining:
@@ -525,6 +530,20 @@ class TestTraining:
             train_extractive(model, records, labels, [], small_config,
                              np.random.default_rng(0))
 
+    def test_wrong_label_length_refused_before_any_step(self, small_config):
+        records, labels, model = self._setup(small_config)
+        # the bad document falls in the epoch's second minibatch
+        order = np.random.default_rng(0).permutation(len(records))
+        assert len(records) > small_config.batch_size
+        bad = records[int(order[-1])][0]
+        labels[bad.id] = LabelSequence((0,) * (len(bad) + 1))
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(DataError, match=f"{bad.id!r} has {len(bad)} sentences"):
+            train_extractive(model, records, labels, [], small_config,
+                             np.random.default_rng(0))
+        for p, data in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, data, err_msg=p.name)
+
     def test_early_stop_on_train_accuracy(self, small_config):
         records, labels, model = self._setup(small_config)
         cfg = small_config
@@ -561,7 +580,8 @@ class TestTraining:
         hits = total = 0
         with no_grad():
             for doc, _ in records:
-                dec = model.decode_labels(model.encode_document(doc), feed="greedy")
+                enc = model.encode_document(doc)
+                dec = model.decode_labels(enc, model.choose_labels(enc))
                 hits += sum(int(p == g) for p, g in zip(dec.labels, labels[doc.id].labels))
                 total += len(doc)
 

@@ -6,15 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from latentsum.compression import CompressionModel, s_scores
+from latentsum.compression import CompressionModel, s_score_matrix
 from latentsum.corpus import Document, Sentence, SummarySet
 from latentsum.errors import DataError
 from latentsum.extractive import ExtractiveModel
-from latentsum.labeling import LabelSequence
 from latentsum.latent import (
     BaselineModel,
     RewardBreakdown,
-    _score_matrix,
     _selected_logprob_sum,
     exhaustive_expectation,
     reinforce_step,
@@ -164,8 +162,9 @@ class TestSampling:
         model = always_select_model()
         doc = tiny_doc(n_sents=4)
         with no_grad():
-            out = model.decode_labels(model.encode_document(doc), feed="sample",
-                                      rng=np.random.default_rng(0))
+            enc = model.encode_document(doc)
+            draws = np.random.default_rng(0).random(len(enc))
+            out = model.decode_labels(enc, model.choose_labels(enc, draws))
         assert out.labels == [1, 1, 1, 1]
         assert out.log_probs.data[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -173,8 +172,10 @@ class TestSampling:
         model = policy()
         with no_grad():
             enc = model.encode_document(tiny_doc())
-            a = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(17))
-            b = model.decode_labels(enc, feed="sample", rng=np.random.default_rng(17))
+            a = model.decode_labels(
+                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc))))
+            b = model.decode_labels(
+                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc))))
         assert a.labels == b.labels
         assert np.array_equal(a.log_probs.data, b.log_probs.data)
 
@@ -183,12 +184,12 @@ class TestSampling:
         doc = tiny_doc(n_sents=2)
         with no_grad():
             enc = model.encode_document(doc)
-            probe = model.decode_labels(enc, feed="greedy")
+            probe = model.decode_labels(enc, model.choose_labels(enc))
             p1 = float(np.exp(probe.log_probs.data[0, 1]))
             rng = np.random.default_rng(99)
             n = 1500
             hits = sum(
-                model.decode_labels(enc, feed="sample", rng=rng).labels[0]
+                model.decode_labels(enc, model.choose_labels(enc, rng.random(len(enc)))).labels[0]
                 for _ in range(n)
             )
         se = np.sqrt(p1 * (1.0 - p1) / n)
@@ -199,8 +200,7 @@ class TestSurrogate:
     def test_zero_advantage_means_zero_loss_and_gradient(self):
         model = policy()
         doc = tiny_doc()
-        dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                  teacher_labels=LabelSequence((1, 0, 1)))
+        dec = model.decode_labels(model.encode_document(doc), (1, 0, 1))
         loss = surrogate_loss(dec, [0.0, 0.0, 0.0])
         assert float(loss.data) == 0.0
         backward(loss)
@@ -210,20 +210,20 @@ class TestSurrogate:
 
     def test_advantage_count_checked(self):
         model = policy()
-        dec = model.decode_labels(model.encode_document(tiny_doc()), feed="greedy")
+        enc = model.encode_document(tiny_doc())
+        dec = model.decode_labels(enc, model.choose_labels(enc))
         with pytest.raises(DataError, match="advantage"):
             surrogate_loss(dec, [1.0])
 
     def test_surrogate_gradcheck(self):
         model = policy(seed=7)
         doc = tiny_doc(seed=41)
-        z = LabelSequence((1, 0, 1))
+        z = (1, 0, 1)
         advantages = [0.4, -0.2, 0.9]
         rng = np.random.default_rng(2)
 
         def loss_fn():
-            dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                      teacher_labels=z)
+            dec = model.decode_labels(model.encode_document(doc), z)
             return surrogate_loss(dec, advantages)
 
         report = finite_difference_check(model.parameters(), loss_fn, rng, num_coords=60)
@@ -236,12 +236,11 @@ class TestSurrogate:
         baseline.w.data = rng.normal(size=baseline.w.data.shape)
         baseline.b.data = rng.normal(size=baseline.b.data.shape)
         doc = tiny_doc(seed=43)
-        z = LabelSequence((0, 1, 1))
+        z = (0, 1, 1)
         r = 0.6
 
         def loss_fn():
-            dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                      teacher_labels=z)
+            dec = model.decode_labels(model.encode_document(doc), z)
             values = baseline.predict(dec.h_d)
             residual = values - constant(np.full((len(doc), 1), r))
             return tensor_sum(mul(residual, residual)) * (1.0 / len(doc))
@@ -253,7 +252,8 @@ class TestSurrogate:
         model = policy()
         baseline = BaselineModel(model.d, dtype=np.float64)
         baseline.w.data += 0.5
-        dec = model.decode_labels(model.encode_document(tiny_doc()), feed="greedy")
+        enc = model.encode_document(tiny_doc())
+        dec = model.decode_labels(enc, model.choose_labels(enc))
         loss = tensor_sum(baseline.predict(dec.h_d))
         backward(loss)
         for p in model.parameters():
@@ -269,8 +269,9 @@ class TestReinforceStep:
         cfg = small_config
         cfg.dropout = 0.0
         cfg.word_dropout = 0.0
-        step = reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, summary),
-                              cfg, np.random.default_rng(0))  # seed picks a non-empty mask
+        scores = s_score_matrix(comp, doc.sentences, summary.sentences)
+        # the seed picks a non-empty mask
+        step = reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(0))
         assert len(step.baseline_values) == len(doc)
         assert len(step.labels) == len(doc) and sum(step.labels) > 0
         assert 0.0 <= step.breakdown.r <= 1.0
@@ -283,8 +284,8 @@ class TestReinforceStep:
         comp = scorer(seed=12)
         cfg = small_config
         doc = tiny_doc()
-        reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, tiny_summary()),
-                       cfg, np.random.default_rng(5))
+        scores = s_score_matrix(comp, doc.sentences, tiny_summary().sentences)
+        reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(5))
         for p in comp.parameters():
             assert p.grad is None
 
@@ -302,23 +303,24 @@ class TestReinforceStep:
         from latentsum.latent import reward as reward_fn
         r = reward_fn(comp, list(doc.sentences), summary, cfg.alpha).r
         baseline.b.data = np.array([[r]])
-        step = reinforce_step(model, baseline, doc, _score_matrix(comp, doc.sentences, summary),
-                              cfg, np.random.default_rng(6))
+        scores = s_score_matrix(comp, doc.sentences, summary.sentences)
+        step = reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(6))
         assert step.surrogate == pytest.approx(0.0, abs=1e-12)
         for p in model.parameters():
             if p.grad is not None:
                 np.testing.assert_allclose(p.grad, 0.0, atol=1e-9)
 
 
-def per_sample_step(model, baseline, doc, scores, config, rng, num_samples):
+def per_sample_step(model, baseline, doc, scores, config, rng):
     """Oracle: the sample-by-sample loop the packed step replaced, one
     graph and two backward calls per sample. Returns each sample's mask,
     its reward, the last sample's reports and the diagnostics' means."""
+    num_samples = config.num_samples
     masks, rewards, entropies, advantages, values = [], [], [], [], []
     for _ in range(num_samples):
-        enc = model.encode_document(doc, rng=rng, training=True, drop=config.dropout,
-                                    word_dropout=config.word_dropout)
-        dec = model.decode_labels(enc, feed="sample", rng=rng)
+        noise = model.draw_noise(doc, rng, config.dropout, config.word_dropout)
+        enc = model.encode_documents([doc], [noise])
+        dec = model.decode_labels(enc, model.choose_labels(enc, rng.random(len(doc))))
         breakdown = reward_from_matrix(scores[np.flatnonzero(dec.labels)], config.alpha)
         predicted = baseline.predict(dec.h_d)
         advantage = [breakdown.r - float(v) for v in predicted.data[:, 0]]
@@ -354,8 +356,9 @@ class TestPackedStep:
     @pytest.mark.parametrize("num_samples", [1, 3])
     def test_matches_per_sample_loop(self, small_config, num_samples):
         doc, summary = tiny_doc(n_sents=5, seed=51), tiny_summary(seed=52)
-        scores = _score_matrix(scorer(seed=53), doc.sentences, summary)
-        cfg = dataclasses.replace(small_config, dropout=0.3, word_dropout=0.25)
+        scores = s_score_matrix(scorer(seed=53), doc.sentences, summary.sentences)
+        cfg = dataclasses.replace(small_config, dropout=0.3, word_dropout=0.25,
+                                  num_samples=num_samples)
         grads, outs, states = [], [], []
         for packed in (True, False):
             model = policy(seed=54)
@@ -365,15 +368,14 @@ class TestPackedStep:
             baseline.b.data = np.array([[0.2]])
             rng = np.random.default_rng(56)
             if packed:
-                step = reinforce_step(model, baseline, doc, scores, cfg, rng, num_samples)
+                step = reinforce_step(model, baseline, doc, scores, cfg, rng)
                 outs.append({key: getattr(step, key) for key in (
                     "masks", "rewards", "surrogate", "baseline_mse", "baseline_values",
                     "entropy", "picked", "advantage", "baseline")})
                 assert step.labels == step.masks[-1]
                 assert step.breakdown.r == step.rewards[-1]
             else:
-                outs.append(per_sample_step(model, baseline, doc, scores, cfg, rng,
-                                            num_samples))
+                outs.append(per_sample_step(model, baseline, doc, scores, cfg, rng))
             grads.append({p.name: p.grad_or_zeros().copy()
                           for p in model.parameters() + baseline.parameters()})
             states.append(rng.bit_generator.state)
@@ -454,9 +456,7 @@ class TestExhaustive:
         manual = 0.0
         with no_grad():
             for z, r_z in out["rewards"].items():
-                enc = model.encode_document(doc)
-                dec = model.decode_labels(enc, feed="teacher",
-                                          teacher_labels=LabelSequence(z))
+                dec = model.decode_labels(model.encode_document(doc), z)
                 manual += float(np.exp(_selected_logprob_sum(dec).data)) * r_z
         assert out["expected_reward"] == pytest.approx(manual, rel=1e-12)
 
@@ -471,9 +471,7 @@ class TestExhaustive:
             total = 0.0
             with no_grad():
                 for z, r_z in rewards.items():
-                    dec = model.decode_labels(model.encode_document(doc),
-                                              feed="teacher",
-                                              teacher_labels=LabelSequence(z))
+                    dec = model.decode_labels(model.encode_document(doc), z)
                     total += float(np.exp(_selected_logprob_sum(dec).data)) * r_z
             return total
 
@@ -504,8 +502,7 @@ class TestExhaustive:
         params = model.parameters()
         zero_grads(params)
         for z in itertools.product((0, 1), repeat=3):
-            dec = model.decode_labels(model.encode_document(doc), feed="teacher",
-                                      teacher_labels=LabelSequence(z))
+            dec = model.decode_labels(model.encode_document(doc), z)
             logp = _selected_logprob_sum(dec)
             backward(logp * float(np.exp(logp.data)))
         for p in params:
@@ -627,20 +624,19 @@ class TestTrainLatent:
         # of reward() on the sentences that sample selected
         records, vocab = self._records(n=4)
         sampled = []
-        decode = ExtractiveModel.decode_labels
+        choose = ExtractiveModel.choose_labels
 
-        def recording(self, enc, feed="greedy", teacher_labels=None, rng=None, draws=None):
-            dec = decode(self, enc, feed=feed, teacher_labels=teacher_labels, rng=rng,
-                         draws=draws)
-            if feed == "sample":
-                # one packed decode per step: its k copies' masks, in draw order
+        def recording(self, enc, draws=None):
+            labels = choose(self, enc, draws)
+            if draws is not None:
+                # one packed choice per step: its k copies' masks, in draw order
                 assert len(enc.lengths) == cfg.num_samples
                 ends = np.cumsum(enc.lengths)
-                sampled.extend(tuple(dec.labels[end - n : end])
+                sampled.extend(tuple(labels[end - n : end])
                                for n, end in zip(enc.lengths, ends))
-            return dec
+            return labels
 
-        monkeypatch.setattr(ExtractiveModel, "decode_labels", recording)
+        monkeypatch.setattr(ExtractiveModel, "choose_labels", recording)
         cfg = dataclasses.replace(small_config, num_samples=2, latent_epochs=2)
         model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(3))
         comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(4))
@@ -672,9 +668,10 @@ class TestPackedScoreMatrix:
             return decode(self, items, *args, **kwargs)
 
         for doc, summary in records:
-            rows = np.array([s_scores(comp, c, summary.sentences) for c in doc.sentences])
+            rows = np.array([s_score_matrix(comp, [c], summary.sentences)[0]
+                             for c in doc.sentences])
             monkeypatch.setattr(CompressionModel, "decode_teacher", counting)
-            matrix = _score_matrix(comp, doc.sentences, summary)
+            matrix = s_score_matrix(comp, doc.sentences, summary.sentences)
             monkeypatch.undo()
             assert decodes == [len(doc)]
             decodes.clear()
@@ -682,7 +679,7 @@ class TestPackedScoreMatrix:
             assert np.array_equal(matrix, rows)
 
     def test_empty_source_list(self):
-        assert _score_matrix(scorer(), [], tiny_summary()).shape == (0, 2)
+        assert s_score_matrix(scorer(), [], tiny_summary().sentences).shape == (0, 2)
 
 
 class TestRewardMatrixIsTheOnlyPath:

@@ -80,22 +80,14 @@ class TestForwardPrimitives:
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         x = constant(np.ones((2, 3)))
-        mask = dropout_mask(x.shape, 0.0, rng, training=True)
+        mask = dropout_mask(x.shape, 0.0, rng)
         np.testing.assert_array_equal(dropout(x, mask).data, x.data)
         assert rng.bit_generator.state == state  # nothing drawn
-
-    def test_dropout_eval_mode_is_identity(self):
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        x = constant(np.ones((2, 3)))
-        mask = dropout_mask(x.shape, 0.9, rng, training=False)
-        np.testing.assert_array_equal(dropout(x, mask).data, x.data)
-        assert rng.bit_generator.state == state
 
     def test_dropout_scales_survivors(self):
         rng = np.random.default_rng(4)
         x = constant(np.ones((40, 40)))
-        out = dropout(x, dropout_mask(x.shape, 0.25, rng, training=True)).data
+        out = dropout(x, dropout_mask(x.shape, 0.25, rng)).data
         survivors = out[out != 0]
         np.testing.assert_allclose(survivors, 1.0 / 0.75)
 
