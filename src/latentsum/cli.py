@@ -25,7 +25,7 @@ from .corpus import (
     encode_records,
     load_corpus,
     load_vocab,
-    tokenize,
+    parse_sentences,
 )
 from .errors import DataError, LatentSumError
 from .labeling import (
@@ -224,9 +224,11 @@ def _load_generated(path) -> dict[str, list[Sentence]]:
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise DataError(f"expected a JSON object, got {type(row).__name__}")
                 doc_id = str(row["id"])
-                sentences = [tokenize(s) for s in row["summary"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                sentences = list(parse_sentences(row["summary"], "summary"))
+            except (json.JSONDecodeError, KeyError, DataError) as exc:
                 raise DataError(f"{path} line {line_no}: bad summary row ({exc})") from exc
             if doc_id in out:
                 raise DataError(f"{path} line {line_no}: duplicate id {doc_id!r}")

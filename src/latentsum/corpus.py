@@ -176,7 +176,21 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary.from_json(path.read_text(encoding="utf-8"))
 
 
-def _parse_record(obj: dict, line_no: int) -> tuple[Document, SummarySet]:
+def parse_sentences(value, field: str) -> tuple[Sentence, ...]:
+    """Tokenize a JSON list of sentence strings. Any other value, a bare
+    string included, is a DataError naming ``field``."""
+    if not isinstance(value, list):
+        raise DataError(f"{field!r} must be a list of sentence strings, "
+                        f"got {type(value).__name__}")
+    for sent in value:
+        if not isinstance(sent, str):
+            raise DataError(f"{field!r} holds {sent!r} where a sentence string belongs")
+    return tuple(tokenize(s) for s in value)
+
+
+def _parse_record(obj, line_no: int) -> tuple[Document, SummarySet]:
+    if not isinstance(obj, dict):
+        raise DataError(f"line {line_no}: expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "document", "summary"):
         if key not in obj:
             raise DataError(f"line {line_no}: missing field {key!r}")
@@ -185,12 +199,12 @@ def _parse_record(obj: dict, line_no: int) -> tuple[Document, SummarySet]:
         raise DataError(f"line {line_no}: record {doc_id!r} has an empty document")
     if not obj["summary"]:
         raise DataError(f"line {line_no}: record {doc_id!r} has an empty summary")
-    doc = Document(
-        id=doc_id,
-        sentences=tuple(tokenize(s) for s in obj["document"]),
-    )
-    summary = SummarySet(sentences=tuple(tokenize(s) for s in obj["summary"]))
-    return doc, summary
+    try:
+        document = parse_sentences(obj["document"], "document")
+        summary = parse_sentences(obj["summary"], "summary")
+    except DataError as exc:
+        raise DataError(f"line {line_no}: record {doc_id!r}: {exc}") from exc
+    return Document(id=doc_id, sentences=document), SummarySet(sentences=summary)
 
 
 def load_corpus(path, split: str = "train") -> list[tuple[Document, SummarySet]]:

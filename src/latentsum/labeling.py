@@ -8,12 +8,13 @@ lowest sentence index.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, Sentence, SummarySet, tokenize
+from .corpus import Document, Sentence, SummarySet
 from .errors import DataError
-from .rouge import rouge_mean
+from .rouge import clipped_matches, mean_f1, ngram_counts, pooled_counts
 
 
 @dataclass(frozen=True)
@@ -40,24 +41,66 @@ class CompressionPair:
     doc_id: str
 
 
+def _counted(sentence: Sentence) -> tuple[tuple[Counter, int], ...]:
+    """(n-gram counts, n-gram total) of one sentence, for n = 1 and 2."""
+    out = []
+    for n in (1, 2):
+        counts = ngram_counts(sentence, n)
+        out.append((counts, sum(counts.values())))
+    return tuple(out)
+
+
+def _gain(pool: Counter, hits: dict, ref: Counter) -> int:
+    """Clipped matches against ref that adding hits to pool would gain."""
+    gained = 0
+    for gram, count in hits.items():
+        have = pool.get(gram, 0)
+        gained += min(have + count, ref[gram]) - min(have, ref[gram])
+    return gained
+
+
 def oracle_labels(doc: Document, summary: SummarySet, max_select: int = 3) -> LabelSequence:
     """Greedily pick the sentence subset maximizing rouge_mean against the
-    summary; stop when nothing strictly improves or max_select is hit."""
+    summary; stop when nothing strictly improves or max_select is hit.
+
+    Each sentence's n-grams are counted once. For each n the selected set
+    keeps its pooled counts of the summary's n-grams (no other n-gram can
+    match), its clipped matches and its n-gram total, so trying sentence i
+    adds only i's counts. The integers, and so every score, are the ones
+    rouge_mean computes from the sentences."""
+    refs = [pooled_counts(summary.sentences, n) for n in (1, 2)]
+    ref_totals = [sum(ref.values()) for ref in refs]
+    # per sentence and n: its counts of the n-grams the summary holds, and
+    # its n-gram total
+    sents = [
+        [({g: c for g, c in counts.items() if g in ref}, total)
+         for (counts, total), ref in zip(_counted(sent), refs)]
+        for sent in doc.sentences
+    ]
+    pools = [Counter(), Counter()]
+    matched = [0, 0]
+    totals = [0, 0]
     selected: list[int] = []
     best = 0.0
     while len(selected) < max_select:
         best_gain_idx = -1
         best_score = best
-        for i in range(len(doc.sentences)):
+        for i, grams in enumerate(sents):
             if i in selected:
                 continue
-            trial = sorted(selected + [i])
-            score = rouge_mean([doc.sentences[j] for j in trial], summary.sentences)
+            score = mean_f1(*(
+                (matched[k] + _gain(pools[k], hits, refs[k]), totals[k] + total, ref_totals[k])
+                for k, (hits, total) in enumerate(grams)
+            ))
             if score > best_score:
                 best_score = score
                 best_gain_idx = i
         if best_gain_idx < 0:
             break
+        for k, (hits, total) in enumerate(sents[best_gain_idx]):
+            matched[k] += _gain(pools[k], hits, refs[k])
+            totals[k] += total
+            pools[k].update(hits)
         selected.append(best_gain_idx)
         best = best_score
     chosen = set(selected)
@@ -66,13 +109,18 @@ def oracle_labels(doc: Document, summary: SummarySet, max_select: int = 3) -> La
 
 def compression_pairs(doc: Document, summary: SummarySet) -> list[CompressionPair]:
     """For each summary sentence, pair it with its closest document
-    sentence under rouge_mean."""
+    sentence under rouge_mean; each sentence's n-grams are counted once."""
+    sources = [_counted(sent) for sent in doc.sentences]
     pairs = []
     for target in summary.sentences:
+        ref = _counted(target)
         best_j = 0
         best_score = -1.0
-        for j, source in enumerate(doc.sentences):
-            score = rouge_mean([source], [target])
+        for j, source in enumerate(sources):
+            score = mean_f1(*(
+                (clipped_matches(ref_counts, counts), total, ref_total)
+                for (counts, total), (ref_counts, ref_total) in zip(source, ref)
+            ))
             if score > best_score:
                 best_score = score
                 best_j = j

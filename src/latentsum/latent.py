@@ -26,6 +26,7 @@ from .numerics import (
     add,
     backward,
     clip_global_norm,
+    clip_report,
     constant,
     detach,
     matmul,
@@ -241,7 +242,8 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
                  trace_sink=None) -> list[dict]:
     """SGD REINFORCE over the corpus; emits one trace line per document
     step through trace_sink and returns per-epoch metrics: mean rewards,
-    and the policy group's mean pre-clip gradient norm and clipped share."""
+    and the mean pre-clip gradient norm and clipped share of the policy
+    group and of the baseline group."""
     if not train_records:
         raise DataError("cannot train on an empty corpus")
     for doc, summary in train_records:
@@ -256,14 +258,14 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     metrics: list[dict] = []
     for epoch in range(1, config.latent_epochs + 1):
         order = rng.permutation(len(train_records))
-        rewards, r_ps, r_rs, mses, norms = [], [], [], [], []
+        rewards, r_ps, r_rs, mses, norms, value_norms = [], [], [], [], [], []
         for idx in map(int, order):
             doc = train_records[idx][0]
             zero_grads(policy_params)
             zero_grads(value_params)
             step = reinforce_step(model, baseline, doc, matrices[idx], config, rng)
             norms.append(clip_global_norm(policy_params, config.clip_norm))
-            clip_global_norm(value_params, config.clip_norm)
+            value_norms.append(clip_global_norm(value_params, config.clip_norm))
             policy_opt.step()
             value_opt.step()
             rewards.append(step.breakdown.r)
@@ -289,7 +291,7 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
             "mean_r_p": float(np.mean(r_ps)),
             "mean_r_r": float(np.mean(r_rs)),
             "mean_baseline_mse": float(np.mean(mses)),
-            "grad_norm_mean": float(np.mean(norms)),
-            "clipped_share": sum(norm > config.clip_norm for norm in norms) / len(norms),
+            **clip_report(norms, config.clip_norm),
+            **clip_report(value_norms, config.clip_norm, prefix="baseline_"),
         })
     return metrics

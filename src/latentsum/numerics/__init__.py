@@ -32,7 +32,7 @@ from .tensor import (
 )
 from .init import init_uniform
 from .lstm import LSTMCell, lstm_sequence, run_bilstm
-from .optim import Adam, SGD, check_finite, clip_global_norm, fit
+from .optim import Adam, SGD, check_finite, clip_global_norm, clip_report, fit
 from .gradcheck import GradCheckReport, finite_difference_check
 from .checkpoint import (
     CheckpointData,
@@ -49,7 +49,7 @@ __all__ = [
     "mul", "neg", "no_grad", "reshape", "sigmoid", "slice_axis", "softmax",
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
     "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm",
-    "Adam", "SGD", "check_finite", "clip_global_norm", "fit",
+    "Adam", "SGD", "check_finite", "clip_global_norm", "clip_report", "fit",
     "GradCheckReport", "finite_difference_check",
     "CheckpointData", "apply_state", "atomic_write_text",
     "load_checkpoint", "save_checkpoint",

@@ -37,6 +37,15 @@ def clip_global_norm(params, max_norm: float) -> float:
     return norm
 
 
+def clip_report(norms, max_norm: float, prefix: str = "") -> dict:
+    """An epoch's mean pre-clip gradient norm and the share of its steps
+    that clipping rescaled, as metrics-row keys."""
+    return {
+        f"{prefix}grad_norm_mean": float(np.mean(norms)),
+        f"{prefix}clipped_share": sum(norm > max_norm for norm in norms) / len(norms),
+    }
+
+
 def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
         clip_norm: float, rng) -> list[dict]:
     """Minibatch training of opt.params with best-by-validation selection.
@@ -73,8 +82,7 @@ def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
             norms.append(clip_global_norm(params, clip_norm))
             opt.step()
         row, score, stop = end_epoch(epoch, value_sum, count_sum)
-        row["grad_norm_mean"] = float(np.mean(norms))
-        row["clipped_share"] = sum(norm > clip_norm for norm in norms) / len(norms)
+        row.update(clip_report(norms, clip_norm))
         metrics.append(row)
         if score is not None:
             scored = True

@@ -4,6 +4,12 @@ N-grams are counted within each sentence (no n-grams across a sentence
 boundary) and pooled; match counts are clipped at reference multiplicity.
 ROUGE-L runs a single LCS over each side's concatenated token sequence.
 No stemming, no stopword filtering.
+
+Every n-gram score is a function of three integers: the clipped matches,
+the candidate's n-gram total and the reference's. Callers that score many
+candidates against one reference (the oracle labels) count each sentence
+once with ``ngram_counts`` and hand those integers to ``mean_f1``, the
+formula ``rouge_mean`` applies.
 """
 
 from __future__ import annotations
@@ -33,23 +39,37 @@ def _score(matched: float, cand_total: int, ref_total: int) -> RougeScore:
     return RougeScore(precision=precision, recall=recall, f1=_f1(precision, recall))
 
 
-def _ngram_counts(sentences, n: int) -> Counter:
+def ngram_counts(sentence: Sentence, n: int) -> Counter:
+    """Counts of one sentence's n-grams; no n-gram crosses a sentence
+    boundary."""
+    toks = sentence.tokens
+    return Counter(zip(*(toks[k:] for k in range(n))))
+
+
+def pooled_counts(sentences, n: int) -> Counter:
+    """N-gram counts of a side: the sum of its sentences' counts."""
     counts: Counter = Counter()
     for sent in sentences:
-        toks = sent.tokens
-        for i in range(len(toks) - n + 1):
-            counts[toks[i : i + n]] += 1
+        counts.update(ngram_counts(sent, n))
     return counts
+
+
+def clipped_matches(cand: Counter, ref: Counter) -> int:
+    """N-grams the two sides share, each clipped at the smaller count."""
+    return sum(min(cand[gram], ref[gram]) for gram in cand.keys() & ref.keys())
+
+
+def _overlap(candidate, reference, n: int) -> tuple[int, int, int]:
+    cand = pooled_counts(candidate, n)
+    ref = pooled_counts(reference, n)
+    return clipped_matches(cand, ref), sum(cand.values()), sum(ref.values())
 
 
 def rouge_n(candidate, reference, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand = _ngram_counts(candidate, n)
-    ref = _ngram_counts(reference, n)
-    matched = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return _score(matched, sum(cand.values()), sum(ref.values()))
+    return _score(*_overlap(candidate, reference, n))
 
 
 def _lcs_length(a, b) -> int:
@@ -75,6 +95,12 @@ def rouge_l(candidate, reference) -> RougeScore:
     return _score(_lcs_length(cand, ref), len(cand), len(ref))
 
 
+def mean_f1(unigram: tuple[int, int, int], bigram: tuple[int, int, int]) -> float:
+    """Mean of ROUGE-1 and ROUGE-2 F1, each given as (clipped matches,
+    candidate n-gram total, reference n-gram total)."""
+    return (_score(*unigram).f1 + _score(*bigram).f1) / 2.0
+
+
 def rouge_mean(candidate, reference) -> float:
     """Mean of ROUGE-1 and ROUGE-2 F1; the greedy-selection objective."""
-    return (rouge_n(candidate, reference, 1).f1 + rouge_n(candidate, reference, 2).f1) / 2.0
+    return mean_f1(_overlap(candidate, reference, 1), _overlap(candidate, reference, 2))

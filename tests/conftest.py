@@ -70,3 +70,28 @@ def tiny_records(n_docs=4, n_sents=3, vocab_words=12, seed=5):
 def small_config():
     return RunConfig(d=8, extractive_epochs=2, compression_epochs=2,
                      latent_epochs=1, batch_size=4)
+
+
+def split_content_corpus(n_docs=4):
+    """Records on which greedy oracle labels are strictly suboptimal.
+
+    Each summary is one six-word sentence "a b c d e f". Its content is
+    split across two document sentences, "a b c" and "d e f"; together
+    they match all 6 summary unigrams and 4 of its 5 bigrams (rouge_mean
+    17/18). A distractor "a b d e c f" matches all 6 unigrams but only 2
+    bigrams (0.7), which beats either half alone (about 0.62), so greedy
+    takes it first; adding a half then lowers the score (0.65), so greedy
+    stops at 0.7. Three filler sentences share no word with the summary.
+    Each document has its own words, and the distractor moves position.
+    """
+    records = []
+    for d in range(n_docs):
+        a, b, c, e1, e2, f = (f"d{d}w{k}" for k in range(6))
+        fillers = [f"d{d}x{k} d{d}y{k} d{d}z{k}" for k in range(3)]
+        halves = [f"{a} {b} {c}", f"{e1} {e2} {f}"]
+        distractor = f"{a} {b} {e1} {e2} {c} {f}"
+        texts = fillers[:1] + halves[:1] + fillers[1:2] + halves[1:] + fillers[2:]
+        texts.insert(d % (len(texts) + 1), distractor)
+        records.append((doc_from(texts, doc_id=f"split{d}"),
+                        summary_from([f"{a} {b} {c} {e1} {e2} {f}"])))
+    return records

@@ -309,6 +309,39 @@ class TestExitCodes:
         assert "error[data]" in err and f"{last['id']!r} has an empty summary" in err
         assert not (tmp_path / "latent.ckpt").exists()
 
+    @pytest.mark.parametrize("line", [
+        "5",
+        '{"id": "b", "document": ["abc", 7], "summary": ["abc"]}',
+        '{"id": "b", "document": "abc def", "summary": ["abc"]}',
+        '{"id": "b", "document": ["abc def"], "summary": "abc"}',
+        '{"id": "b", "document": ["abc def"], "summary": [["abc"]]}',
+    ], ids=["int-row", "int-sentence", "string-document", "string-summary", "list-sentence"])
+    def test_malformed_corpus_row_is_data_error(self, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        good = json.dumps({"id": "a", "document": ["abc def ."], "summary": ["abc ."]})
+        (corpus / "train.jsonl").write_text(good + "\n" + line + "\n")
+        assert run(["make-labels", "--corpus", corpus, "--out", tmp_path / "l.jsonl"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and "line 2" in err
+        assert not (tmp_path / "l.jsonl").exists()
+
+    @pytest.mark.parametrize("row", [
+        '{"id": "x", "summary": [3]}',
+        '{"id": "x", "summary": "abc def"}',
+        '{"id": "x", "summary": ["abc", null]}',
+        '["x", "abc"]',
+        "7",
+    ], ids=["int-sentence", "string-summary", "null-sentence", "array-row", "int-row"])
+    def test_malformed_generated_row_is_data_error(self, pipeline, tmp_path, capsys, row):
+        gen = tmp_path / "gen.jsonl"
+        rows = gold_as_generated(pipeline["corpus"], "test", gen)
+        gen.write_text(gen.read_text() + row + "\n")
+        assert run(["evaluate", "--corpus", pipeline["corpus"],
+                    "--generated", f"sys={gen}"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"line {len(rows) + 1}: bad summary row" in err
+
     def test_missing_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys):
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],

@@ -2,7 +2,9 @@
 
 The greedy label search is checked two ways: a step-by-step independent
 re-derivation of the greedy procedure, and an exhaustive best-subset
-search that measures (and merely records) the greedy optimality gap.
+search that measures the greedy optimality gap: recorded on random
+cases, pinned on a corpus built so that greedy is strictly suboptimal.
+Both searches are checked against per-trial rouge_mean scans.
 """
 
 import itertools
@@ -10,7 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from latentsum.corpus import Sentence
+from latentsum import labeling, rouge
+from latentsum.corpus import Document, Sentence, SummarySet
 from latentsum.errors import DataError
 from latentsum.labeling import (
     CompressionPair,
@@ -24,7 +27,7 @@ from latentsum.labeling import (
 )
 from latentsum.rouge import rouge_mean
 
-from conftest import doc_from, random_sentences, summary_from
+from conftest import doc_from, random_sentences, split_content_corpus, summary_from
 
 
 # ---------------------------------------------------------------- oracles
@@ -65,6 +68,38 @@ def _random_case(rng, n_sents):
     sentences = random_sentences(rng, n_sents, max_len=6, vocab_size=6)
     summary = random_sentences(rng, int(rng.integers(1, 3)), max_len=6, vocab_size=6)
     return sentences, summary
+
+
+def _edge_case(rng):
+    """A document over 4 words, so n-grams repeat across selected
+    sentences and clipping binds, with one-token sentences (no bigrams)
+    and duplicate sentences (ties) mixed in."""
+    sentences = random_sentences(rng, int(rng.integers(1, 8)), max_len=5, vocab_size=4)
+    sentences += random_sentences(rng, int(rng.integers(0, 3)), max_len=1, vocab_size=4)
+    for _ in range(int(rng.integers(0, 3))):
+        sentences.append(sentences[int(rng.integers(len(sentences)))])
+    sentences = [sentences[int(i)] for i in rng.permutation(len(sentences))]
+    summary = random_sentences(rng, int(rng.integers(1, 4)), max_len=6, vocab_size=4)
+    return Document(id="edge", sentences=tuple(sentences)), SummarySet(sentences=tuple(summary))
+
+
+def _wide_case(rng, n_sents):
+    """One document shaped like perfbench's infer_wide corpus: 5-40 tokens
+    per sentence over a Zipfian 2,000-word vocabulary, and 3-4 summary
+    sentences that each keep about 60 % of a source sentence's words."""
+    words = [f"v{i}" for i in range(2000)]
+    probs = np.arange(1, 2001, dtype=np.float64) ** -1.1
+    probs /= probs.sum()
+    sentences = []
+    for _ in range(n_sents):
+        ids = rng.choice(len(words), size=int(rng.integers(4, 40)), p=probs)
+        sentences.append(" ".join(words[i] for i in ids) + " .")
+    summary = []
+    for position in sorted(rng.choice(n_sents, size=int(rng.integers(3, 5)), replace=False)):
+        source = sentences[position].split()[:-1]
+        kept = [w for w in source if rng.random() < 0.6] or source[:1]
+        summary.append(" ".join(kept) + " .")
+    return doc_from(sentences, doc_id="wide"), summary_from(summary)
 
 
 class TestLabelSequence:
@@ -109,6 +144,34 @@ class TestOracleLabels:
             summary = summary_from([s.text() for s in summary_sents])
             got = oracle_labels(doc, summary, max_select=3)
             assert got.labels == greedy_reference(doc, summary, 3)
+        for case in range(300):
+            doc, summary = _edge_case(rng)
+            max_select = case % 5 + 1
+            got = oracle_labels(doc, summary, max_select=max_select)
+            assert got.labels == greedy_reference(doc, summary, max_select)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_wide_documents(self, seed):
+        rng = np.random.default_rng(seed)
+        for n_sents in (15, 35):
+            doc, summary = _wide_case(rng, n_sents)
+            for max_select in (3, 5):
+                got = oracle_labels(doc, summary, max_select=max_select)
+                assert got.labels == greedy_reference(doc, summary, max_select)
+
+    def test_greedy_strictly_suboptimal_on_split_content(self):
+        # a summary sentence split across two document sentences, plus a
+        # distractor with its words but not its word order: greedy locks
+        # in the distractor (0.7) and misses the two halves (17/18)
+        for doc, summary in split_content_corpus():
+            labels = oracle_labels(doc, summary, max_select=3)
+            picked = [doc.sentences[i] for i in labels.selected_indices()]
+            assert [len(s) for s in picked] == [6]
+            greedy_score = rouge_mean(picked, summary.sentences)
+            best = exhaustive_best_subset(doc, summary, 3)
+            assert greedy_score == pytest.approx(0.7, abs=1e-12)
+            assert best == pytest.approx(17 / 18, abs=1e-12)
+            assert best - greedy_score > 0.24
 
     def test_greedy_gap_vs_exhaustive_recorded(self):
         # greedy optimality is NOT asserted; the gap is measured and must
@@ -158,11 +221,16 @@ class TestCompressionPairs:
 
     def test_argmax_verified_by_scan(self):
         rng = np.random.default_rng(21)
+        cases = []
         for _ in range(100):
             sentences, summary_sents = _random_case(rng, int(rng.integers(2, 6)))
-            doc = doc_from([s.text() for s in sentences])
-            summary = summary_from([s.text() for s in summary_sents])
+            cases.append((doc_from([s.text() for s in sentences]),
+                          summary_from([s.text() for s in summary_sents])))
+        cases += [_edge_case(rng) for _ in range(300)]
+        cases += [_wide_case(rng, n) for n in (15, 35)]
+        for doc, summary in cases:
             pairs = compression_pairs(doc, summary)
+            assert [pair.target for pair in pairs] == list(summary.sentences)
             for pair, target in zip(pairs, summary.sentences):
                 got = rouge_mean([pair.source], [target])
                 scores = [rouge_mean([s], [target]) for s in doc.sentences]
@@ -170,6 +238,24 @@ class TestCompressionPairs:
                 # lowest index among ties
                 best_j = scores.index(max(scores))
                 assert pair.source == doc.sentences[best_j]
+
+
+def test_labeling_scores_from_counts_without_rouge_calls(monkeypatch):
+    # both searches count each sentence's n-grams once and score through
+    # rouge.mean_f1; neither may fall back to a rouge_n/rouge_mean call
+    # per trial
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeling called a whole-side ROUGE function")
+
+    doc = doc_from(["the cat sat", "a dog ran far", "the cat sat on the mat", "zz"])
+    summary = summary_from(["the cat sat on a mat", "a dog ran"])
+    want_labels = greedy_reference(doc, summary, 3)
+    want_sources = [doc.sentences[i] for i in (2, 1)]
+    monkeypatch.setattr(rouge, "rouge_n", refuse)
+    monkeypatch.setattr(rouge, "rouge_mean", refuse)
+    monkeypatch.setattr(labeling, "rouge_mean", refuse, raising=False)
+    assert oracle_labels(doc, summary, 3).labels == want_labels
+    assert [p.source for p in compression_pairs(doc, summary)] == want_sources
 
 
 class TestSerialization:

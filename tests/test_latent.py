@@ -546,9 +546,12 @@ class TestTrainLatent:
             assert 0.0 <= row["picked"] <= 3.0
         for m in metrics:
             assert set(m) == {"epoch", "mean_reward", "mean_r_p", "mean_r_r",
-                              "mean_baseline_mse", "grad_norm_mean", "clipped_share"}
+                              "mean_baseline_mse", "grad_norm_mean", "clipped_share",
+                              "baseline_grad_norm_mean", "baseline_clipped_share"}
             assert m["grad_norm_mean"] > 0.0
             assert 0.0 <= m["clipped_share"] <= 1.0
+            assert m["baseline_grad_norm_mean"] > 0.0
+            assert 0.0 <= m["baseline_clipped_share"] <= 1.0
 
     def test_alpha_one_reward_equals_precision_term(self, small_config):
         records, vocab = self._records(n=2)
