@@ -40,6 +40,7 @@ from .numerics import (
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.optim import Adam, fit
+from .numerics.tensor import stable_softmax
 
 EVAL_CHUNK = 32  # pairs decoded together by perplexity
 
@@ -114,6 +115,9 @@ class CompressionModel:
         return self._encode_sources([source_ids])
 
     def _attend(self, state: Tensor, annotations: Tensor, projected: Tensor):
+        """One state's attention weights and context as tape primitives;
+        kept as the stepwise test oracle of ``decode_teacher`` and
+        ``decode_greedy_ids``."""
         # additive scores: v_a^T tanh(W_s s_t + U_h h_k) per source position
         scores = matmul(tanh(add(matmul(state, self.w_s), projected)), self.v_a)
         weights = softmax(transpose(scores), axis=1)  # (1, |S|)
@@ -190,29 +194,37 @@ class CompressionModel:
 
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
-        EOS is masked at the first step so the output is non-empty."""
+        EOS is masked at the first step so the output is non-empty.
+
+        The source is encoded once; each step is then numpy arithmetic on
+        the parameters' arrays, the products of ``LSTMCell.advance``,
+        ``_attend`` and ``_output_logits`` in their order, so no tape node
+        is built per step. ``LSTMCell.step`` and ``_attend`` are its
+        stepwise test oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
             annotations, s0 = self._encode_source(source_ids)
-            projected = matmul(annotations, self.u_h)
-            h, c = s0.data, np.zeros((1, self.d), dtype=self.dtype)
-            token = BOS
-            out: list[int] = []
-            for step in range(max_len):
-                h, c, _, _ = self.dec.advance(self.tgt_embed.data[[token]] @ self.dec.w_x.data,
-                                              h, c)
-                state = Tensor(h)
-                _, context = self._attend(state, annotations, projected)
-                logits = self._output_logits(state, context).data[0].copy()
-                logits[PAD] = -np.inf
-                logits[BOS] = -np.inf
-                if step == 0:
-                    logits[EOS] = -np.inf
-                token = int(np.argmax(logits))
-                if token == EOS:
-                    break
-                out.append(token)
+        ann = annotations.data
+        projected = ann @ self.u_h.data
+        w_s, v_a = self.w_s.data, self.v_a.data
+        w_out, b_out = self.w_out.data, self.b_out.data
+        tgt_embed, w_x = self.tgt_embed.data, self.dec.w_x.data
+        h, c = s0.data, np.zeros((1, self.d), dtype=self.dtype)
+        token = BOS
+        out: list[int] = []
+        for step in range(max_len):
+            h, c, _, _ = self.dec.advance(tgt_embed[[token]] @ w_x, h, c)
+            weights = stable_softmax((np.tanh(h @ w_s + projected) @ v_a).T, axis=1)
+            logits = (np.concatenate([h, weights @ ann], axis=1) @ w_out + b_out)[0]
+            logits[PAD] = -np.inf
+            logits[BOS] = -np.inf
+            if step == 0:
+                logits[EOS] = -np.inf
+            token = int(logits.argmax())
+            if token == EOS:
+                break
+            out.append(token)
         return out
 
 

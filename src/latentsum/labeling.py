@@ -143,13 +143,20 @@ def load_labels(path) -> dict[str, LabelSequence]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError(f"expected a JSON object, got {type(obj).__name__}")
                 doc_id = str(obj["id"])
-                labels = LabelSequence(labels=tuple(int(v) for v in obj["labels"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                labels = obj["labels"]
+                # bool is an int subclass, so the type is checked exactly
+                if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1)
+                                                       for v in labels):
+                    raise DataError(f"'labels' must be a list of the ints 0 and 1, "
+                                    f"got {labels!r}")
+            except (json.JSONDecodeError, KeyError, DataError) as exc:
                 raise DataError(f"labels line {line_no}: {exc}") from exc
             if doc_id in table:
                 raise DataError(f"labels line {line_no}: duplicate document id {doc_id!r}")
-            table[doc_id] = labels
+            table[doc_id] = LabelSequence(labels=tuple(labels))
     return table
 
 
@@ -164,6 +171,13 @@ def pair_to_jsonl_line(pair: CompressionPair) -> str:
     )
 
 
+def _tokens(obj: dict, field: str) -> tuple[str, ...]:
+    value = obj[field]
+    if not isinstance(value, list) or not value or not all(isinstance(t, str) for t in value):
+        raise DataError(f"{field!r} must be a non-empty list of token strings, got {value!r}")
+    return tuple(value)
+
+
 def load_pairs(path) -> list[CompressionPair]:
     path = Path(path)
     if not path.exists():
@@ -175,14 +189,16 @@ def load_pairs(path) -> list[CompressionPair]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError(f"expected a JSON object, got {type(obj).__name__}")
                 pairs.append(
                     CompressionPair(
-                        source=Sentence(tokens=tuple(obj["source"])),
-                        target=Sentence(tokens=tuple(obj["target"])),
+                        source=Sentence(tokens=_tokens(obj, "source")),
+                        target=Sentence(tokens=_tokens(obj, "target")),
                         doc_id=str(obj["doc_id"]),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, DataError) as exc:
                 raise DataError(f"pairs line {line_no}: {exc}") from exc
     if not pairs:
         raise DataError(f"pairs file {path} holds no records")

@@ -63,7 +63,7 @@ class LSTMCell:
         hid = self.hidden_size
         pre = xw + h @ self.w_h.data + self.b.data
         act = stable_sigmoid(pre)
-        act[:, 2 * hid : 3 * hid] = np.tanh(pre[:, 2 * hid : 3 * hid])
+        np.tanh(pre[:, 2 * hid : 3 * hid], out=act[:, 2 * hid : 3 * hid])
         c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, 2 * hid : 3 * hid]
         tc = np.tanh(c)
         return act[:, 3 * hid :] * tc, c, act, tc

@@ -12,6 +12,7 @@ matmul is strictly two-dimensional. Scalars are 0-d arrays.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -20,19 +21,19 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with a primitive."""
 
 
-_GRAD_ENABLED = True
+# per thread (and per asyncio task): one thread's no_grad never stops
+# another thread's tape
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the context (forward values only)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -113,7 +114,7 @@ def _as_tensor(value) -> Tensor:
 
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -198,9 +199,12 @@ def tanh(a: Tensor) -> Tensor:
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow, in x's dtype; the one formula
-    behind ``sigmoid`` and the gates of ``lstm_sequence``."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+    behind ``sigmoid`` and the gates of ``lstm_sequence``.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)) is e / (1 + e) with e = exp(x) for
+    x < 0 and 1 / (1 + exp(-x)) otherwise: the two branches of the usual
+    select, bit for bit, without evaluating both and picking per element."""
+    return (np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))).astype(x.dtype, copy=False)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -311,10 +315,15 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # probability primitives
 
 
+def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax in numpy, shifted by the maximum; the one formula behind
+    ``softmax`` and the greedy compression decode's tape-free loop."""
+    exps = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
+    out_data = stable_softmax(a.data, axis)
 
     def bw(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)

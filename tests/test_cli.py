@@ -342,6 +342,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[data]" in err and f"line {len(rows) + 1}: bad summary row" in err
 
+    @pytest.mark.parametrize("row", [
+        '["zz", [0, 1]]',
+        '{"id": "zz", "labels": "0110"}',
+        '{"id": "zz", "labels": [2, 1]}',
+        '{"id": "zz", "labels": [true, false]}',
+        '{"id": "zz", "labels": [0, 1.0]}',
+    ], ids=["array-row", "string-labels", "int-2", "bool-labels", "float-label"])
+    def test_malformed_labels_row_is_data_error(self, pipeline, tmp_path, capsys, row):
+        lines = pipeline["labels"].read_text().splitlines()
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("\n".join(lines + [row]) + "\n")
+        assert run(["--config", pipeline["config"], "train-extractive",
+                    "--corpus", pipeline["corpus"], "--labels", labels,
+                    "--vocab", tmp_path / "vocab.json", "--checkpoint", tmp_path / "ext.ckpt",
+                    "--metrics", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"labels line {len(lines) + 1}:" in err
+        assert not (tmp_path / "ext.ckpt").exists()
+
+    @pytest.mark.parametrize("row", [
+        "7",
+        '{"doc_id": "a", "source": "abc", "target": ["a"]}',
+        '{"doc_id": "a", "source": ["a", "b"], "target": [1, 2]}',
+        '{"doc_id": "a", "source": [], "target": ["a"]}',
+        '{"doc_id": "a", "source": ["a", null], "target": ["a"]}',
+    ], ids=["int-row", "string-source", "int-target", "empty-source", "null-token"])
+    def test_malformed_pair_row_is_data_error(self, pipeline, tmp_path, capsys, row):
+        lines = pipeline["pairs"].read_text().splitlines()
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text("\n".join(lines + [row]) + "\n")
+        assert run(["--config", pipeline["config"], "train-compression", "--pairs", pairs,
+                    "--vocab", pipeline["vocab"], "--checkpoint", tmp_path / "comp.ckpt",
+                    "--metrics", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert "error[data]" in err and f"pairs line {len(lines) + 1}:" in err
+        assert not (tmp_path / "comp.ckpt").exists()
+
     def test_missing_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys):
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],

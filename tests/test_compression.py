@@ -20,6 +20,7 @@ from latentsum.labeling import CompressionPair
 from latentsum.numerics import (
     Tensor,
     backward,
+    embedding_lookup,
     finite_difference_check,
     gather_rows,
     matmul,
@@ -297,28 +298,70 @@ class TestGreedyDecode:
         assert all(isinstance(t, str) for t in out.tokens)
 
     def test_matches_stepwise_reference_on_fuzzed_sources(self):
-        from latentsum.numerics import embedding_lookup
         rng = np.random.default_rng(31)
         for case in range(40):
             model = tiny_model(seed=case)
             source = [int(v) for v in rng.integers(4, 14, size=int(rng.integers(1, 9)))]
             max_len = int(rng.integers(1, 10))
-            with no_grad():  # reference: LSTMCell.step and the one-state _attend
-                annotations, state = model._encode_source(source)
-                projected = matmul(annotations, model.u_h)
-                cell = Tensor(np.zeros((1, model.d)))
-                token, ref = BOS, []
-                for step in range(max_len):
-                    state, cell = model.dec.step(embedding_lookup(model.tgt_embed, [token]),
-                                                 state, cell)
-                    _, context = model._attend(state, annotations, projected)
-                    logits = model._output_logits(state, context).data[0].copy()
-                    logits[[PAD, BOS] + ([EOS] if step == 0 else [])] = -np.inf
-                    token = int(np.argmax(logits))
-                    if token == EOS:
-                        break
-                    ref.append(token)
-            assert model.decode_greedy_ids(source, max_len) == ref
+            assert model.decode_greedy_ids(source, max_len) == stepwise_greedy_ids(
+                model, source, max_len)
+
+
+def stepwise_greedy_ids(model, source, max_len):
+    """Greedy decode from LSTMCell.step and the one-state _attend."""
+    with no_grad():
+        annotations, state = model._encode_source(source)
+        projected = matmul(annotations, model.u_h)
+        cell = Tensor(np.zeros((1, model.d), dtype=model.dtype))
+        token, ref = BOS, []
+        for step in range(max_len):
+            state, cell = model.dec.step(embedding_lookup(model.tgt_embed, [token]), state, cell)
+            _, context = model._attend(state, annotations, projected)
+            logits = model._output_logits(state, context).data[0].copy()
+            logits[[PAD, BOS] + ([EOS] if step == 0 else [])] = -np.inf
+            token = int(np.argmax(logits))
+            if token == EOS:
+                break
+            ref.append(token)
+    return ref
+
+
+class TestGreedyDecodeIsTapeFree:
+    def test_wide_decode_matches_oracle_without_tape_ops(self, monkeypatch):
+        model = tiny_model(d=64, vocab_size=1500, seed=9, dtype=np.float32)
+        rng = np.random.default_rng(12)
+        # at init scale the argmax barely depends on attention or the cell
+        # state; three times wider weights and a random output bias make
+        # each of them change the ids
+        model.b_out.data[:] = rng.normal(0.0, 0.1, size=model.b_out.data.shape)
+        for p in model.parameters():
+            p.data *= 3
+        sources = [[int(v) for v in rng.integers(4, 1500, size=n)] for n in (20, 27, 33, 40)]
+        want = [stepwise_greedy_ids(model, source, 30) for source in sources]
+        assert sum(len(ids) for ids in want) > 60
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy decode called a tape-op step")
+
+        monkeypatch.setattr(CompressionModel, "_attend", refuse)
+        monkeypatch.setattr(CompressionModel, "_output_logits", refuse)
+        monkeypatch.setattr(type(model.dec), "step", refuse)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        for source, ids in zip(sources, want):
+            with no_grad():
+                model._encode_source(source)
+            encode_tensors = len(built)
+            built.clear()
+            assert model.decode_greedy_ids(source, 30) == ids
+            assert len(built) == encode_tensors  # no Tensor per decode step
+            built.clear()
 
 
 class TestTraining:

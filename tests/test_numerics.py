@@ -6,6 +6,7 @@ comparisons run in 64-bit.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from latentsum.numerics import (
     transpose,
     zero_grads,
 )
+from latentsum.numerics.tensor import stable_sigmoid
 
 
 def param(name, values):
@@ -180,6 +182,31 @@ class TestBackwardHandDerivatives:
         assert out._parents == ()
         assert not out.requires_grad
 
+    def test_no_grad_stays_in_its_thread(self):
+        entered, release = threading.Event(), threading.Event()
+        inside = {}
+
+        def hold_no_grad():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+                inside["out"] = mul(param("v", [[1.0]]), param("v", [[2.0]]))
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            w = param("w", [[3.0]])
+            out = mul(w, w)  # recorded here while the worker is inside no_grad
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert out.requires_grad and out._parents == (w, w)
+        backward(tensor_sum(out))
+        np.testing.assert_array_equal(w.grad, [[6.0]])
+        assert not inside["out"].requires_grad and inside["out"]._parents == ()
+
     def test_backward_rejects_non_scalar(self):
         w = param("w", [[1.0, 2.0]])
         with pytest.raises(ValueError, match="scalar"):
@@ -234,6 +261,33 @@ class TestCompositeGraphsFiniteDifference:
 
         report = finite_difference_check([queries, keys, v], pairwise_loss, rng, num_coords=60)
         assert report.passed, report.failures
+
+
+def where_sigmoid(x):
+    """The select formula stable_sigmoid replaced, kept as its oracle."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
+class TestStableSigmoid:
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_bitwise_equal_to_select_formula(self, dtype, bits):
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, info.max, -info.max,
+                            info.tiny, -info.tiny, info.smallest_subnormal,
+                            -info.smallest_subnormal, info.tiny / 3, -info.tiny / 3],
+                           dtype=dtype)
+        patterns = np.random.default_rng(7).integers(0, np.iinfo(bits).max, size=300_000,
+                                                     dtype=bits, endpoint=True)
+        x = np.concatenate([special, np.linspace(-120, 120, 24_001, dtype=dtype),
+                            patterns.view(dtype)]).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, got = where_sigmoid(x), stable_sigmoid(x)
+        assert got.dtype == dtype
+        nan = np.isnan(want)
+        assert nan.sum() > 0
+        np.testing.assert_array_equal(np.isnan(got), nan)  # NaN payloads may differ
+        np.testing.assert_array_equal(got[~nan].view(bits), want[~nan].view(bits))
 
 
 class TestLSTM:
