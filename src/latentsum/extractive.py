@@ -33,6 +33,7 @@ from .numerics import (
     matmul,
     no_grad,
     run_bilstm,
+    step_schedule,
     tensor_sum,
     transpose,
 )
@@ -83,9 +84,6 @@ class DecodeResult:
     log_probs: Tensor  # (n, 2) log-distributions over {0, 1}, one row per step
     labels: list[int]  # the given label of each step
     h_d: Tensor  # (n, d) decoder hidden states, one row per step
-
-    def prob_true(self) -> list[float]:
-        return [float(np.exp(lp)) for lp in self.log_probs.data[:, 1]]
 
     def chosen_log_probs(self) -> Tensor:
         """(n, 1) log-probability of each step's label."""
@@ -201,21 +199,17 @@ class ExtractiveModel:
         log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
-    def choose_labels(self, enc: EncodedDocument, draws=None) -> list[int]:
+    def choose_labels(self, enc: EncodedDocument, draws=None) -> tuple[list[int], np.ndarray]:
         """Greedy labels, or sampled ones: with ``draws``, one uniform draw
         per row of ``enc``, label i is 1 when its draw is below p(y_i = 1).
         Tape-free, and without ``decode_labels``' scoring pass.
 
         Each step advances every still-active document's row at once, with
         the arithmetic of ``LSTMCell.step`` and of ``log_softmax``, so the
-        labels match a stepwise decode of each document alone.
+        labels match a stepwise decode of each document alone. Returns the
+        labels and each row's p(y_i = 1) as its step computed it.
         """
-        lengths = np.asarray(enc.lengths)
-        # longest first, so the documents still active at step t are a prefix
-        order = (-lengths).argsort(kind="stable")
-        steps = np.arange(lengths.max())[:, None]
-        live = steps < lengths[order]
-        rows = ((lengths.cumsum() - lengths)[order] + steps)[live]  # step by step
+        _, counts, rows = step_schedule(enc.lengths)
         d = self.d
         # decoder inputs concat(label embedding, h_e row), step by step
         x = np.empty((rows.size, 3 * d), dtype=self.dtype)
@@ -230,24 +224,28 @@ class ExtractiveModel:
             draws = draws.astype(x.dtype)[rows]
         emb = self.w_e.data.T  # one row per label
         w_x, w_o = self.dec.w_x.data, self.w_o.data
-        h = np.zeros((lengths.size, d), dtype=self.dtype)
+        h = np.zeros((len(enc.lengths), d), dtype=self.dtype)
         c = np.zeros_like(h)
-        prev = np.full(lengths.size, START_LABEL)
+        prev = np.full(len(enc.lengths), START_LABEL)
         chosen = np.empty(rows.size, dtype=np.int64)
+        p_true = np.empty(rows.size, dtype=self.dtype)
         at = 0
-        for k in live.sum(axis=1).tolist():
+        for k in counts.tolist():
             x[at : at + k, :d] = emb[prev[:k]]
             h, c, _, _ = self.dec.advance(x[at : at + k] @ w_x, h[:k], c[:k])
             lp = stable_log_softmax(h @ w_o.T, axis=1)
+            p_true[at : at + k] = np.exp(lp[:, 1])
             if draws is None:
                 chosen[at : at + k] = np.argmax(lp, axis=1)
             else:
-                chosen[at : at + k] = draws[at : at + k] < np.exp(lp[:, 1])
+                chosen[at : at + k] = draws[at : at + k] < p_true[at : at + k]
             prev = chosen[at : at + k]
             at += k
         labels = np.empty_like(chosen)
         labels[rows] = chosen
-        return labels.tolist()
+        probs = np.empty_like(p_true)
+        probs[rows] = p_true
+        return labels.tolist(), probs
 
     def nll_loss(self, enc: EncodedDocument, labels) -> Tensor:
         """Negative log-likelihood of the gold labels (one per row of
@@ -259,9 +257,8 @@ class ExtractiveModel:
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
         with no_grad():
-            enc = self.encode_document(doc)
-            dec = self.decode_labels(enc, self.choose_labels(enc))
-        probs = dec.prob_true()
+            _, probs = self.choose_labels(self.encode_document(doc))
+        probs = probs.tolist()
         order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
         chosen = tuple(sorted(order[: min(k, len(probs))]))
         return TopK(
@@ -304,7 +301,7 @@ def label_accuracy(model: ExtractiveModel, records, labels_by_id) -> float:
     with no_grad():
         for start in range(0, len(records), EVAL_CHUNK):
             docs = [doc for doc, _ in records[start : start + EVAL_CHUNK]]
-            labels = model.choose_labels(model.encode_documents(docs))
+            labels, _ = model.choose_labels(model.encode_documents(docs))
             offset = 0
             for doc in docs:
                 gold = labels_by_id[doc.id]

@@ -160,7 +160,8 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
         noise.append(model.draw_noise(doc, rng, config.dropout, config.word_dropout))
         draws.append(rng.random(n))
     enc = model.encode_documents([doc] * num_samples, noise)
-    dec = model.decode_labels(enc, model.choose_labels(enc, np.concatenate(draws)))
+    labels, _ = model.choose_labels(enc, np.concatenate(draws))
+    dec = model.decode_labels(enc, labels)
     masks = np.array(dec.labels).reshape(num_samples, n)
     breakdowns = [reward_from_matrix(scores[np.flatnonzero(z)], config.alpha) for z in masks]
     r = np.repeat([b.r for b in breakdowns], n)[:, None]  # (k n, 1), each sample's R

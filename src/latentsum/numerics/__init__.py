@@ -31,7 +31,7 @@ from .tensor import (
     zero_grads,
 )
 from .init import init_uniform
-from .lstm import LSTMCell, lstm_sequence, run_bilstm
+from .lstm import LSTMCell, lstm_sequence, run_bilstm, step_schedule
 from .optim import Adam, SGD, check_finite, clip_global_norm, clip_report, fit
 from .gradcheck import GradCheckReport, finite_difference_check
 from .checkpoint import (
@@ -48,7 +48,7 @@ __all__ = [
     "log_softmax", "matmul",
     "mul", "neg", "no_grad", "reshape", "sigmoid", "slice_axis", "softmax",
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
-    "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm",
+    "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm", "step_schedule",
     "Adam", "SGD", "check_finite", "clip_global_norm", "clip_report", "fit",
     "GradCheckReport", "finite_difference_check",
     "CheckpointData", "apply_state", "atomic_write_text",

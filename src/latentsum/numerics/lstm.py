@@ -4,13 +4,22 @@ Standard uncoupled-gate formulation with fused gate weights: one input
 matrix (in, 4h), one recurrent matrix (h, 4h) and one bias row (1, 4h),
 gate order i, f, g, o. The forget-gate bias initializes to 1.
 
-``lstm_sequence`` runs whole sequences as one tape node: the input
-projection is one matmul over every row (the hoisting of Appleyard,
-Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs", 2016), and
-backpropagation through time is written out in numpy. ``LSTMCell.advance``
-is the one numpy step behind it and behind the tape-free decode loops that
-feed their own output back. ``LSTMCell.step`` builds the same step as a
-small graph of tape primitives; it is kept as the stepwise test oracle.
+``run_bilstm`` and ``lstm_sequence`` run whole sequences as one tape node
+through one recurrence over any number of cells (directions) at once. The
+input projection is one matmul per cell over every row (the hoisting of
+Appleyard, Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs",
+2016). The cells' states then stack to (cells, k, h) and their recurrent
+weights to (cells, h, 4h), so each step is one batched matmul and one pass
+of gate arithmetic for both directions of a Bi-LSTM, and
+backpropagation through time, written out in numpy, walks the same stacked
+arrays. A batched matmul makes the same (k, h) @ (h, 4h) product per cell
+as a matmul of that cell alone, and the gate arithmetic is elementwise, so
+every state and gradient has the bits of one recurrence per cell.
+
+``lstm_step`` is the one step formula: behind the recurrence, and behind
+``LSTMCell.advance`` in the tape-free decode loops that feed their own
+output back. ``LSTMCell.step`` builds the same step as a small graph of
+tape primitives; it is kept as the stepwise test oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from .tensor import (
     _accumulate,
     _make,
     add,
-    concat,
     matmul,
     mul,
     sigmoid,
@@ -33,6 +41,42 @@ from .tensor import (
     stable_sigmoid,
     tanh,
 )
+
+
+def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray,
+              b: np.ndarray):
+    """One step in numpy from the projected input ``xw = x @ w_x``, over
+    (k, ·) rows or (cells, k, ·) stacks with matching ``w_h`` and ``b``.
+
+    Returns the new h and c, the activated gates i|f|g|o and tanh(c),
+    which backpropagation through time reads.
+    """
+    hid = h.shape[-1]
+    pre = xw + np.matmul(h, w_h) + b
+    act = stable_sigmoid(pre)
+    np.tanh(pre[..., 2 * hid : 3 * hid], out=act[..., 2 * hid : 3 * hid])
+    c = act[..., hid : 2 * hid] * c + act[..., :hid] * act[..., 2 * hid : 3 * hid]
+    tc = np.tanh(c)
+    return act[..., 3 * hid :] * tc, c, act, tc
+
+
+def step_schedule(lengths, reverse: bool = False):
+    """The order in which packed sequences advance together, longest
+    first, so the sequences still active at step t are a prefix.
+
+    Returns ``order`` (sequence indices, longest first), ``counts`` (the
+    sequences active at each step) and ``rows`` (the row each active
+    sequence reads, step after step: sum(lengths) rows in all, each once).
+    ``reverse`` reads each sequence from its own last row back to its first.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    steps = np.arange(sorted_len[0])[:, None]
+    live = steps < sorted_len
+    offset = sorted_len - 1 - steps if reverse else steps
+    rows = ((lengths.cumsum() - lengths)[order] + offset)[live]
+    return order, live.sum(axis=1), rows
 
 
 class LSTMCell:
@@ -55,21 +99,11 @@ class LSTMCell:
         return Tensor(zero), Tensor(zero.copy())
 
     def advance(self, xw: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One step in numpy from the projected input ``xw = x @ w_x``.
-
-        Returns the new h and c, the activated gates i|f|g|o and tanh(c),
-        which backpropagation through time reads.
-        """
-        hid = self.hidden_size
-        pre = xw + h @ self.w_h.data + self.b.data
-        act = stable_sigmoid(pre)
-        np.tanh(pre[:, 2 * hid : 3 * hid], out=act[:, 2 * hid : 3 * hid])
-        c = act[:, hid : 2 * hid] * c + act[:, :hid] * act[:, 2 * hid : 3 * hid]
-        tc = np.tanh(c)
-        return act[:, 3 * hid :] * tc, c, act, tc
+        """``lstm_step`` with this cell's weights."""
+        return lstm_step(xw, h, c, self.w_h.data, self.b.data)
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """The step as tape primitives; the stepwise oracle of ``advance``."""
+        """The step as tape primitives; the stepwise oracle of ``lstm_step``."""
         h = self.hidden_size
         pre = add(add(matmul(x, self.w_x), matmul(h_prev, self.w_h)), self.b)
         i = sigmoid(slice_axis(pre, 1, 0, h))
@@ -78,6 +112,101 @@ class LSTMCell:
         o = sigmoid(slice_axis(pre, 1, 3 * h, 4 * h))
         c = add(mul(f, c_prev), mul(i, g))
         return mul(o, tanh(c)), c
+
+
+def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
+                h0: Tensor | None = None) -> Tensor:
+    """States of packed sequences under every cell of ``cells`` side by
+    side, shape (sum(lengths), len(cells) * h), as one tape node; cell j
+    reads each sequence backwards when ``reverse[j]``. ``h0`` starts the
+    first cell; ``lstm_sequence`` passes it with one cell."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    first = cells[0]
+    hid = first.hidden_size
+    if any((c.input_size, c.hidden_size) != (first.input_size, hid) for c in cells):
+        raise ShapeError(f"{name}: cells of (input, hidden) sizes "
+                         f"{[(c.input_size, c.hidden_size) for c in cells]} differ")
+    if x.data.ndim != 2 or x.data.shape[1] != first.input_size:
+        raise ShapeError(f"{name}: input shape {x.data.shape} does not fit "
+                         f"input size {first.input_size}")
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
+            or lengths.sum() != x.data.shape[0]:
+        raise ShapeError(f"{name}: lengths {lengths.tolist()} do not partition "
+                         f"{x.data.shape[0]} rows")
+    if h0 is not None and h0.data.shape not in ((lengths.size, hid), (1, hid)):
+        raise ShapeError(f"{name}: h0 shape {h0.data.shape} is neither "
+                         f"{(lengths.size, hid)} nor {(1, hid)}")
+
+    n, dirs = x.data.shape[0], len(cells)
+    schedules = [step_schedule(lengths, r) for r in reverse]
+    order, counts = schedules[0][:2]
+    # per cell, the rows read step after step, as rows of the (cells * n, .)
+    # stacks below: cell j's block starts at j * n
+    flat = np.stack([s[2] for s in schedules]) + n * np.arange(dirs)[:, None]
+    ends = counts.cumsum().tolist()
+    steps = [flat[:, end - k : end] for k, end in zip(counts.tolist(), ends)]
+
+    w_h = np.stack([c.w_h.data for c in cells])
+    b = np.stack([c.b.data for c in cells])
+    xw = np.matmul(x.data, np.stack([c.w_x.data for c in cells])).reshape(dirs * n, 4 * hid)
+    dtype = xw.dtype
+    h_state = np.zeros((dirs, lengths.size, hid), dtype)
+    if h0 is not None:
+        h_state[0] = np.broadcast_to(h0.data, (lengths.size, hid))[order]
+    c_state = np.zeros((dirs, lengths.size, hid), dtype)
+    out = np.empty((dirs * n, hid), dtype)
+    cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
+    for rows in steps:
+        k = rows.shape[1]
+        hp, cp = h_state[:, :k], c_state[:, :k]
+        h, c, act, tc = lstm_step(xw[rows], hp, cp, w_h, b)
+        out[rows] = h
+        cache.append((rows, act, hp, cp, tc))
+        h_state, c_state = h, c  # a finished sequence's state is never read again
+
+    def bw(grad):
+        grad = grad.reshape(n, dirs, hid).transpose(1, 0, 2).reshape(dirs * n, hid)
+        w_h_t = w_h.transpose(0, 2, 1)
+        dh = np.zeros((dirs, lengths.size, hid), dtype)
+        dc = np.zeros((dirs, lengths.size, hid), dtype)
+        d_pre = []
+        for rows, act, hp, cp, tc in reversed(cache):
+            k = rows.shape[1]
+            i, f = act[..., :hid], act[..., hid : 2 * hid]
+            g, o = act[..., 2 * hid : 3 * hid], act[..., 3 * hid :]
+            dh_t = dh[:, :k] + grad[rows]
+            dc_t = dc[:, :k] + dh_t * o * (1.0 - tc * tc)
+            dp = np.concatenate([dc_t * g * i * (1.0 - i),
+                                 dc_t * cp * f * (1.0 - f),
+                                 dc_t * i * (1.0 - g * g),
+                                 dh_t * tc * o * (1.0 - o)], axis=-1)
+            d_pre.append(dp)
+            dc[:, :k] = dc_t * f
+            dh[:, :k] = np.matmul(dp, w_h_t)
+        rows = np.concatenate([step[0] for step in reversed(cache)], axis=1) \
+            - n * np.arange(dirs)[:, None]
+        d_pre = np.concatenate(d_pre, axis=1)
+        h_prev = np.concatenate([step[2] for step in reversed(cache)], axis=1)
+        # x's gradient gets one sum per cell, added in cell order, as the
+        # backward of one recurrence per cell would add them
+        for j, cell in enumerate(cells):
+            if x.requires_grad:
+                dx = np.empty_like(x.data)
+                dx[rows[j]] = d_pre[j] @ cell.w_x.data.T
+                _accumulate(x, dx)
+            _accumulate(cell.w_x, x.data[rows[j]].T @ d_pre[j])
+            _accumulate(cell.w_h, h_prev[j].T @ d_pre[j])
+            _accumulate(cell.b, d_pre[j].sum(axis=0, keepdims=True))
+        if h0 is not None and h0.requires_grad:
+            dh0 = np.empty_like(dh[0])
+            dh0[order] = dh[0]
+            _accumulate(h0, dh0 if h0.data.shape[0] == lengths.size
+                        else dh0.sum(axis=0, keepdims=True))
+
+    parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
+        + (() if h0 is None else (h0,))
+    return _make(out.reshape(dirs, n, hid).transpose(1, 0, 2).reshape(n, dirs * hid),
+                 parents, bw)
 
 
 def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
@@ -90,85 +219,12 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     row back to its first. ``h0`` is an optional (len(lengths), h) initial
     hidden state, or one (1, h) row that every sequence starts from; the
     initial cell state is zero.
-
-    Each step runs ``LSTMCell.advance`` on the sequences still active.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    hid = cell.hidden_size
-    if x.data.ndim != 2 or x.data.shape[1] != cell.input_size:
-        raise ShapeError(f"lstm_sequence: input shape {x.data.shape} does not fit "
-                         f"input size {cell.input_size}")
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
-            or lengths.sum() != x.data.shape[0]:
-        raise ShapeError(f"lstm_sequence: lengths {lengths.tolist()} do not partition "
-                         f"{x.data.shape[0]} rows")
-    if h0 is not None and h0.data.shape not in ((lengths.size, hid), (1, hid)):
-        raise ShapeError(f"lstm_sequence: h0 shape {h0.data.shape} is neither "
-                         f"{(lengths.size, hid)} nor {(1, hid)}")
-
-    # longest first, so the sequences still active at step t are a prefix
-    order = np.argsort(-lengths, kind="stable")
-    sorted_len = lengths[order]
-    starts = (np.cumsum(lengths) - lengths)[order]
-    steps = []  # per step t: the row each still-active sequence reads
-    for t in range(int(sorted_len[0])):
-        k = int(np.count_nonzero(sorted_len > t))
-        steps.append(starts[:k] + (sorted_len[:k] - 1 - t if reverse else t))
-
-    w_h = cell.w_h.data
-    xw = x.data @ cell.w_x.data
-    dtype = xw.dtype
-    h_state = (np.zeros((lengths.size, hid), dtype) if h0 is None
-               else np.broadcast_to(h0.data, (lengths.size, hid))[order])
-    c_state = np.zeros((lengths.size, hid), dtype)
-    out = np.empty((x.data.shape[0], hid), dtype)
-    cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
-    for rows in steps:
-        hp, cp = h_state[:rows.size], c_state[:rows.size]
-        h, c, act, tc = cell.advance(xw[rows], hp, cp)
-        out[rows] = h
-        cache.append((rows, act, hp, cp, tc))
-        h_state, c_state = h, c  # a finished sequence's state is never read again
-
-    def bw(grad):
-        dh = np.zeros((lengths.size, hid), dtype)
-        dc = np.zeros((lengths.size, hid), dtype)
-        d_pre = []
-        for rows, act, hp, cp, tc in reversed(cache):
-            k = rows.size
-            i, f = act[:, :hid], act[:, hid : 2 * hid]
-            g, o = act[:, 2 * hid : 3 * hid], act[:, 3 * hid :]
-            dh_t = dh[:k] + grad[rows]
-            dc_t = dc[:k] + dh_t * o * (1.0 - tc * tc)
-            dp = np.concatenate([dc_t * g * i * (1.0 - i),
-                                 dc_t * cp * f * (1.0 - f),
-                                 dc_t * i * (1.0 - g * g),
-                                 dh_t * tc * o * (1.0 - o)], axis=1)
-            d_pre.append(dp)
-            dc[:k] = dc_t * f
-            dh[:k] = dp @ w_h.T
-        rows = np.concatenate([step[0] for step in reversed(cache)])
-        d_pre = np.concatenate(d_pre)
-        h_prev = np.concatenate([step[2] for step in reversed(cache)])
-        if x.requires_grad:
-            dx = np.empty_like(x.data)
-            dx[rows] = d_pre @ cell.w_x.data.T
-            _accumulate(x, dx)
-        _accumulate(cell.w_x, x.data[rows].T @ d_pre)
-        _accumulate(cell.w_h, h_prev.T @ d_pre)
-        _accumulate(cell.b, d_pre.sum(axis=0, keepdims=True))
-        if h0 is not None and h0.requires_grad:
-            dh0 = np.empty_like(dh)
-            dh0[order] = dh
-            _accumulate(h0, dh0 if h0.data.shape[0] == lengths.size
-                        else dh0.sum(axis=0, keepdims=True))
-
-    parents = (x, cell.w_x, cell.w_h, cell.b) + (() if h0 is None else (h0,))
-    return _make(out, parents, bw)
+    return _recurrence("lstm_sequence", (cell,), x, lengths, (reverse,), h0)
 
 
 def run_bilstm(fwd: LSTMCell, bwd: LSTMCell, x: Tensor, lengths) -> Tensor:
     """Forward and backward states of packed sequences side by side,
-    shape (sum(lengths), 2h)."""
-    return concat([lstm_sequence(fwd, x, lengths),
-                   lstm_sequence(bwd, x, lengths, reverse=True)], axis=1)
+    shape (sum(lengths), 2h): ``lstm_sequence`` of ``fwd`` and the reversed
+    ``lstm_sequence`` of ``bwd``, advanced as one recurrence."""
+    return _recurrence("run_bilstm", (fwd, bwd), x, lengths, (False, True))

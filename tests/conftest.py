@@ -21,6 +21,17 @@ from latentsum.corpus import (  # noqa: E402
 )
 
 
+def blas_build() -> str:
+    """numpy's BLAS name and version, e.g. "scipy-openblas 0.3.31.188.0".
+
+    Byte identity rests on the BLAS's rounding, so a bit-identity failure
+    names it: a mismatch between hosts can then be told apart from a
+    regression.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
 def sent(text: str, vocab=None) -> Sentence:
     tokens = tuple(text.split())
     if vocab is None:

@@ -13,6 +13,8 @@ import pytest
 from latentsum.cli import main
 from latentsum.corpus import load_corpus
 
+from conftest import blas_build
+
 SMALL_CONFIG = {
     "seed": 13,
     "d": 8,
@@ -173,13 +175,15 @@ class TestDeterminism:
         assert run(["--config", pipeline["config"], "make-toy", "--out", again]) == 0
         for split in ("train", "valid", "test"):
             assert (again / f"{split}.jsonl").read_bytes() == \
-                (pipeline["corpus"] / f"{split}.jsonl").read_bytes()
+                (pipeline["corpus"] / f"{split}.jsonl").read_bytes(), \
+                f"{split}.jsonl differs on rerun (BLAS {blas_build()})"
 
     def test_label_stage_rerun_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "labels2.jsonl"
         assert run(["--config", pipeline["config"], "make-labels",
                     "--corpus", pipeline["corpus"], "--out", again]) == 0
-        assert again.read_bytes() == pipeline["labels"].read_bytes()
+        assert again.read_bytes() == pipeline["labels"].read_bytes(), \
+            f"labels differ on rerun (BLAS {blas_build()})"
 
     def test_extractive_training_rerun_byte_identical(self, pipeline, tmp_path):
         vocab2 = tmp_path / "vocab2.json"
@@ -189,9 +193,12 @@ class TestDeterminism:
                     "--corpus", pipeline["corpus"], "--labels", pipeline["labels"],
                     "--vocab", vocab2, "--checkpoint", ckpt2,
                     "--metrics", metrics2]) == 0
-        assert vocab2.read_bytes() == pipeline["vocab"].read_bytes()
-        assert ckpt2.read_bytes() == pipeline["extractive"].read_bytes()
-        assert metrics2.read_bytes() == pipeline["ext_metrics"].read_bytes()
+        assert vocab2.read_bytes() == pipeline["vocab"].read_bytes(), \
+            f"vocab differs on rerun (BLAS {blas_build()})"
+        assert ckpt2.read_bytes() == pipeline["extractive"].read_bytes(), \
+            f"extractive differs on rerun (BLAS {blas_build()})"
+        assert metrics2.read_bytes() == pipeline["ext_metrics"].read_bytes(), \
+            f"ext_metrics differs on rerun (BLAS {blas_build()})"
 
     def test_latent_training_rerun_byte_identical(self, pipeline, tmp_path):
         out2 = tmp_path / "lat2.ckpt"
@@ -203,9 +210,12 @@ class TestDeterminism:
                     "--compression", pipeline["compression"],
                     "--vocab", pipeline["vocab"], "--out", out2,
                     "--trace", trace2, "--metrics", metrics2]) == 0
-        assert trace2.read_bytes() == pipeline["trace"].read_bytes()
-        assert out2.read_bytes() == pipeline["latent"].read_bytes()
-        assert metrics2.read_bytes() == pipeline["latent_metrics"].read_bytes()
+        assert trace2.read_bytes() == pipeline["trace"].read_bytes(), \
+            f"trace differs on rerun (BLAS {blas_build()})"
+        assert out2.read_bytes() == pipeline["latent"].read_bytes(), \
+            f"latent differs on rerun (BLAS {blas_build()})"
+        assert metrics2.read_bytes() == pipeline["latent_metrics"].read_bytes(), \
+            f"latent_metrics differs on rerun (BLAS {blas_build()})"
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_latent_report_names_each_epoch_once(self, pipeline, tmp_path, capsys, epochs):

@@ -64,7 +64,7 @@ def chosen_labels(model, enc, feed, teacher=None, rng=None):
     ones, or ones sampled with one draw off ``rng`` per row of ``enc``."""
     if feed == "teacher":
         return teacher
-    return model.choose_labels(enc, rng.random(len(enc)) if feed == "sample" else None)
+    return model.choose_labels(enc, rng.random(len(enc)) if feed == "sample" else None)[0]
 
 
 def stepwise_decode(model, enc, feed, teacher=None, rng=None):
@@ -160,7 +160,7 @@ class TestDecoding:
     def test_distributions_normalized(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc())
-        dec = model.decode_labels(enc, model.choose_labels(enc))
+        dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         assert dec.log_probs.shape == (len(dec.labels), 2)
         for lp in dec.log_probs.data:
             np.testing.assert_allclose(np.exp(lp).sum(), 1.0, atol=1e-6)
@@ -169,7 +169,7 @@ class TestDecoding:
         model = tiny_model()
         model.w_o.data = np.zeros_like(model.w_o.data)
         enc = model.encode_document(encoded_doc())
-        dec = model.decode_labels(enc, model.choose_labels(enc))
+        dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         for lp in dec.log_probs.data:
             np.testing.assert_allclose(np.exp(lp), [0.5, 0.5], atol=1e-12)
 
@@ -191,14 +191,14 @@ class TestDecoding:
     def test_sample_feed_deterministic_given_seed(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc())
-        a = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))
-        b = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))
+        a = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))[0]
+        b = model.choose_labels(enc, np.random.default_rng(9).random(len(enc)))[0]
         assert a == b
 
     def test_greedy_labels_match_argmax(self):
         model = tiny_model()
         enc = model.encode_document(encoded_doc())
-        dec = model.decode_labels(enc, model.choose_labels(enc))
+        dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         for lp, label in zip(dec.log_probs.data, dec.labels):
             assert label == int(np.argmax(lp))
 
@@ -294,6 +294,36 @@ class TestTopK:
         for i, p in enumerate(top.prob_true):
             if i not in chosen:
                 assert p <= worst_chosen + 1e-12
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_probabilities_match_the_scoring_pass(self, seed):
+        # select_top_k reads p(y_i = 1) off choose_labels' steps; the
+        # teacher-forced pass over the same labels gives them up to rounding
+        rng = np.random.default_rng(seed)
+        model = tiny_model(d=8, seed=seed, dtype=np.float32)
+        doc = encoded_doc(lengths=rng.integers(1, 9, size=int(rng.integers(1, 10))).tolist(),
+                          seed=seed)
+        top = model.select_top_k(doc, 3)
+        with no_grad():
+            enc = model.encode_document(doc)
+            dec = model.decode_labels(enc, model.choose_labels(enc)[0])
+        probs = np.exp(dec.log_probs.data[:, 1]).tolist()
+        ranked = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+        np.testing.assert_allclose(top.prob_true, probs, rtol=1e-5)
+        assert top.indices == tuple(sorted(ranked[:3]))
+
+    def test_runs_without_the_scoring_pass(self, monkeypatch):
+        model = tiny_model()
+        doc = encoded_doc(n_sents=6)
+        before = model.select_top_k(doc, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("select_top_k ran decode_labels' scoring pass")
+
+        monkeypatch.setattr(ExtractiveModel, "decode_labels", refuse)
+        after = model.select_top_k(doc, 3)
+        assert after.indices == before.indices
+        assert after.prob_true == before.prob_true
 
     def test_ranking_invariant_under_positive_affine_rescale(self):
         # scaling both logits rows by c>0 and shifting by a shared bias
@@ -449,10 +479,10 @@ class TestPackedBatch:
         with no_grad():
             enc = model.encode_documents(docs)
             rng = np.random.default_rng(6)
-            sampled = model.choose_labels(enc, rng.random(len(enc)))
+            sampled = model.choose_labels(enc, rng.random(len(enc)))[0]
             draws = np.random.default_rng(6).random(len(enc))
-            assert model.choose_labels(enc, draws=draws) == sampled
-            dec = model.decode_labels(enc, model.choose_labels(enc, draws))
+            assert model.choose_labels(enc, draws=draws)[0] == sampled
+            dec = model.decode_labels(enc, model.choose_labels(enc, draws)[0])
             assert dec.labels == sampled
             with pytest.raises(DataError, match="draws"):
                 model.choose_labels(enc, draws=draws[1:])
@@ -581,7 +611,7 @@ class TestTraining:
         with no_grad():
             for doc, _ in records:
                 enc = model.encode_document(doc)
-                dec = model.decode_labels(enc, model.choose_labels(enc))
+                dec = model.decode_labels(enc, model.choose_labels(enc)[0])
                 hits += sum(int(p == g) for p, g in zip(dec.labels, labels[doc.id].labels))
                 total += len(doc)
 

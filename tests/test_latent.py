@@ -164,7 +164,7 @@ class TestSampling:
         with no_grad():
             enc = model.encode_document(doc)
             draws = np.random.default_rng(0).random(len(enc))
-            out = model.decode_labels(enc, model.choose_labels(enc, draws))
+            out = model.decode_labels(enc, model.choose_labels(enc, draws)[0])
         assert out.labels == [1, 1, 1, 1]
         assert out.log_probs.data[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -173,9 +173,9 @@ class TestSampling:
         with no_grad():
             enc = model.encode_document(tiny_doc())
             a = model.decode_labels(
-                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc))))
+                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc)))[0])
             b = model.decode_labels(
-                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc))))
+                enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc)))[0])
         assert a.labels == b.labels
         assert np.array_equal(a.log_probs.data, b.log_probs.data)
 
@@ -184,12 +184,12 @@ class TestSampling:
         doc = tiny_doc(n_sents=2)
         with no_grad():
             enc = model.encode_document(doc)
-            probe = model.decode_labels(enc, model.choose_labels(enc))
+            probe = model.decode_labels(enc, model.choose_labels(enc)[0])
             p1 = float(np.exp(probe.log_probs.data[0, 1]))
             rng = np.random.default_rng(99)
             n = 1500
             hits = sum(
-                model.decode_labels(enc, model.choose_labels(enc, rng.random(len(enc)))).labels[0]
+                model.decode_labels(enc, model.choose_labels(enc, rng.random(len(enc)))[0]).labels[0]
                 for _ in range(n)
             )
         se = np.sqrt(p1 * (1.0 - p1) / n)
@@ -211,7 +211,7 @@ class TestSurrogate:
     def test_advantage_count_checked(self):
         model = policy()
         enc = model.encode_document(tiny_doc())
-        dec = model.decode_labels(enc, model.choose_labels(enc))
+        dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         with pytest.raises(DataError, match="advantage"):
             surrogate_loss(dec, [1.0])
 
@@ -253,7 +253,7 @@ class TestSurrogate:
         baseline = BaselineModel(model.d, dtype=np.float64)
         baseline.w.data += 0.5
         enc = model.encode_document(tiny_doc())
-        dec = model.decode_labels(enc, model.choose_labels(enc))
+        dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         loss = tensor_sum(baseline.predict(dec.h_d))
         backward(loss)
         for p in model.parameters():
@@ -320,7 +320,7 @@ def per_sample_step(model, baseline, doc, scores, config, rng):
     for _ in range(num_samples):
         noise = model.draw_noise(doc, rng, config.dropout, config.word_dropout)
         enc = model.encode_documents([doc], [noise])
-        dec = model.decode_labels(enc, model.choose_labels(enc, rng.random(len(doc))))
+        dec = model.decode_labels(enc, model.choose_labels(enc, rng.random(len(doc)))[0])
         breakdown = reward_from_matrix(scores[np.flatnonzero(dec.labels)], config.alpha)
         predicted = baseline.predict(dec.h_d)
         advantage = [breakdown.r - float(v) for v in predicted.data[:, 0]]
@@ -630,14 +630,14 @@ class TestTrainLatent:
         choose = ExtractiveModel.choose_labels
 
         def recording(self, enc, draws=None):
-            labels = choose(self, enc, draws)
+            labels, probs = choose(self, enc, draws)
             if draws is not None:
                 # one packed choice per step: its k copies' masks, in draw order
                 assert len(enc.lengths) == cfg.num_samples
                 ends = np.cumsum(enc.lengths)
                 sampled.extend(tuple(labels[end - n : end])
                                for n, end in zip(enc.lengths, ends))
-            return labels
+            return labels, probs
 
         monkeypatch.setattr(ExtractiveModel, "choose_labels", recording)
         cfg = dataclasses.replace(small_config, num_samples=2, latent_epochs=2)

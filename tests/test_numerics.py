@@ -53,6 +53,8 @@ from latentsum.numerics import (
 )
 from latentsum.numerics.tensor import stable_sigmoid
 
+from conftest import blas_build
+
 
 def param(name, values):
     return Parameter(name, np.asarray(values, dtype=np.float64))
@@ -426,6 +428,56 @@ class TestLSTM:
                                    rtol=1e-12)
         report = finite_difference_check([shared], lambda: loss_fn(shared), rng, num_coords=3)
         assert report.passed, report.failures
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("lengths", [[3, 7, 2, 7, 1], [4, 4, 4], [5]])
+    def test_run_bilstm_bit_identical_to_two_recurrences(self, d, lengths):
+        # both directions advanced as one recurrence must keep the bits of
+        # one recurrence per direction, outputs and every gradient, in the
+        # production dtype
+        rng = np.random.default_rng(18)
+        fwd = LSTMCell("fw", d, d, rng)
+        bwd = LSTMCell("bw", d, d, rng)
+        x = Parameter("x", rng.normal(size=(sum(lengths), d)).astype(np.float32))
+        weights = constant(rng.normal(size=(sum(lengths), 2 * d)).astype(np.float32))
+        params = [x] + fwd.parameters() + bwd.parameters()
+
+        def run(fn):
+            zero_grads(params)
+            out = fn()
+            backward(tensor_sum(mul(out, weights)))
+            return out.data, [p.grad_or_zeros().copy() for p in params]
+
+        fused, fused_grads = run(lambda: run_bilstm(fwd, bwd, x, lengths))
+        expected, expected_grads = run(lambda: concat(
+            [lstm_sequence(fwd, x, lengths), lstm_sequence(bwd, x, lengths, reverse=True)],
+            axis=1))
+        assert np.array_equal(fused, expected), f"states differ (BLAS {blas_build()})"
+        for p, got, want in zip(params, fused_grads, expected_grads):
+            assert np.array_equal(got, want), f"{p.name} gradient differs (BLAS {blas_build()})"
+
+    def test_run_bilstm_gradcheck(self):
+        rng = np.random.default_rng(19)
+        fwd = LSTMCell("fw", 2, 3, rng, dtype=np.float64)
+        bwd = LSTMCell("bw", 2, 3, rng, dtype=np.float64)
+        lengths = [2, 4, 1]
+        x = Parameter("x", rng.normal(size=(sum(lengths), 2)))
+        weights = constant(rng.normal(size=(sum(lengths), 6)))
+
+        def loss_fn():
+            return tensor_sum(mul(run_bilstm(fwd, bwd, x, lengths), weights))
+
+        report = finite_difference_check(fwd.parameters() + bwd.parameters() + [x], loss_fn,
+                                         rng, num_coords=120)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (2, 5)])
+    def test_run_bilstm_rejects_cells_of_other_sizes(self, sizes):
+        rng = np.random.default_rng(20)
+        fwd = LSTMCell("fw", 2, 4, rng, dtype=np.float64)
+        bwd = LSTMCell("bw", *sizes, rng, dtype=np.float64)
+        with pytest.raises(ShapeError, match="sizes"):
+            run_bilstm(fwd, bwd, constant(np.zeros((3, 2))), [3])
 
     def test_lstm_sequence_rejects_bad_lengths(self):
         cell = LSTMCell("r", 2, 3, np.random.default_rng(16), dtype=np.float64)
