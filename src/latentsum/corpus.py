@@ -19,7 +19,7 @@ from .errors import DataError
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
-_SPLIT_PUNCT = frozenset(".,!?;:")
+_SPLIT_PUNCT = ".,!?;:"
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,13 @@ def tokenize(raw: str) -> Sentence:
         raise DataError("cannot tokenize whitespace-only text")
     tokens: list[str] = []
     for chunk in raw.lower().split():
-        tail: list[str] = []
-        while len(chunk) > 1 and chunk[-1] in _SPLIT_PUNCT:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.append(chunk)
-        tokens.extend(reversed(tail))
+        if chunk[-1] not in _SPLIT_PUNCT:
+            tokens.append(chunk)
+            continue
+        # the head keeps at least one character, so "..." is three tokens
+        head = chunk.rstrip(_SPLIT_PUNCT) or chunk[0]
+        tokens.append(head)
+        tokens.extend(chunk[len(head):])
     return Sentence(tokens=tuple(tokens))
 
 

@@ -30,7 +30,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 
-from conftest import doc_from, summary_from
+from conftest import blas_build, doc_from, summary_from
 
 
 def tiny_model(d=6, vocab_size=14, seed=4, dtype=np.float64):
@@ -146,9 +146,11 @@ class TestBatchedScoring:
             with no_grad():
                 dec = model.decode_teacher([(source, targets)])
             assert dec.lengths == [len(t) + 1 for t in targets]
-            assert np.array_equal(dec.log_probs.data, np.concatenate([lp for lp, _ in refs]))
+            assert np.array_equal(dec.log_probs.data, np.concatenate([lp for lp, _ in refs])), \
+                f"packed log-probs differ from per-target decodes (BLAS {blas_build()})"
             got = s_score_matrix(model, [ids_sentence(source)], [ids_sentence(t) for t in targets])
-            assert got[0].tolist() == [s for _, s in refs]
+            assert got[0].tolist() == [s for _, s in refs], \
+                f"s_score_matrix differs from per-target decodes (BLAS {blas_build()})"
 
     def test_float64_matches_per_target_decodes(self):
         for model, source, targets in self._cases(np.float64, seed=43):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from latentsum.corpus import (
@@ -25,6 +26,23 @@ from latentsum.errors import DataError
 from conftest import doc_from, summary_from
 
 
+_PUNCT = ".,!?;:"
+
+
+def peeling_tokenize(raw):
+    """Oracle: peel one terminal punctuation mark at a time off each chunk,
+    keeping at least one character, then emit the marks in order."""
+    tokens = []
+    for chunk in raw.lower().split():
+        tail = []
+        while len(chunk) > 1 and chunk[-1] in _PUNCT:
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.append(chunk)
+        tokens.extend(reversed(tail))
+    return tuple(tokens)
+
+
 class TestTokenize:
     def test_lowercase_and_terminal_period(self):
         assert tokenize("The cat sat.").tokens == ("the", "cat", "sat", ".")
@@ -43,6 +61,20 @@ class TestTokenize:
     def test_no_empty_tokens(self):
         for raw in ("a.", "a!?", "x,y", "A  B"):
             assert all(tok for tok in tokenize(raw).tokens)
+
+    @pytest.mark.parametrize("raw", [
+        "...", "!", "a.,!", ",a", ".,hi.", "x,y.", "a . ,", "?!?! b", ":;",
+    ])
+    def test_edge_chunks_match_peeling_oracle(self, raw):
+        assert tokenize(raw).tokens == peeling_tokenize(raw)
+
+    def test_random_strings_match_peeling_oracle(self):
+        rng = np.random.default_rng(808)
+        alphabet = list("abcXY   ") + list(_PUNCT)
+        for _ in range(3000):
+            raw = "".join(rng.choice(alphabet, size=int(rng.integers(1, 25))))
+            if raw.strip():
+                assert tokenize(raw).tokens == peeling_tokenize(raw), raw
 
 
 class TestDataModel:

@@ -24,7 +24,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 
-from conftest import doc_from, tiny_records
+from conftest import blas_build, doc_from, tiny_records
 
 
 def tiny_model(d=6, vocab_size=16, seed=3, dtype=np.float64):
@@ -153,7 +153,8 @@ class TestEncoding:
         doc = encoded_doc()
         a = model.encode_document(doc)
         b = model.encode_document(doc)
-        np.testing.assert_array_equal(a.h_e.data, b.h_e.data)
+        np.testing.assert_array_equal(a.h_e.data, b.h_e.data,
+                                      err_msg=f"h_e differs on re-encode (BLAS {blas_build()})")
 
 
 class TestDecoding:
@@ -366,7 +367,8 @@ class TestCheckpointing:
         a = model.select_top_k(doc, 2)
         b = loaded.select_top_k(doc, 2)
         assert a.indices == b.indices
-        np.testing.assert_array_equal(a.prob_true, b.prob_true)
+        np.testing.assert_array_equal(a.prob_true, b.prob_true,
+                                      err_msg=f"prob_true differs after load (BLAS {blas_build()})")
 
     def test_wrong_vocab_refused(self, tmp_path):
         records, vocab = tiny_records()
@@ -467,8 +469,10 @@ class TestPackedBatch:
         inside = model.encode_documents(docs, inside)
         noise = [model.draw_noise(doc, rng_b, **self.TRAINING) for doc in docs]
         before = model.encode_documents(docs, noise)
-        np.testing.assert_array_equal(before.v.data, inside.v.data)
-        np.testing.assert_array_equal(before.h_e.data, inside.h_e.data)
+        np.testing.assert_array_equal(before.v.data, inside.v.data,
+                                      err_msg=f"v differs (BLAS {blas_build()})")
+        np.testing.assert_array_equal(before.h_e.data, inside.h_e.data,
+                                      err_msg=f"h_e differs (BLAS {blas_build()})")
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
         assert all(n.dropped.size == sum(len(s.tokens) for s in doc.sentences)
                    for n, doc in zip(noise, docs))
@@ -572,7 +576,8 @@ class TestTraining:
             train_extractive(model, records, labels, [], small_config,
                              np.random.default_rng(0))
         for p, data in zip(model.parameters(), before):
-            np.testing.assert_array_equal(p.data, data, err_msg=p.name)
+            np.testing.assert_array_equal(p.data, data,
+                                          err_msg=f"{p.name} (BLAS {blas_build()})")
 
     def test_early_stop_on_train_accuracy(self, small_config):
         records, labels, model = self._setup(small_config)

@@ -31,7 +31,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 
-from conftest import tiny_records
+from conftest import blas_build, tiny_records
 
 
 def ids_sentence(ids):
@@ -177,7 +177,8 @@ class TestSampling:
             b = model.decode_labels(
                 enc, model.choose_labels(enc, np.random.default_rng(17).random(len(enc)))[0])
         assert a.labels == b.labels
-        assert np.array_equal(a.log_probs.data, b.log_probs.data)
+        assert np.array_equal(a.log_probs.data, b.log_probs.data), \
+            f"log-probs differ between same-seed samples (BLAS {blas_build()})"
 
     def test_sample_frequency_matches_first_step_probability(self):
         model = policy(seed=5)
@@ -603,7 +604,8 @@ class TestTrainLatent:
             # this seed's first epoch visits the records in order, the empty one last
             train_latent(model, baseline, records, comp, small_config, np.random.default_rng(1))
         after = [p.data for p in model.parameters() + baseline.parameters()]
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(np.array_equal(a, b) for a, b in zip(before, after)), \
+            f"parameters changed before the refusal (BLAS {blas_build()})"
 
     def test_each_training_sentence_encoded_once(self, small_config, monkeypatch):
         records, vocab = self._records(n=4)
@@ -679,7 +681,8 @@ class TestPackedScoreMatrix:
             assert decodes == [len(doc)]
             decodes.clear()
             assert matrix.dtype == np.float64 and matrix.shape == (len(doc), len(summary))
-            assert np.array_equal(matrix, rows)
+            assert np.array_equal(matrix, rows), \
+                f"packed matrix differs from per-source rows (BLAS {blas_build()})"
 
     def test_empty_source_list(self):
         assert s_score_matrix(scorer(), [], tiny_summary().sentences).shape == (0, 2)

@@ -2,7 +2,7 @@
 
 The oracles here deliberately use different mechanisms from the library:
 n-gram matching by greedy list removal instead of Counter clipping, and
-LCS by memoized recursion instead of the DP table.
+LCS by memoized recursion instead of bit-parallel big-int arithmetic.
 """
 
 from functools import lru_cache
@@ -10,7 +10,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from latentsum.rouge import RougeScore, rouge_l, rouge_mean, rouge_n
+from latentsum.cli import _evaluate_system
+from latentsum.corpus import load_corpus
+from latentsum.rouge import RougeScore, _lcs_length, rouge_l, rouge_mean, rouge_n
+from latentsum.toy import write_toy_corpus
 
 from conftest import random_sentences, sent
 
@@ -120,6 +123,54 @@ class TestRougeL:
         # LCS "a b" spans the candidate's sentence boundary
         score = rouge_l([sent("a"), sent("b")], [sent("a b")])
         assert score.recall == 1.0
+
+
+class TestLcsLength:
+    """The bit-parallel LCS against the recursive oracle. Bit i of a mask
+    stands for candidate token i, so candidates of 63-65, 130 and 200
+    tokens cross the 64-bit word boundaries of the big ints."""
+
+    def _tokens(self, rng, length, alphabet):
+        return [f"t{int(i)}" for i in rng.integers(alphabet, size=length)]
+
+    def test_empty_side(self):
+        assert _lcs_length([], []) == 0
+        assert _lcs_length([], ["a", "b"]) == 0
+        assert _lcs_length(["a", "b"], []) == 0
+
+    @pytest.mark.parametrize("alphabet", [1, 2])
+    def test_tiny_alphabets(self, alphabet):
+        rng = np.random.default_rng(707 + alphabet)
+        for _ in range(200):
+            a = self._tokens(rng, int(rng.integers(0, 40)), alphabet)
+            b = self._tokens(rng, int(rng.integers(0, 40)), alphabet)
+            assert _lcs_length(a, b) == oracle_lcs(tuple(a), tuple(b)), (a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 130, 200])
+    def test_word_boundary_lengths(self, length):
+        rng = np.random.default_rng(length)
+        for alphabet in (1, 2, 5, 40):
+            for ref_len in (1, 40, 90):
+                a = self._tokens(rng, length, alphabet)
+                b = self._tokens(rng, ref_len, alphabet)
+                assert _lcs_length(a, b) == oracle_lcs(tuple(a), tuple(b)), \
+                    (length, alphabet, ref_len)
+
+
+class TestEvaluateSystem:
+    def test_rouge_l_fields_match_oracle_on_toy_test_split(self, tmp_path):
+        write_toy_corpus(tmp_path, seed=13)
+        records = load_corpus(tmp_path, "test")
+        gold = {doc.id: list(summary.sentences) for doc, summary in records}
+        for generated in ({doc.id: list(doc.sentences[:3]) for doc, _ in records},
+                          {doc.id: list(doc.sentences) for doc, _ in records}):
+            want = [0.0, 0.0, 0.0]
+            for doc_id in sorted(gold):
+                for k, value in enumerate(oracle_rouge_l(generated[doc_id], gold[doc_id])):
+                    want[k] += value
+            got = _evaluate_system(generated, gold)["rougeL"]
+            assert (got["precision"], got["recall"], got["f1"]) == \
+                tuple(w / len(gold) for w in want)
 
 
 class TestRougeMean:
