@@ -36,7 +36,7 @@ from .labeling import (
     oracle_labels,
     pair_to_jsonl_line,
 )
-from .numerics.checkpoint import atomic_write_text
+from .numerics.checkpoint import atomic_write_text, read_json_lines
 from .rouge import rouge_l, rouge_n
 from .toy import write_toy_corpus
 
@@ -214,25 +214,18 @@ def cmd_lead3(args, config: RunConfig) -> int:
 
 
 def _load_generated(path) -> dict[str, list[Sentence]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"generated summary file not found: {path}")
     out: dict[str, list[Sentence]] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise DataError(f"expected a JSON object, got {type(row).__name__}")
-                doc_id = str(row["id"])
-                sentences = list(parse_sentences(row["summary"], "summary"))
-            except (json.JSONDecodeError, KeyError, DataError) as exc:
-                raise DataError(f"{path} line {line_no}: bad summary row ({exc})") from exc
-            if doc_id in out:
-                raise DataError(f"{path} line {line_no}: duplicate id {doc_id!r}")
-            out[doc_id] = sentences
+    for line_no, row in read_json_lines(path, DataError):
+        try:
+            if not isinstance(row, dict):
+                raise DataError(f"expected a JSON object, got {type(row).__name__}")
+            doc_id = str(row["id"])
+            sentences = list(parse_sentences(row["summary"], "summary"))
+        except (KeyError, DataError) as exc:
+            raise DataError(f"{path} line {line_no}: bad summary row ({exc})") from exc
+        if doc_id in out:
+            raise DataError(f"{path} line {line_no}: duplicate id {doc_id!r}")
+        out[doc_id] = sentences
     if not out:
         raise DataError(f"generated summary file {path} holds no rows")
     return out

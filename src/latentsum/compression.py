@@ -241,12 +241,9 @@ def save_compression(path, model: CompressionModel, run_config: dict, vocab):
 def load_compression(path, vocab) -> CompressionModel:
     data = load_checkpoint(path, expected_model="compression",
                            expected_vocab_hash=vocab.content_hash())
-    model = CompressionModel(
-        vocab_size=int(data.config["vocab_size"]),
-        d=int(data.config["d"]),
-        rng=np.random.default_rng(0),
-        attn_size=int(data.config["attn_size"]),
-    )
+    vocab_size, d, attn_size = data.config_ints("vocab_size", "d", "attn_size")
+    model = CompressionModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0),
+                             attn_size=attn_size)
     apply_state(model.parameters(), data.arrays)
     return model
 

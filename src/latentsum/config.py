@@ -6,9 +6,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ConfigError
+from .numerics.checkpoint import read_text
 
 
 @dataclass
@@ -93,11 +93,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """
     values: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(read_text(path, ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError
+from .numerics.checkpoint import read_json_lines, read_text
 
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -171,10 +172,7 @@ def build_vocab(records, min_count: int = 2) -> Vocabulary:
 
 
 def load_vocab(path) -> Vocabulary:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"vocabulary file not found: {path}")
-    return Vocabulary.from_json(path.read_text(encoding="utf-8"))
+    return Vocabulary.from_json(read_text(path, DataError))
 
 
 def parse_sentences(value, field: str) -> tuple[Sentence, ...]:
@@ -217,23 +215,14 @@ def load_corpus(path, split: str = "train") -> list[tuple[Document, SummarySet]]
     path = Path(path)
     if path.is_dir():
         path = path / f"{split}.jsonl"
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
     records: list[tuple[Document, SummarySet]] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: malformed JSON ({exc.msg})") from exc
-            doc, summary = _parse_record(obj, line_no)
-            if doc.id in seen_ids:
-                raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            records.append((doc, summary))
+    for line_no, obj in read_json_lines(path, DataError):
+        doc, summary = _parse_record(obj, line_no)
+        if doc.id in seen_ids:
+            raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
+        seen_ids.add(doc.id)
+        records.append((doc, summary))
     if not records:
         raise DataError(f"corpus file {path} holds no records")
     return records

@@ -276,11 +276,8 @@ def save_extractive(path, model: ExtractiveModel, run_config: dict, vocab):
 def load_extractive(path, vocab) -> ExtractiveModel:
     data = load_checkpoint(path, expected_model="extractive",
                            expected_vocab_hash=vocab.content_hash())
-    model = ExtractiveModel(
-        vocab_size=int(data.config["vocab_size"]),
-        d=int(data.config["d"]),
-        rng=np.random.default_rng(0),
-    )
+    vocab_size, d = data.config_ints("vocab_size", "d")
+    model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0))
     apply_state(model.parameters(), data.arrays)
     return model
 

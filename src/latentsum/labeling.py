@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import Document, Sentence, SummarySet
 from .errors import DataError
+from .numerics.checkpoint import read_json_lines
 from .rouge import clipped_matches, mean_f1, ngram_counts, pooled_counts
 
 
@@ -133,30 +133,23 @@ def labels_to_jsonl_line(doc_id: str, labels: LabelSequence) -> str:
 
 
 def load_labels(path) -> dict[str, LabelSequence]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"labels file not found: {path}")
     table: dict[str, LabelSequence] = {}
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise DataError(f"expected a JSON object, got {type(obj).__name__}")
-                doc_id = str(obj["id"])
-                labels = obj["labels"]
-                # bool is an int subclass, so the type is checked exactly
-                if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1)
-                                                       for v in labels):
-                    raise DataError(f"'labels' must be a list of the ints 0 and 1, "
-                                    f"got {labels!r}")
-            except (json.JSONDecodeError, KeyError, DataError) as exc:
-                raise DataError(f"labels line {line_no}: {exc}") from exc
-            if doc_id in table:
-                raise DataError(f"labels line {line_no}: duplicate document id {doc_id!r}")
-            table[doc_id] = LabelSequence(labels=tuple(labels))
+    for line_no, obj in read_json_lines(path, DataError):
+        try:
+            if not isinstance(obj, dict):
+                raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+            doc_id = str(obj["id"])
+            labels = obj["labels"]
+            # bool is an int subclass, so the type is checked exactly
+            if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1)
+                                                   for v in labels):
+                raise DataError(f"'labels' must be a list of the ints 0 and 1, "
+                                f"got {labels!r}")
+        except (KeyError, DataError) as exc:
+            raise DataError(f"labels line {line_no}: {exc}") from exc
+        if doc_id in table:
+            raise DataError(f"labels line {line_no}: duplicate document id {doc_id!r}")
+        table[doc_id] = LabelSequence(labels=tuple(labels))
     return table
 
 
@@ -179,27 +172,20 @@ def _tokens(obj: dict, field: str) -> tuple[str, ...]:
 
 
 def load_pairs(path) -> list[CompressionPair]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"pairs file not found: {path}")
     pairs: list[CompressionPair] = []
-    with path.open(encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise DataError(f"expected a JSON object, got {type(obj).__name__}")
-                pairs.append(
-                    CompressionPair(
-                        source=Sentence(tokens=_tokens(obj, "source")),
-                        target=Sentence(tokens=_tokens(obj, "target")),
-                        doc_id=str(obj["doc_id"]),
-                    )
+    for line_no, obj in read_json_lines(path, DataError):
+        try:
+            if not isinstance(obj, dict):
+                raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+            pairs.append(
+                CompressionPair(
+                    source=Sentence(tokens=_tokens(obj, "source")),
+                    target=Sentence(tokens=_tokens(obj, "target")),
+                    doc_id=str(obj["doc_id"]),
                 )
-            except (json.JSONDecodeError, KeyError, DataError) as exc:
-                raise DataError(f"pairs line {line_no}: {exc}") from exc
+            )
+        except (KeyError, DataError) as exc:
+            raise DataError(f"pairs line {line_no}: {exc}") from exc
     if not pairs:
         raise DataError(f"pairs file {path} holds no records")
     return pairs

@@ -113,25 +113,18 @@ def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
 
 @dataclass
 class ReinforceStep:
-    """One document step's samples. The reward, surrogate and baseline
-    reports are the last sample's; the policy diagnostics are means over
-    all samples."""
+    """One document step's samples. The reward breakdown and baseline MSE
+    are the last sample's; the policy diagnostics are means over all
+    samples."""
 
     masks: tuple[tuple[int, ...], ...]  # every sampled extraction mask z, in draw order
     rewards: tuple[float, ...]  # every sample's R
     breakdown: RewardBreakdown
-    surrogate: float
     baseline_mse: float
-    baseline_values: tuple[float, ...]
     entropy: float  # binary entropy of p(y_i = 1), per sentence
     picked: float  # sentences selected
     advantage: float  # R - b_i, per sentence
     baseline: float  # b_i, per sentence
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        """The last sampled mask."""
-        return self.masks[-1]
 
 
 def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Document,
@@ -173,19 +166,14 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
     value_loss = tensor_sum(mul(residual, residual)) * (1.0 / n)
     backward((policy_loss + value_loss) * (1.0 / num_samples))
 
-    # the last sample's reports, with the arithmetic of a one-sample graph
-    last = slice(-n, None)
-    chosen = dec.chosen_log_probs().data
-    weighted = advantages.astype(chosen.dtype) * chosen
-    res = residual.data[last]
+    # the last sample's baseline MSE, with the arithmetic of a one-sample graph
+    res = residual.data[-n:]
     log_p = dec.log_probs.data.astype(np.float64)
     return ReinforceStep(
         masks=tuple(tuple(z) for z in masks.tolist()),
         rewards=tuple(b.r for b in breakdowns),
         breakdown=breakdowns[-1],
-        surrogate=-float(weighted[last].sum()),
         baseline_mse=float((res * res).sum()) * (1.0 / n),
-        baseline_values=tuple(values.data[last, 0].tolist()),
         entropy=float(-(np.exp(log_p) * log_p).sum(axis=1).mean()),
         picked=float(masks.sum(axis=1).mean()),
         advantage=float(advantages.mean()),

@@ -5,6 +5,9 @@ name, a config snapshot, the vocabulary hash it was trained against, and
 every parameter as (name, shape, dtype, base64 little-endian raw bytes).
 Round trips are bit-exact; loads refuse version, model, or vocabulary
 mismatches and corrupt files.
+
+The atomic text writer and the UTF-8 text readers beside it do every
+stage's file I/O; a reader raises its caller's error class.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import base64
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +43,15 @@ class CheckpointData:
     model: str
     config: dict
     vocab_hash: str
-    arrays: dict[str, np.ndarray]
+    arrays: dict[str, np.ndarray]  # read-only views of the file's bytes
+
+    def config_ints(self, *keys) -> list[int]:
+        """The config snapshot's integer fields ``keys``; a missing or
+        non-integer one is a corrupt checkpoint."""
+        try:
+            return [int(self.config[key]) for key in keys]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
 
 
 def save_checkpoint(path, model: str, params, config: dict, vocab_hash: str):
@@ -65,13 +77,9 @@ def save_checkpoint(path, model: str, params, config: dict, vocab_hash: str):
     atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
-def load_checkpoint(path, expected_model: str | None = None,
-                    expected_vocab_hash: str | None = None) -> CheckpointData:
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint file not found: {path}")
+def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> CheckpointData:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path, CheckpointError))
         version = payload["format_version"]
         model = payload["model"]
         config = payload["config"]
@@ -83,9 +91,9 @@ def load_checkpoint(path, expected_model: str | None = None,
         raise CheckpointError(
             f"checkpoint format version {version} != supported {FORMAT_VERSION}"
         )
-    if expected_model is not None and model != expected_model:
+    if model != expected_model:
         raise CheckpointError(f"checkpoint holds model {model!r}, expected {expected_model!r}")
-    if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
+    if vocab_hash != expected_vocab_hash:
         raise CheckpointError(
             f"vocabulary hash mismatch: checkpoint {vocab_hash} vs current {expected_vocab_hash}"
         )
@@ -93,14 +101,14 @@ def load_checkpoint(path, expected_model: str | None = None,
     try:
         for entry in entries:
             dtype = _DTYPES[entry["dtype"]]
-            raw = base64.b64decode(entry["data"].encode("ascii"), validate=True)
+            raw = base64.b64decode(entry["data"], validate=True)
             shape = tuple(int(n) for n in entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             if len(raw) != count * dtype.itemsize:
                 raise CheckpointError(
                     f"parameter {entry['name']} data length {len(raw)} != expected {count * dtype.itemsize}"
                 )
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape)
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -109,7 +117,8 @@ def load_checkpoint(path, expected_model: str | None = None,
 
 
 def apply_state(params, arrays: dict[str, np.ndarray]):
-    """Load checkpoint arrays into live Parameters by name."""
+    """Load checkpoint arrays into live Parameters by name, as writable
+    copies in each Parameter's dtype."""
     by_name = {p.name: p for p in params}
     missing = sorted(set(by_name) - set(arrays))
     extra = sorted(set(arrays) - set(by_name))
@@ -139,3 +148,39 @@ def atomic_write_text(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def _opened(path, error):
+    """``path`` open as UTF-8 text. A missing or unreadable file, a
+    directory in its place and bytes that are not UTF-8 raise ``error``,
+    the caller's error class."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"file not found: {path}")
+    try:
+        with path.open(encoding="utf-8") as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path, error) -> str:
+    """The whole of a UTF-8 text file; every read failure raises ``error``."""
+    with _opened(path, error) as handle:
+        return handle.read()
+
+
+def read_json_lines(path, error):
+    """(line number, JSON value) of each non-blank line of a JSON Lines
+    file, read one line at a time; a read failure or a line that is not
+    JSON raises ``error``."""
+    with _opened(path, error) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path} line {line_no}: malformed JSON ({exc.msg})") from exc
+            yield line_no, value

@@ -81,12 +81,12 @@ def step_schedule(lengths, reverse: bool = False):
 
 class LSTMCell:
     def __init__(self, prefix: str, input_size: int, hidden_size: int, rng,
-                 dtype=np.float32, forget_bias: float = 1.0):
+                 dtype=np.float32):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.dtype = dtype
         bias = np.zeros((1, 4 * hidden_size), dtype=dtype)
-        bias[0, hidden_size : 2 * hidden_size] = forget_bias
+        bias[0, hidden_size : 2 * hidden_size] = 1.0
         self.w_x = Parameter(f"{prefix}.w_x", init_uniform((input_size, 4 * hidden_size), 4 * hidden_size, rng, dtype))
         self.w_h = Parameter(f"{prefix}.w_h", init_uniform((hidden_size, 4 * hidden_size), 4 * hidden_size, rng, dtype))
         self.b = Parameter(f"{prefix}.b", bias)
@@ -133,9 +133,8 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
             or lengths.sum() != x.data.shape[0]:
         raise ShapeError(f"{name}: lengths {lengths.tolist()} do not partition "
                          f"{x.data.shape[0]} rows")
-    if h0 is not None and h0.data.shape not in ((lengths.size, hid), (1, hid)):
-        raise ShapeError(f"{name}: h0 shape {h0.data.shape} is neither "
-                         f"{(lengths.size, hid)} nor {(1, hid)}")
+    if h0 is not None and h0.data.shape != (lengths.size, hid):
+        raise ShapeError(f"{name}: h0 shape {h0.data.shape} is not {(lengths.size, hid)}")
 
     n, dirs = x.data.shape[0], len(cells)
     schedules = [step_schedule(lengths, r) for r in reverse]
@@ -152,7 +151,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     dtype = xw.dtype
     h_state = np.zeros((dirs, lengths.size, hid), dtype)
     if h0 is not None:
-        h_state[0] = np.broadcast_to(h0.data, (lengths.size, hid))[order]
+        h_state[0] = h0.data[order]
     c_state = np.zeros((dirs, lengths.size, hid), dtype)
     out = np.empty((dirs * n, hid), dtype)
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
@@ -200,8 +199,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         if h0 is not None and h0.requires_grad:
             dh0 = np.empty_like(dh[0])
             dh0[order] = dh[0]
-            _accumulate(h0, dh0 if h0.data.shape[0] == lengths.size
-                        else dh0.sum(axis=0, keepdims=True))
+            _accumulate(h0, dh0)
 
     parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
         + (() if h0 is None else (h0,))
@@ -217,8 +215,7 @@ def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,
     order of ``lengths``. Row r of the (sum(lengths), h) result is the state
     after reading row r. ``reverse`` reads each sequence from its own last
     row back to its first. ``h0`` is an optional (len(lengths), h) initial
-    hidden state, or one (1, h) row that every sequence starts from; the
-    initial cell state is zero.
+    hidden state; the initial cell state is zero.
     """
     return _recurrence("lstm_sequence", (cell,), x, lengths, (reverse,), h0)
 

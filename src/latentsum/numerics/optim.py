@@ -110,16 +110,16 @@ class SGD:
         _check_values_finite(self.params)
 
 
+# Adam's moment decay rates and denominator offset: Kingma & Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Kingma-Ba Adam with bias-corrected first and second moments."""
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.001):
         self.params: list[Parameter] = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -127,13 +127,13 @@ class Adam:
     def step(self):
         check_finite(self.params, "Adam step")
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - BETA1 ** self.t
+        correct2 = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad_or_zeros()
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
             m_hat = self.m[i] / correct1
             v_hat = self.v[i] / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         _check_values_finite(self.params)

@@ -52,9 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -70,23 +67,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 class Parameter(Tensor):
@@ -300,15 +285,13 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bw)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor) -> Tensor:
+    """The sum of every element of ``a``, as a scalar."""
     def bw(g):
-        if axis is None:
-            expanded = np.asarray(g).reshape((1,) * a.data.ndim)
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
+        expanded = np.asarray(g).reshape((1,) * a.data.ndim)
         _accumulate(a, np.broadcast_to(expanded, a.data.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _make(a.data.sum(), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

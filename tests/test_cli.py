@@ -402,6 +402,61 @@ class TestExitCodes:
                     "--checkpoint", pipeline["latent"], "--compress",
                     "--out", tmp_path / "s.jsonl"]) == 3
 
+    @pytest.mark.parametrize("damage", ["non-utf8", "directory"])
+    @pytest.mark.parametrize("name", ["corpus", "labels", "pairs", "generated", "vocab",
+                                      "config", "checkpoint"])
+    def test_unreadable_input_is_loader_error(self, pipeline, tmp_path, capsys, name, damage):
+        # the corpus directory is read through its train.jsonl
+        bad = tmp_path / name / ("train.jsonl" if name == "corpus" else "input")
+        bad.parent.mkdir()
+        if damage == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe" * 8 + b"\n")
+        paths = {**pipeline, "generated": pipeline["summaries"],
+                 "checkpoint": pipeline["extractive"],
+                 name: bad.parent if name == "corpus" else bad}
+        out = tmp_path / "out"
+        commands = {
+            "corpus": ["make-labels", "--corpus", paths["corpus"], "--out", out],
+            "labels": ["train-extractive", "--corpus", paths["corpus"],
+                       "--labels", paths["labels"], "--vocab", out / "vocab.json",
+                       "--checkpoint", out / "ext.ckpt", "--metrics", out / "m.json"],
+            "pairs": ["train-compression", "--pairs", paths["pairs"], "--vocab", paths["vocab"],
+                      "--checkpoint", out / "comp.ckpt", "--metrics", out / "m.json"],
+            "generated": ["evaluate", "--corpus", paths["corpus"],
+                          "--generated", f"sys={paths['generated']}"],
+            "checkpoint": ["summarize", "--corpus", paths["corpus"], "--vocab", paths["vocab"],
+                           "--checkpoint", paths["checkpoint"], "--out", out],
+            "config": ["make-toy", "--out", out],
+        }
+        commands["vocab"] = commands["pairs"]
+        code, kind = {"config": (2, "config"), "checkpoint": (4, "checkpoint")}.get(
+            name, (3, "data"))
+        assert run(["--config", paths["config"]] + commands[name]) == code
+        err = capsys.readouterr().err
+        assert f"error[{kind}]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model,field", [
+        ("extractive", "data"), ("extractive", "vocab_size"), ("extractive", "d"),
+        ("compression", "attn_size"),
+    ])
+    def test_corrupt_checkpoint_field_is_checkpoint_error(self, pipeline, tmp_path, capsys,
+                                                          model, field):
+        payload = json.loads(pipeline[model].read_text())
+        if field == "data":
+            payload["params"][0]["data"] = 5
+        else:
+            del payload["config"][field]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(payload))
+        paths = {**pipeline, model: bad}
+        assert run(["--config", pipeline["config"], "summarize",
+                    "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
+                    "--checkpoint", paths["extractive"], "--compress",
+                    "--compression", paths["compression"], "--out", tmp_path / "s.jsonl"]) == 4
+        assert "error[checkpoint]" in capsys.readouterr().err
+
 
 def gold_as_generated(corpus, split, out_path):
     rows = [

@@ -273,8 +273,7 @@ class TestReinforceStep:
         scores = s_score_matrix(comp, doc.sentences, summary.sentences)
         # the seed picks a non-empty mask
         step = reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(0))
-        assert len(step.baseline_values) == len(doc)
-        assert len(step.labels) == len(doc) and sum(step.labels) > 0
+        assert len(step.masks[-1]) == len(doc) and sum(step.masks[-1]) > 0
         assert 0.0 <= step.breakdown.r <= 1.0
         assert any(p.grad is not None and p.grad.any() for p in model.parameters())
         assert all(b.grad is not None for b in baseline.parameters())
@@ -305,8 +304,7 @@ class TestReinforceStep:
         r = reward_fn(comp, list(doc.sentences), summary, cfg.alpha).r
         baseline.b.data = np.array([[r]])
         scores = s_score_matrix(comp, doc.sentences, summary.sentences)
-        step = reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(6))
-        assert step.surrogate == pytest.approx(0.0, abs=1e-12)
+        reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(6))
         for p in model.parameters():
             if p.grad is not None:
                 np.testing.assert_allclose(p.grad, 0.0, atol=1e-9)
@@ -339,9 +337,7 @@ def per_sample_step(model, baseline, doc, scores, config, rng):
     return {
         "masks": tuple(masks),
         "rewards": tuple(rewards),
-        "surrogate": float(policy_loss.data),
         "baseline_mse": float(value_loss.data),
-        "baseline_values": tuple(float(v) for v in predicted.data[:, 0]),
         "entropy": float(np.mean(entropies)),
         "picked": float(np.mean([sum(z) for z in masks])),
         "advantage": float(np.mean(advantages)),
@@ -371,9 +367,8 @@ class TestPackedStep:
             if packed:
                 step = reinforce_step(model, baseline, doc, scores, cfg, rng)
                 outs.append({key: getattr(step, key) for key in (
-                    "masks", "rewards", "surrogate", "baseline_mse", "baseline_values",
-                    "entropy", "picked", "advantage", "baseline")})
-                assert step.labels == step.masks[-1]
+                    "masks", "rewards", "baseline_mse", "entropy", "picked", "advantage",
+                    "baseline")})
                 assert step.breakdown.r == step.rewards[-1]
             else:
                 outs.append(per_sample_step(model, baseline, doc, scores, cfg, rng))
@@ -384,11 +379,8 @@ class TestPackedStep:
         assert packed["masks"] == alone["masks"]
         assert packed["rewards"] == alone["rewards"]
         assert len({sum(z) for z in alone["masks"]}) > 1 or num_samples == 1
-        for key in ("surrogate", "baseline_mse", "entropy", "picked", "advantage",
-                    "baseline"):
+        for key in ("baseline_mse", "entropy", "picked", "advantage", "baseline"):
             assert packed[key] == pytest.approx(alone[key], rel=0, abs=1e-12), key
-        np.testing.assert_allclose(packed["baseline_values"], alone["baseline_values"],
-                                   rtol=0, atol=1e-12)
         assert states[0] == states[1]
         assert set(grads[0]) == set(grads[1])
         for name, want in grads[1].items():
