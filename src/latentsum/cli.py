@@ -184,7 +184,7 @@ def _summary_rows(args, config: RunConfig):
         compressor = compression_mod.load_compression(args.compression, vocab)
     rows = []
     for doc, _ in records:
-        top = model.select_top_k(doc, args.k)
+        top = model.select_top_k(doc, config.max_select)
         sentences = list(top.sentences)
         if compressor is not None:
             sentences = [
@@ -339,16 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="refined checkpoint output path")
     p.add_argument("--trace", required=True, help="reward trace JSONL output path")
     p.add_argument("--metrics", required=True)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--exact-oracle", action="store_true")
 
-    p = add("summarize", cmd_summarize, "write top-k summaries as JSONL")
+    p = add("summarize", cmd_summarize, "write top-max_select summaries as JSONL")
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=3)
     p.add_argument("--compress", action="store_true")
     p.add_argument("--compression", default=None, help="compression checkpoint")
 
@@ -371,10 +369,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {"seed": args.seed}
-        if getattr(args, "alpha", None) is not None:
-            overrides["alpha"] = args.alpha
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {"seed": args.seed})
         return args.fn(args, config)
     except LatentSumError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)

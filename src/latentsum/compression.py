@@ -241,7 +241,9 @@ def save_compression(path, model: CompressionModel, run_config: dict, vocab):
 def load_compression(path, vocab) -> CompressionModel:
     data = load_checkpoint(path, expected_model="compression",
                            expected_vocab_hash=vocab.content_hash())
-    vocab_size, d, attn_size = data.config_ints("vocab_size", "d", "attn_size")
+    vocab_size, d, attn_size = data.config_sizes(vocab_size=("compression.src_embed", 0),
+                                                 d=("compression.src_embed", 1),
+                                                 attn_size=("compression.v_a", 0))
     model = CompressionModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0),
                              attn_size=attn_size)
     apply_state(model.parameters(), data.arrays)
@@ -308,10 +310,7 @@ def perplexity(model: CompressionModel, pairs) -> float:
 def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) -> list[dict]:
     """Adam on teacher-forced cross-entropy; keeps the checkpoint with the
     lowest validation perplexity."""
-    if not pairs:
-        raise DataError("cannot train compression on an empty pair set")
     encoded = [(list(p.source.ids), list(p.target.ids)) for p in pairs]
-    opt = Adam(model.parameters(), lr=config.compression_lr)
 
     def batch_loss(batch):
         dec = model.decode_teacher([(source, [target]) for source, target in batch], rng=rng,
@@ -326,5 +325,6 @@ def train_compression(model: CompressionModel, pairs, val_pairs, config, rng) ->
         row["val_ppl"] = perplexity(model, val_pairs)
         return row, -row["val_ppl"], False
 
-    return fit(opt, encoded, batch_loss, end_epoch, epochs=config.compression_epochs,
+    return fit({"": Adam(model.parameters(), lr=config.compression_lr)}, encoded,
+               batch_loss, end_epoch, epochs=config.compression_epochs,
                batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

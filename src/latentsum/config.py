@@ -95,7 +95,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         try:
             raw = json.loads(read_text(path, ConfigError))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -137,7 +137,7 @@ class Vocabulary:
             payload = json.loads(text)
             specials = tuple(payload["specials"])
             pairs = [(str(t), int(c)) for t, c in payload["tokens"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed vocabulary file: {exc}") from exc
         if specials != SPECIAL_TOKENS:
             raise DataError(f"unexpected special tokens {specials!r}")

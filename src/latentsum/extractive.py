@@ -276,7 +276,8 @@ def save_extractive(path, model: ExtractiveModel, run_config: dict, vocab):
 def load_extractive(path, vocab) -> ExtractiveModel:
     data = load_checkpoint(path, expected_model="extractive",
                            expected_vocab_hash=vocab.content_hash())
-    vocab_size, d = data.config_ints("vocab_size", "d")
+    vocab_size, d = data.config_sizes(vocab_size=("extractive.embed", 0),
+                                      d=("extractive.embed", 1))
     model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0))
     apply_state(model.parameters(), data.arrays)
     return model
@@ -313,15 +314,12 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
                      val_records, config, rng) -> list[dict]:
     """Adam on teacher-forced NLL; keeps the checkpoint with the highest
     validation rouge_mean of its top-k extractions."""
-    if not train_records:
-        raise DataError("cannot train on an empty corpus")
     for doc, _ in train_records:
         if doc.id not in labels_by_id:
             raise DataError(f"no oracle labels for document {doc.id!r}")
         if len(labels_by_id[doc.id]) != len(doc):
             raise DataError(f"document {doc.id!r} has {len(doc)} sentences but "
                             f"{len(labels_by_id[doc.id])} oracle labels")
-    opt = Adam(model.parameters(), lr=config.extractive_lr)
 
     def batch_loss(records):
         docs = [doc for doc, _ in records]
@@ -347,5 +345,6 @@ def train_extractive(model: ExtractiveModel, train_records, labels_by_id: dict,
         stop = config.stop_at_train_acc is not None and train_acc >= config.stop_at_train_acc
         return row, (val_rouge if val_records else None), stop
 
-    return fit(opt, train_records, batch_loss, end_epoch, epochs=config.extractive_epochs,
+    return fit({"": Adam(model.parameters(), lr=config.extractive_lr)}, train_records,
+               batch_loss, end_epoch, epochs=config.extractive_epochs,
                batch_size=config.batch_size, clip_norm=config.clip_norm, rng=rng)

@@ -25,8 +25,6 @@ from .numerics import (
     Tensor,
     add,
     backward,
-    clip_global_norm,
-    clip_report,
     constant,
     detach,
     matmul,
@@ -34,9 +32,11 @@ from .numerics import (
     tensor_sum,
     zero_grads,
 )
-from .numerics.optim import SGD
+from .numerics.optim import SGD, fit
 
 EXHAUSTIVE_LIMIT = 12
+# ReinforceStep diagnostics each trace line carries beside the reward breakdown
+TRACE_FIELDS = ("baseline_mse", "entropy", "picked", "advantage", "baseline")
 
 
 @dataclass
@@ -115,7 +115,7 @@ def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
 class ReinforceStep:
     """One document step's samples. The reward breakdown and baseline MSE
     are the last sample's; the policy diagnostics are means over all
-    samples."""
+    samples. ``loss`` holds the step's whole graph."""
 
     masks: tuple[tuple[int, ...], ...]  # every sampled extraction mask z, in draw order
     rewards: tuple[float, ...]  # every sample's R
@@ -125,11 +125,12 @@ class ReinforceStep:
     picked: float  # sentences selected
     advantage: float  # R - b_i, per sentence
     baseline: float  # b_i, per sentence
+    loss: Tensor  # (surrogate + baseline MSE) / num_samples, for the caller's backward
 
 
 def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Document,
                    scores: np.ndarray, config, rng) -> ReinforceStep:
-    """One policy update's worth of gradients for one document.
+    """One policy update's worth of loss for one document.
 
     The ``config.num_samples`` samples are one graph: one encode of that many
     copies of the document, each with its own dropout masks, one label
@@ -138,10 +139,10 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
     order one sample at a time would draw it: ``draw_noise`` (word dropout,
     v, h_e), then one draw per sentence for ``choose_labels``. Each sample's
     reward is read from ``scores``, the document's |D| x |H| matrix of
-    frozen compression scores. One backward of (surrogate + baseline MSE)
-    / num_samples accumulates (a) the policy surrogate gradient with the
-    detached per-step baseline subtracted and (b) the baseline MSE
-    gradient. Optimizer steps are the caller's job.
+    frozen compression scores. The returned loss, (surrogate + baseline
+    MSE) / num_samples, backpropagates (a) the policy surrogate gradient
+    with the detached per-step baseline subtracted and (b) the baseline
+    MSE gradient. Backward and optimizer steps are the caller's job.
     """
     n = len(doc)
     if scores.ndim != 2 or scores.shape[0] != n or scores.shape[1] == 0:
@@ -164,7 +165,6 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
     policy_loss = surrogate_loss(dec, advantages)
     residual = values - constant(r.astype(values.data.dtype))
     value_loss = tensor_sum(mul(residual, residual)) * (1.0 / n)
-    backward((policy_loss + value_loss) * (1.0 / num_samples))
 
     # the last sample's baseline MSE, with the arithmetic of a one-sample graph
     res = residual.data[-n:]
@@ -178,6 +178,7 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
         picked=float(masks.sum(axis=1).mean()),
         advantage=float(advantages.mean()),
         baseline=float(values.data.mean(dtype=np.float64)),
+        loss=(policy_loss + value_loss) * (1.0 / num_samples),
     )
 
 
@@ -229,58 +230,37 @@ def _subset_rewards(model: ExtractiveModel, doc: Document, summary: SummarySet,
 def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
                  compression: CompressionModel, config, rng,
                  trace_sink=None) -> list[dict]:
-    """SGD REINFORCE over the corpus; emits one trace line per document
-    step through trace_sink and returns per-epoch metrics: mean rewards,
-    and the mean pre-clip gradient norm and clipped share of the policy
-    group and of the baseline group."""
-    if not train_records:
-        raise DataError("cannot train on an empty corpus")
+    """SGD REINFORCE over the corpus, one document per step, through
+    ``fit`` with the policy and the baseline as two clipping groups; emits
+    one trace line per document step through trace_sink and returns
+    per-epoch metrics: mean rewards, and the mean pre-clip gradient norm
+    and clipped share of the policy group and of the baseline group."""
     for doc, summary in train_records:
         if len(summary) == 0:
             raise DataError(f"document {doc.id!r} has an empty summary")
-    matrices = [s_score_matrix(compression, doc.sentences, summary.sentences)
-                for doc, summary in train_records]
-    policy_params = model.parameters()
-    value_params = baseline.parameters()
-    policy_opt = SGD(policy_params, lr=config.latent_lr)
-    value_opt = SGD(value_params, lr=config.latent_lr)
-    metrics: list[dict] = []
-    for epoch in range(1, config.latent_epochs + 1):
-        order = rng.permutation(len(train_records))
-        rewards, r_ps, r_rs, mses, norms, value_norms = [], [], [], [], [], []
-        for idx in map(int, order):
-            doc = train_records[idx][0]
-            zero_grads(policy_params)
-            zero_grads(value_params)
-            step = reinforce_step(model, baseline, doc, matrices[idx], config, rng)
-            norms.append(clip_global_norm(policy_params, config.clip_norm))
-            value_norms.append(clip_global_norm(value_params, config.clip_norm))
-            policy_opt.step()
-            value_opt.step()
-            rewards.append(step.breakdown.r)
-            r_ps.append(step.breakdown.r_p)
-            r_rs.append(step.breakdown.r_r)
-            mses.append(step.baseline_mse)
-            if trace_sink is not None:
-                trace_sink({
-                    "epoch": epoch,
-                    "doc_id": doc.id,
-                    "r_p": step.breakdown.r_p,
-                    "r_r": step.breakdown.r_r,
-                    "r": step.breakdown.r,
-                    "baseline_mse": step.baseline_mse,
-                    "entropy": step.entropy,
-                    "picked": step.picked,
-                    "advantage": step.advantage,
-                    "baseline": step.baseline,
-                })
-        metrics.append({
-            "epoch": epoch,
-            "mean_reward": float(np.mean(rewards)),
-            "mean_r_p": float(np.mean(r_ps)),
-            "mean_r_r": float(np.mean(r_rs)),
-            "mean_baseline_mse": float(np.mean(mses)),
-            **clip_report(norms, config.clip_norm),
-            **clip_report(value_norms, config.clip_norm, prefix="baseline_"),
-        })
-    return metrics
+    items = [(doc, s_score_matrix(compression, doc.sentences, summary.sentences))
+             for doc, summary in train_records]
+    rows: list[dict] = []  # this epoch's trace rows, floats only
+
+    def batch_loss(batch):
+        [(doc, scores)] = batch
+        step = reinforce_step(model, baseline, doc, scores, config, rng)
+        b = step.breakdown
+        rows.append({"doc_id": doc.id, "r_p": b.r_p, "r_r": b.r_r, "r": b.r,
+                     **{key: getattr(step, key) for key in TRACE_FIELDS}})
+        return step.loss, 0.0, 1
+
+    def end_epoch(epoch, _value_sum, _count):
+        if trace_sink is not None:
+            for row in rows:
+                trace_sink({"epoch": epoch, **row})
+        means = {name: float(np.mean([row[key] for row in rows])) for name, key in (
+            ("mean_reward", "r"), ("mean_r_p", "r_p"), ("mean_r_r", "r_r"),
+            ("mean_baseline_mse", "baseline_mse"))}
+        rows.clear()
+        return {"epoch": epoch, **means}, None, False
+
+    groups = {"": SGD(model.parameters(), lr=config.latent_lr),
+              "baseline_": SGD(baseline.parameters(), lr=config.latent_lr)}
+    return fit(groups, items, batch_loss, end_epoch, epochs=config.latent_epochs,
+               batch_size=1, clip_norm=config.clip_norm, rng=rng)

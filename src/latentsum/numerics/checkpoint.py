@@ -45,13 +45,21 @@ class CheckpointData:
     vocab_hash: str
     arrays: dict[str, np.ndarray]  # read-only views of the file's bytes
 
-    def config_ints(self, *keys) -> list[int]:
-        """The config snapshot's integer fields ``keys``; a missing or
-        non-integer one is a corrupt checkpoint."""
-        try:
-            return [int(self.config[key]) for key in keys]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
+    def config_sizes(self, **dims) -> list[int]:
+        """The config snapshot's sizes named by ``dims``, each mapped to the
+        (array name, axis) whose length it must equal; a missing,
+        non-integer, non-positive or mismatched size is a corrupt checkpoint."""
+        sizes = []
+        for key, (name, axis) in dims.items():
+            try:
+                size, stored = int(self.config[key]), self.arrays[name].shape[axis]
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise CheckpointError(f"corrupt checkpoint config: {exc!r}") from exc
+            if size < 1 or size != stored:
+                raise CheckpointError(f"corrupt checkpoint config: {key}={size}, but "
+                                      f"{name} has shape {self.arrays[name].shape}")
+            sizes.append(size)
+        return sizes
 
 
 def save_checkpoint(path, model: str, params, config: dict, vocab_hash: str):
@@ -85,7 +93,7 @@ def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> Chec
         config = payload["config"]
         vocab_hash = payload["vocab_hash"]
         entries = payload["params"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt or truncated checkpoint {path}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -181,6 +189,7 @@ def read_json_lines(path, error):
                 continue
             try:
                 value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path} line {line_no}: malformed JSON ({exc.msg})") from exc
+            except (json.JSONDecodeError, RecursionError) as exc:
+                detail = getattr(exc, "msg", exc)  # RecursionError: nested too deeply
+                raise error(f"{path} line {line_no}: malformed JSON ({detail})") from exc
             yield line_no, value

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericError
+from ..errors import DataError, NumericError
 from .tensor import Parameter, backward, zero_grads
 
 
@@ -46,23 +46,27 @@ def clip_report(norms, max_norm: float, prefix: str = "") -> dict:
     }
 
 
-def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
+def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
         clip_norm: float, rng) -> list[dict]:
-    """Minibatch training of opt.params with best-by-validation selection.
+    """Minibatch training with best-by-validation selection.
 
-    Each epoch draws one permutation of items; per minibatch the grads are
-    zeroed, batch_loss(batch) builds one graph for the whole list of items
-    and returns (loss, value_sum, count), the loss summed over the items,
-    which is backpropagated once scaled by 1/len(batch); then the global
-    norm is clipped and opt steps. The per-epoch sums of value_sum and
-    count go to end_epoch(epoch, value_sum, count_sum), which returns
-    (metrics_row, score, stop). score is the validation score, higher is
-    better, or None without validation; stop ends training early. Each row
-    gains the epoch's mean pre-clip gradient norm and the share of steps
-    that clipping rescaled. When any epoch was scored, the parameters of
-    the best-scored epoch are restored.
+    ``groups`` maps a metrics-key prefix to an optimizer over its own
+    parameters. Each epoch draws one permutation of items; per minibatch
+    the grads are zeroed, batch_loss(batch) builds one graph for the whole
+    list of items and returns (loss, value_sum, count), the loss summed
+    over the items, which is backpropagated once scaled by 1/len(batch);
+    then each group in order clips its own global norm and steps. The
+    per-epoch sums of value_sum and count go to end_epoch(epoch,
+    value_sum, count_sum), which returns (metrics_row, score, stop). score
+    is the validation score, higher is better, or None without
+    validation; stop ends training early. Each row gains, per group, the
+    epoch's mean pre-clip gradient norm and the share of steps that
+    clipping rescaled. When any epoch was scored, the parameters of the
+    best-scored epoch are restored.
     """
-    params = opt.params
+    if not items:
+        raise DataError("cannot train on an empty item list")
+    params = [p for opt in groups.values() for p in opt.params]
     best_score = -np.inf
     best = [p.data.copy() for p in params]
     scored = False
@@ -71,7 +75,7 @@ def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
         order = rng.permutation(len(items))
         value_sum = 0.0
         count_sum = 0
-        norms = []
+        norms = {prefix: [] for prefix in groups}
         for start in range(0, len(order), batch_size):
             batch = [items[int(idx)] for idx in order[start : start + batch_size]]
             zero_grads(params)
@@ -79,10 +83,13 @@ def fit(opt, items, batch_loss, end_epoch, *, epochs: int, batch_size: int,
             value_sum += value
             count_sum += count
             backward(loss * (1.0 / len(batch)))
-            norms.append(clip_global_norm(params, clip_norm))
-            opt.step()
+            del loss  # the graph goes before the next batch builds its own
+            for prefix, opt in groups.items():
+                norms[prefix].append(clip_global_norm(opt.params, clip_norm))
+                opt.step()
         row, score, stop = end_epoch(epoch, value_sum, count_sum)
-        row.update(clip_report(norms, clip_norm))
+        for prefix in groups:
+            row.update(clip_report(norms[prefix], clip_norm, prefix))
         metrics.append(row)
         if score is not None:
             scored = True

@@ -402,7 +402,7 @@ class TestExitCodes:
                     "--checkpoint", pipeline["latent"], "--compress",
                     "--out", tmp_path / "s.jsonl"]) == 3
 
-    @pytest.mark.parametrize("damage", ["non-utf8", "directory"])
+    @pytest.mark.parametrize("damage", ["non-utf8", "directory", "deep-nesting"])
     @pytest.mark.parametrize("name", ["corpus", "labels", "pairs", "generated", "vocab",
                                       "config", "checkpoint"])
     def test_unreadable_input_is_loader_error(self, pipeline, tmp_path, capsys, name, damage):
@@ -411,6 +411,8 @@ class TestExitCodes:
         bad.parent.mkdir()
         if damage == "directory":
             bad.mkdir()
+        elif damage == "deep-nesting":
+            bad.write_text("[" * 200_000 + "\n")
         else:
             bad.write_bytes(b"\xff\xfe" * 8 + b"\n")
         paths = {**pipeline, "generated": pipeline["summaries"],
@@ -456,6 +458,23 @@ class TestExitCodes:
                     "--checkpoint", paths["extractive"], "--compress",
                     "--compression", paths["compression"], "--out", tmp_path / "s.jsonl"]) == 4
         assert "error[checkpoint]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["extractive", "compression"])
+    @pytest.mark.parametrize("size", ["zero", "negative", "mismatched"])
+    def test_corrupt_checkpoint_size_is_checkpoint_error(self, pipeline, tmp_path, capsys,
+                                                         model, size):
+        payload = json.loads(pipeline[model].read_text())
+        d = payload["config"]["d"]
+        payload["config"]["d"] = {"zero": 0, "negative": -1, "mismatched": d + 1}[size]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text(json.dumps(payload))
+        paths = {**pipeline, model: bad}
+        assert run(["--config", pipeline["config"], "summarize",
+                    "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
+                    "--checkpoint", paths["extractive"], "--compress",
+                    "--compression", paths["compression"], "--out", tmp_path / "s.jsonl"]) == 4
+        err = capsys.readouterr().err
+        assert "error[checkpoint]" in err and "d=" in err
 
 
 def gold_as_generated(corpus, split, out_path):

@@ -273,6 +273,7 @@ class TestReinforceStep:
         scores = s_score_matrix(comp, doc.sentences, summary.sentences)
         # the seed picks a non-empty mask
         step = reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(0))
+        backward(step.loss)
         assert len(step.masks[-1]) == len(doc) and sum(step.masks[-1]) > 0
         assert 0.0 <= step.breakdown.r <= 1.0
         assert any(p.grad is not None and p.grad.any() for p in model.parameters())
@@ -285,7 +286,7 @@ class TestReinforceStep:
         cfg = small_config
         doc = tiny_doc()
         scores = s_score_matrix(comp, doc.sentences, tiny_summary().sentences)
-        reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(5))
+        backward(reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(5)).loss)
         for p in comp.parameters():
             assert p.grad is None
 
@@ -304,7 +305,7 @@ class TestReinforceStep:
         r = reward_fn(comp, list(doc.sentences), summary, cfg.alpha).r
         baseline.b.data = np.array([[r]])
         scores = s_score_matrix(comp, doc.sentences, summary.sentences)
-        reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(6))
+        backward(reinforce_step(model, baseline, doc, scores, cfg, np.random.default_rng(6)).loss)
         for p in model.parameters():
             if p.grad is not None:
                 np.testing.assert_allclose(p.grad, 0.0, atol=1e-9)
@@ -366,6 +367,7 @@ class TestPackedStep:
             rng = np.random.default_rng(56)
             if packed:
                 step = reinforce_step(model, baseline, doc, scores, cfg, rng)
+                backward(step.loss)
                 outs.append({key: getattr(step, key) for key in (
                     "masks", "rewards", "baseline_mse", "entropy", "picked", "advantage",
                     "baseline")})
@@ -391,7 +393,7 @@ class TestPackedStep:
     @pytest.mark.parametrize("num_samples", [1, 4])
     def test_one_encode_and_one_backward_per_document_step(self, small_config, monkeypatch,
                                                            num_samples):
-        from latentsum import latent
+        from latentsum.numerics import optim
 
         encodes, backwards = [], []
         encode = ExtractiveModel.encode_documents
@@ -405,7 +407,7 @@ class TestPackedStep:
             return backward(loss)
 
         monkeypatch.setattr(ExtractiveModel, "encode_documents", counting_encode)
-        monkeypatch.setattr(latent, "backward", counting_backward)
+        monkeypatch.setattr(optim, "backward", counting_backward)
         records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
         cfg = dataclasses.replace(small_config, num_samples=num_samples, latent_epochs=2)
         model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from latentsum.errors import CheckpointError, NumericError
+from latentsum.errors import CheckpointError, DataError, NumericError
 from latentsum.numerics import (
     Adam,
     CheckpointData,
@@ -577,7 +577,7 @@ class TestFit:
         def end_epoch(epoch, value_sum, count):
             return {"epoch": epoch, "loss": value_sum / count}, None, False
 
-        metrics = fit(SGD([w], lr=0.05), items, batch_loss, end_epoch, epochs=epochs,
+        metrics = fit({"": SGD([w], lr=0.05)}, items, batch_loss, end_epoch, epochs=epochs,
                       batch_size=batch_size, clip_norm=clip_norm, rng=np.random.default_rng(0))
         return metrics, calls, norms
 
@@ -594,6 +594,29 @@ class TestFit:
         for row, epoch_norms in zip(metrics, np.split(np.array(norms), 3)):
             assert row["grad_norm_mean"] == float(np.mean(epoch_norms))
             assert row["clipped_share"] == float(np.mean(epoch_norms > 5.0))
+
+    def test_groups_clip_and_report_separately(self):
+        # one step at lr 1: each parameter moves by minus its clipped gradient
+        big, small = param("big", [[0.0, 0.0]]), param("small", [[0.0, 0.0]])
+
+        def batch_loss(batch):
+            loss = (tensor_sum(mul(constant(np.array([[30.0, 40.0]])), big))
+                    + tensor_sum(mul(constant(np.array([[0.3, 0.4]])), small)))
+            return loss, 0.0, len(batch)
+
+        def end_epoch(epoch, value_sum, count):
+            return {"epoch": epoch}, None, False
+
+        groups = {"": SGD([big], lr=1.0), "small_": SGD([small], lr=1.0)}
+        [row] = fit(groups, [None], batch_loss, end_epoch, epochs=1, batch_size=1,
+                    clip_norm=5.0, rng=np.random.default_rng(0))
+        assert row == pytest.approx({"epoch": 1, "grad_norm_mean": 50.0, "clipped_share": 1.0,
+                                     "small_grad_norm_mean": 0.5, "small_clipped_share": 0.0})
+        np.testing.assert_allclose(big.data, [[-3.0, -4.0]], rtol=1e-12)
+        np.testing.assert_array_equal(small.data, [[-0.3, -0.4]])
+        with pytest.raises(DataError, match="empty"):
+            fit(groups, [], batch_loss, end_epoch, epochs=1, batch_size=1, clip_norm=5.0,
+                rng=np.random.default_rng(0))
 
 
 def test_blas_thread_count_follows_the_environment():
