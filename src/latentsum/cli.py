@@ -174,14 +174,13 @@ def _exact_oracle_report(model, records, scorer, config: RunConfig):
 
 
 def _summary_rows(args, config: RunConfig):
+    if args.compress and not args.compression:
+        raise DataError("--compress requires --compression CHECKPOINT")
     vocab = load_vocab(args.vocab)
     records = _load_encoded(args.corpus, args.split, vocab)
     model = extractive_mod.load_extractive(args.checkpoint, vocab)
-    compressor = None
-    if args.compress:
-        if not args.compression:
-            raise DataError("--compress requires --compression CHECKPOINT")
-        compressor = compression_mod.load_compression(args.compression, vocab)
+    compressor = (compression_mod.load_compression(args.compression, vocab)
+                  if args.compress else None)
     rows = []
     for doc, _ in records:
         top = model.select_top_k(doc, config.max_select)

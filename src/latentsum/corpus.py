@@ -141,6 +141,13 @@ class Vocabulary:
             raise DataError(f"malformed vocabulary file: {exc}") from exc
         if specials != SPECIAL_TOKENS:
             raise DataError(f"unexpected special tokens {specials!r}")
+        seen = set(specials)
+        for token, count in pairs:
+            if token in seen:
+                raise DataError(f"vocabulary lists token {token!r} twice")
+            if count < 0:
+                raise DataError(f"vocabulary token {token!r} has negative count {count}")
+            seen.add(token)
         return cls(
             id_to_token=specials + tuple(t for t, _ in pairs),
             counts=tuple(c for _, c in pairs),

@@ -1,19 +1,22 @@
 """Self-describing checkpoint container.
 
-A checkpoint is one JSON file holding the format version, the model
-name, a config snapshot, the vocabulary hash it was trained against, and
-every parameter as (name, shape, dtype, base64 little-endian raw bytes).
-Round trips are bit-exact; loads refuse version, model, or vocabulary
-mismatches and corrupt files.
+A checkpoint file is one line of JSON, the header, then the body. The
+header holds the format version, the model name, a config snapshot, the
+vocabulary hash the model was trained against, one entry per parameter
+(name, shape, little-endian dtype, byte count) and the sha256 of the
+body. The body is each parameter's raw little-endian bytes in header
+order. Round trips are bit-exact; loads refuse version, model or
+vocabulary mismatches and corrupt, truncated or extended files.
 
-The atomic text writer and the UTF-8 text readers beside it do every
-stage's file I/O; a reader raises its caller's error class.
+The atomic writer and the readers beside it do every stage's file I/O;
+a reader raises its caller's error class.
 """
 
 from __future__ import annotations
 
-import base64
+import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -25,7 +28,7 @@ import numpy as np
 from ..errors import CheckpointError
 from .tensor import Parameter
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
@@ -63,64 +66,88 @@ class CheckpointData:
 
 
 def save_checkpoint(path, model: str, params, config: dict, vocab_hash: str):
-    entries = []
+    entries, chunks = [], []
+    digest = hashlib.sha256()
     for p in sorted(params, key=lambda p: p.name):
         code = _little_endian_code(p.data.dtype)
-        raw = np.ascontiguousarray(p.data.astype(_DTYPES[code], copy=False)).tobytes()
-        entries.append(
-            {
-                "name": p.name,
-                "shape": list(p.data.shape),
-                "dtype": code,
-                "data": base64.b64encode(raw).decode("ascii"),
-            }
-        )
-    payload = {
+        chunk = p.data.astype(_DTYPES[code], order="C", copy=False)
+        digest.update(chunk)
+        entries.append({"name": p.name, "shape": list(chunk.shape), "dtype": code,
+                        "bytes": chunk.nbytes})
+        chunks.append(chunk)
+    header = {
         "format_version": FORMAT_VERSION,
         "model": model,
         "config": config,
         "vocab_hash": vocab_hash,
         "params": entries,
+        "sha256": digest.hexdigest(),
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+    # json.dumps escapes every newline, so the header is exactly one line
+    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    _atomic_write(path, b"".join([line, *chunks]))
+
+
+def _count(value) -> int:
+    """A shape dimension or byte count from the header: a non-negative int."""
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"corrupt checkpoint: {value!r} is not a non-negative integer")
+    return value
 
 
 def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> CheckpointData:
+    raw = read_bytes(path, CheckpointError)
+    # a version-1 file is one JSON document without a newline: all header
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
     try:
-        payload = json.loads(read_text(path, CheckpointError))
-        version = payload["format_version"]
-        model = payload["model"]
-        config = payload["config"]
-        vocab_hash = payload["vocab_hash"]
-        entries = payload["params"]
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+        header = json.loads(raw[:end].decode("utf-8"))
+        version = header["format_version"]
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError,
+            TypeError) as exc:
         raise CheckpointError(f"corrupt or truncated checkpoint {path}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"checkpoint format version {version} != supported {FORMAT_VERSION}"
+            f"checkpoint format version {version} != supported {FORMAT_VERSION}; "
+            "re-run the stage that wrote it"
         )
+    try:
+        model, config, vocab_hash, entries, sha256 = (
+            header[key] for key in ("model", "config", "vocab_hash", "params", "sha256"))
+    except KeyError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: missing {exc}") from exc
     if model != expected_model:
         raise CheckpointError(f"checkpoint holds model {model!r}, expected {expected_model!r}")
     if vocab_hash != expected_vocab_hash:
         raise CheckpointError(
             f"vocabulary hash mismatch: checkpoint {vocab_hash} vs current {expected_vocab_hash}"
         )
-    arrays: dict[str, np.ndarray] = {}
+    layout = {}  # name -> (dtype, shape, byte count), in body order
     try:
         for entry in entries:
-            dtype = _DTYPES[entry["dtype"]]
-            raw = base64.b64decode(entry["data"], validate=True)
-            shape = tuple(int(n) for n in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            if len(raw) != count * dtype.itemsize:
-                raise CheckpointError(
-                    f"parameter {entry['name']} data length {len(raw)} != expected {count * dtype.itemsize}"
-                )
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    except CheckpointError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
+            name, dtype = entry["name"], _DTYPES[entry["dtype"]]
+            if not isinstance(name, str) or name in layout:
+                raise CheckpointError(f"corrupt checkpoint: bad or repeated name {name!r}")
+            shape = tuple(_count(n) for n in entry["shape"])
+            size, needed = _count(entry["bytes"]), math.prod(shape) * dtype.itemsize
+            if size != needed:
+                raise CheckpointError(f"parameter {name} holds {size} bytes, but shape "
+                                      f"{shape} of {dtype.str} needs {needed}")
+            layout[name] = (dtype, shape, size)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {exc!r}") from exc
+    body = memoryview(raw)[end + 1:]
+    expected = sum(size for *_, size in layout.values())
+    if len(body) != expected:
+        raise CheckpointError(f"checkpoint body {path} holds {len(body)} bytes, "
+                              f"its header lists {expected}")
+    if hashlib.sha256(body).hexdigest() != sha256:
+        raise CheckpointError(f"checkpoint body {path} does not match its sha256")
+    arrays: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, (dtype, shape, size) in layout.items():
+        arrays[name] = np.frombuffer(body[offset:offset + size], dtype=dtype).reshape(shape)
+        offset += size
     return CheckpointData(model=model, config=config, vocab_hash=vocab_hash, arrays=arrays)
 
 
@@ -143,14 +170,14 @@ def apply_state(params, arrays: dict[str, np.ndarray]):
         p.data = arr.astype(p.data.dtype, copy=True)
 
 
-def atomic_write_text(path, text: str):
+def _atomic_write(path, data: bytes):
     """Write via a temp file in the target directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -158,16 +185,21 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def atomic_write_text(path, text: str):
+    """Write ``text`` as UTF-8, atomically."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
 @contextmanager
-def _opened(path, error):
-    """``path`` open as UTF-8 text. A missing or unreadable file, a
-    directory in its place and bytes that are not UTF-8 raise ``error``,
-    the caller's error class."""
+def _opened(path, error, mode="r"):
+    """``path`` open as UTF-8 text, or as bytes with mode "rb". A missing
+    or unreadable file, a directory in its place and text that is not
+    UTF-8 raise ``error``, the caller's error class."""
     path = Path(path)
     if not path.exists():
         raise error(f"file not found: {path}")
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
@@ -176,6 +208,12 @@ def _opened(path, error):
 def read_text(path, error) -> str:
     """The whole of a UTF-8 text file; every read failure raises ``error``."""
     with _opened(path, error) as handle:
+        return handle.read()
+
+
+def read_bytes(path, error) -> bytes:
+    """The whole of a file's bytes; every read failure raises ``error``."""
+    with _opened(path, error, "rb") as handle:
         return handle.read()
 
 

@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
+import base64
+import json
 import os
+from pathlib import Path
 
 # OpenBLAS reads its thread count when numpy loads it, so pin it first:
 # the recurrences run one matmul of a few rows per step, and extra BLAS
@@ -30,6 +33,49 @@ def blas_build() -> str:
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
+def _checkpoint_parts(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint file's JSON header and its body's bytes."""
+    header, _, body = raw.partition(b"\n")
+    return json.loads(header), body
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` (which may be ``src``) with
+    ``edit(header)`` applied to its JSON header; the body's bytes stay."""
+    header, body = _checkpoint_parts(Path(src).read_bytes())
+    edit(header)
+    Path(dst).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body)
+
+
+def _version_1(raw: bytes) -> bytes:
+    """A checkpoint as format version 1 stored it: one JSON document whose
+    params hold each array as base64 little-endian bytes."""
+    header, body = _checkpoint_parts(raw)
+    params, offset = [], 0
+    for entry in header["params"]:
+        raw = body[offset:offset + entry["bytes"]]
+        offset += entry["bytes"]
+        params.append({"name": entry["name"], "shape": entry["shape"], "dtype": entry["dtype"],
+                       "data": base64.b64encode(raw).decode("ascii")})
+    return json.dumps({"format_version": 1, "model": header["model"],
+                       "config": header["config"], "vocab_hash": header["vocab_hash"],
+                       "params": params}, sort_keys=True).encode("utf-8")
+
+
+CHECKPOINT_DAMAGE = {
+    "flipped-body-byte": lambda raw: raw[:-1] + bytes([raw[-1] ^ 0x01]),
+    "appended-byte": lambda raw: raw + b"\0",
+    "truncated-body": lambda raw: raw[:-1],
+    "non-utf8-header": lambda raw: b"\xff" + raw,
+    "version-1": _version_1,
+}
+
+
+def damage_checkpoint(src, dst, damage):
+    """Copy checkpoint ``src`` to ``dst`` with one kind of ``CHECKPOINT_DAMAGE``."""
+    Path(dst).write_bytes(CHECKPOINT_DAMAGE[damage](Path(src).read_bytes()))
 
 
 def sent(text: str, vocab=None) -> Sentence:

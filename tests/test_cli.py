@@ -13,7 +13,12 @@ import pytest
 from latentsum.cli import main
 from latentsum.corpus import load_corpus
 
-from conftest import blas_build
+from conftest import (
+    CHECKPOINT_DAMAGE,
+    blas_build,
+    damage_checkpoint,
+    rewrite_checkpoint_header,
+)
 
 SMALL_CONFIG = {
     "seed": 13,
@@ -402,6 +407,15 @@ class TestExitCodes:
                     "--checkpoint", pipeline["latent"], "--compress",
                     "--out", tmp_path / "s.jsonl"]) == 3
 
+    def test_compress_without_scorer_fails_before_reading_inputs(self, pipeline, tmp_path,
+                                                                 capsys):
+        # none of these files exists: the flags are refused before any is read
+        assert run(["--config", pipeline["config"], "summarize",
+                    "--corpus", tmp_path / "ghost", "--vocab", tmp_path / "ghost.json",
+                    "--checkpoint", tmp_path / "ghost.ckpt", "--compress",
+                    "--out", tmp_path / "s.jsonl"]) == 3
+        assert "--compress requires --compression" in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["non-utf8", "directory", "deep-nesting"])
     @pytest.mark.parametrize("name", ["corpus", "labels", "pairs", "generated", "vocab",
                                       "config", "checkpoint"])
@@ -445,13 +459,13 @@ class TestExitCodes:
     ])
     def test_corrupt_checkpoint_field_is_checkpoint_error(self, pipeline, tmp_path, capsys,
                                                           model, field):
-        payload = json.loads(pipeline[model].read_text())
-        if field == "data":
-            payload["params"][0]["data"] = 5
-        else:
-            del payload["config"][field]
+        def edit(header):
+            if field == "data":
+                header["params"][0]["bytes"] = "5"
+            else:
+                del header["config"][field]
         bad = tmp_path / "bad.ckpt"
-        bad.write_text(json.dumps(payload))
+        rewrite_checkpoint_header(pipeline[model], bad, edit)
         paths = {**pipeline, model: bad}
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
@@ -463,11 +477,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("size", ["zero", "negative", "mismatched"])
     def test_corrupt_checkpoint_size_is_checkpoint_error(self, pipeline, tmp_path, capsys,
                                                          model, size):
-        payload = json.loads(pipeline[model].read_text())
-        d = payload["config"]["d"]
-        payload["config"]["d"] = {"zero": 0, "negative": -1, "mismatched": d + 1}[size]
+        def edit(header):
+            d = header["config"]["d"]
+            header["config"]["d"] = {"zero": 0, "negative": -1, "mismatched": d + 1}[size]
         bad = tmp_path / "bad.ckpt"
-        bad.write_text(json.dumps(payload))
+        rewrite_checkpoint_header(pipeline[model], bad, edit)
         paths = {**pipeline, model: bad}
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
@@ -475,6 +489,16 @@ class TestExitCodes:
                     "--compression", paths["compression"], "--out", tmp_path / "s.jsonl"]) == 4
         err = capsys.readouterr().err
         assert "error[checkpoint]" in err and "d=" in err
+
+    @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+    def test_damaged_checkpoint_is_checkpoint_error(self, pipeline, tmp_path, capsys, damage):
+        bad = tmp_path / "bad.ckpt"
+        damage_checkpoint(pipeline["extractive"], bad, damage)
+        assert run(["--config", pipeline["config"], "summarize",
+                    "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
+                    "--checkpoint", bad, "--out", tmp_path / "s.jsonl"]) == 4
+        err = capsys.readouterr().err
+        assert "error[checkpoint]" in err and "Traceback" not in err
 
 
 def gold_as_generated(corpus, split, out_path):
@@ -567,12 +591,12 @@ class TestLeadBaseline:
 
 class TestOlderCheckpoints:
     def test_removed_run_keys_still_load_and_summarize(self, pipeline, tmp_path):
+        def add_removed_keys(header):
+            header["config"]["run"].update(REMOVED_RUN_KEYS)
         old = {}
         for key in ("latent", "compression"):
-            payload = json.loads(pipeline[key].read_text())
-            payload["config"]["run"].update(REMOVED_RUN_KEYS)
             old[key] = tmp_path / f"old_{key}.ckpt"
-            old[key].write_text(json.dumps(payload))
+            rewrite_checkpoint_header(pipeline[key], old[key], add_removed_keys)
         outs = []
         for ckpts in (pipeline, old):
             out = tmp_path / f"summaries_{len(outs)}.jsonl"

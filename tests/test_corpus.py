@@ -152,6 +152,16 @@ class TestVocabulary:
         with pytest.raises(DataError):
             Vocabulary.from_json("not json at all {")
 
+    @pytest.mark.parametrize("tokens,named", [
+        ([["a", 3], ["a", 2]], "'a'"),
+        ([["a", 3], ["<unk>", 1]], "'<unk>'"),
+        ([["a", 3], ["b", -5]], "'b'"),
+    ])
+    def test_from_json_rejects_a_non_bijection(self, tokens, named):
+        text = json.dumps({"specials": list(SPECIAL_TOKENS), "tokens": tokens})
+        with pytest.raises(DataError, match=named):
+            Vocabulary.from_json(text)
+
 
 class TestLoadCorpus:
     def _write(self, tmp_path, lines, name="train.jsonl"):

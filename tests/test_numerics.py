@@ -53,7 +53,12 @@ from latentsum.numerics import (
 )
 from latentsum.numerics.tensor import stable_sigmoid
 
-from conftest import blas_build
+from conftest import (
+    CHECKPOINT_DAMAGE,
+    blas_build,
+    damage_checkpoint,
+    rewrite_checkpoint_header,
+)
 
 
 def param(name, values):
@@ -698,14 +703,43 @@ class TestCheckpoint:
             load_checkpoint(path, "demo", "h")
 
     def test_version_mismatch_refused(self, tmp_path):
-        import json
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, "demo", self._params(), {}, "h")
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 999
-        path.write_text(json.dumps(payload))
+        rewrite_checkpoint_header(path, path, lambda header: header.update(format_version=999))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path, "demo", "h")
+
+    @pytest.mark.parametrize("damage", CHECKPOINT_DAMAGE)
+    def test_damaged_file_refused(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "demo", self._params(), {}, "h")
+        damage_checkpoint(path, path, damage)
+        message = {"version-1": "version 1 != supported 2; re-run the stage",
+                   "flipped-body-byte": "sha256", "appended-byte": "bytes",
+                   "truncated-body": "bytes", "non-utf8-header": "corrupt"}[damage]
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path, "demo", "h")
+
+    def test_byte_count_must_match_shape(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "demo", self._params(), {}, "h")
+        rewrite_checkpoint_header(path, path,
+                                  lambda header: header["params"][0]["shape"].append(2))
+        with pytest.raises(CheckpointError, match="m.w1 holds 48 bytes.*needs 96"):
+            load_checkpoint(path, "demo", "h")
+
+    def test_zero_dim_and_empty_arrays_round_trip(self, tmp_path):
+        params = [Parameter("m.scalar32", np.array(-0.0, dtype=np.float32)),
+                  Parameter("m.scalar64", np.array(np.pi)),
+                  Parameter("m.empty32", np.zeros((0, 3), dtype=np.float32)),
+                  Parameter("m.empty64", np.zeros((2, 0)))]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "demo", params, {}, "h")
+        arrays = load_checkpoint(path, "demo", "h").arrays
+        for p in params:
+            assert arrays[p.name].dtype == p.data.dtype
+            assert arrays[p.name].shape == p.data.shape
+            assert arrays[p.name].tobytes() == p.data.tobytes()
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
