@@ -181,9 +181,9 @@ def _summary_rows(args, config: RunConfig):
     model = extractive_mod.load_extractive(args.checkpoint, vocab)
     compressor = (compression_mod.load_compression(args.compression, vocab)
                   if args.compress else None)
+    docs = [doc for doc, _ in records]
     rows = []
-    for doc, _ in records:
-        top = model.select_top_k(doc, config.max_select)
+    for doc, top in zip(docs, model.select_top_k_each(docs, config.max_select)):
         sentences = list(top.sentences)
         if compressor is not None:
             sentences = [

@@ -29,6 +29,7 @@ from .numerics import (
     log_softmax,
     lstm_sequence,
     matmul,
+    matmul_rowwise,
     no_grad,
     reshape,
     run_bilstm,
@@ -172,19 +173,16 @@ class CompressionModel:
         shift = (width.cumsum() - width - src_start[row_item]).repeat(width)
         query = embedding_lookup(matmul(states, self.w_s), np.arange(len(gold)).repeat(width))
         key = embedding_lookup(projected, np.arange(shift.size) - shift)
-        hidden = tanh(add(query, key))
-        # a matrix-vector product's rounding depends on its row count, so
-        # each target gets its own, with the bits of a one-target decode
-        blocks = src_len[owner] * lengths  # hidden rows per target
-        scores = [matmul(slice_axis(hidden, 0, end - n, end), self.v_a)
-                  for n, end in zip(blocks, blocks.cumsum())]
+        # one score per row, row by row, so a target's scores have the bits
+        # of a one-target decode
+        scores = matmul_rowwise(tanh(add(query, key)), self.v_a)
         contexts = []
-        first = 0
-        for count, rows, n, start in zip(counts, item_rows, src_len, src_start):
-            item_scores = reshape(concat(scores[first : first + count], axis=0), (rows, int(n)))
+        end = 0
+        for rows, n, start in zip(item_rows, src_len, src_start):
+            item_scores = reshape(slice_axis(scores, 0, end, end + rows * n), (rows, int(n)))
             contexts.append(matmul(softmax(item_scores, axis=1),
                                    slice_axis(annotations, 0, start, start + n)))
-            first += count
+            end += rows * n
         log_probs = log_softmax(self._output_logits(states, concat(contexts, axis=0)), axis=1)
         return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths.tolist())
 
@@ -244,8 +242,7 @@ def load_compression(path, vocab) -> CompressionModel:
     vocab_size, d, attn_size = data.config_sizes(vocab_size=("compression.src_embed", 0),
                                                  d=("compression.src_embed", 1),
                                                  attn_size=("compression.v_a", 0))
-    model = CompressionModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0),
-                             attn_size=attn_size)
+    model = CompressionModel(vocab_size=vocab_size, d=d, rng=None, attn_size=attn_size)
     apply_state(model.parameters(), data.arrays)
     return model
 

@@ -136,13 +136,16 @@ class Vocabulary:
         try:
             payload = json.loads(text)
             specials = tuple(payload["specials"])
-            pairs = [(str(t), int(c)) for t, c in payload["tokens"]]
+            pairs = [(t, c) for t, c in payload["tokens"]]  # each entry one pair
         except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed vocabulary file: {exc}") from exc
         if specials != SPECIAL_TOKENS:
             raise DataError(f"unexpected special tokens {specials!r}")
         seen = set(specials)
         for token, count in pairs:
+            if not isinstance(token, str) or type(count) is not int:
+                raise DataError(f"vocabulary entry {token!r} needs a string token and an "
+                                f"integer count, got count {count!r}")
             if token in seen:
                 raise DataError(f"vocabulary lists token {token!r} twice")
             if count < 0:

@@ -21,7 +21,6 @@ from .numerics import (
     add,
     backward,  # noqa: F401 -- perfbench's tracer test reads latentsum.extractive.backward
     concat,
-    constant,
     dropout,
     dropout_mask,
     embedding_lookup,
@@ -30,21 +29,25 @@ from .numerics import (
     join_masks,
     log_softmax,
     lstm_sequence,
-    matmul,
+    matmul_gemm,
+    matmul_rowwise,
     no_grad,
     run_bilstm,
+    segment_mean,
     step_schedule,
     tensor_sum,
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.optim import Adam, fit
-from .numerics.tensor import stable_log_softmax
+from .numerics.tensor import row_products, stable_log_softmax
 from .rouge import rouge_mean
 
 START_LABEL = 0
 
-EVAL_CHUNK = 16  # documents encoded together by label_accuracy
+# words encoded together when a split is labeled in packs: it bounds the
+# memory of a pass, and no row's bits depend on the pack
+PACK_WORDS = 1024
 
 
 @dataclass
@@ -124,7 +127,7 @@ class ExtractiveModel:
         """Mean of each sentence's word-level Bi-LSTM states, shape (n, 2d).
 
         One embedding lookup and one Bi-LSTM run over all the words, and one
-        averaging matmul. ``dropped`` marks the words replaced by UNK.
+        segment mean. ``dropped`` marks the words replaced by UNK.
         """
         ids, lengths = [], []
         for sentence in sentences:
@@ -135,13 +138,7 @@ class ExtractiveModel:
         if dropped is not None:
             ids = np.where(dropped, UNK, ids)
         emb = embedding_lookup(self.embed, ids)
-        states = run_bilstm(self.word_fwd, self.word_bwd, emb, lengths)
-        averaging = np.zeros((len(lengths), len(ids)), dtype=states.data.dtype)
-        start = 0
-        for row, length in enumerate(lengths):
-            averaging[row, start : start + length] = 1.0 / length
-            start += length
-        return matmul(constant(averaging), states)
+        return segment_mean(run_bilstm(self.word_fwd, self.word_bwd, emb, lengths), lengths)
 
     def draw_noise(self, doc: Document, rng, drop: float = 0.0,
                    word_dropout: float = 0.0) -> EncoderNoise:
@@ -168,7 +165,7 @@ class ExtractiveModel:
             noise = [EncoderNoise()] * len(docs)
         sentences = [s for doc in docs for s in doc.sentences]
         pooled = self._pool_sentences(sentences, join_masks([n.dropped for n in noise]))
-        v = dropout(add(matmul(pooled, self.proj_w), self.proj_b),
+        v = dropout(add(matmul_gemm(pooled, self.proj_w), self.proj_b),
                     join_masks([n.v for n in noise]))
         lengths = tuple(len(doc.sentences) for doc in docs)
         h_e = run_bilstm(self.sent_fwd, self.sent_bwd, v, lengths)
@@ -196,7 +193,7 @@ class ExtractiveModel:
             start += n
         previous = embedding_lookup(transpose(self.w_e), previous)
         h_d = lstm_sequence(self.dec, concat([previous, enc.h_e], axis=1), enc.lengths)
-        log_probs = log_softmax(matmul(h_d, transpose(self.w_o)), axis=1)
+        log_probs = log_softmax(matmul_rowwise(h_d, transpose(self.w_o)), axis=1)
         return DecodeResult(log_probs=log_probs, labels=labels, h_d=h_d)
 
     def choose_labels(self, enc: EncodedDocument, draws=None) -> tuple[list[int], np.ndarray]:
@@ -205,15 +202,18 @@ class ExtractiveModel:
         Tape-free, and without ``decode_labels``' scoring pass.
 
         Each step advances every still-active document's row at once, with
-        the arithmetic of ``LSTMCell.step`` and of ``log_softmax``, so the
-        labels match a stepwise decode of each document alone. Returns the
-        labels and each row's p(y_i = 1) as its step computed it.
+        the arithmetic of ``lstm_step`` and of ``decode_labels``' output
+        layer. No step is a one-row product: a lone document's step runs
+        beside a spare row of the buffers. So each row's bits do not depend
+        on the other documents of ``enc``. Returns the labels and each row's
+        p(y_i = 1) as its step computed it.
         """
-        _, counts, rows = step_schedule(enc.lengths)
+        _, counts, rows, _ = step_schedule(enc.lengths)
         d = self.d
-        # decoder inputs concat(label embedding, h_e row), step by step
-        x = np.empty((rows.size, 3 * d), dtype=self.dtype)
-        x[:, d:] = enc.h_e.data[rows]
+        # decoder inputs concat(label embedding, h_e row), step by step, and
+        # a spare row after the last step's
+        x = np.zeros((rows.size + 1, 3 * d), dtype=self.dtype)
+        x[:-1, d:] = enc.h_e.data[rows]
         # one draw per sentence, taken document by document, read step by step;
         # in the model's dtype, as comparing a Python float with a numpy
         # float32 scalar would round it
@@ -224,16 +224,17 @@ class ExtractiveModel:
             draws = draws.astype(x.dtype)[rows]
         emb = self.w_e.data.T  # one row per label
         w_x, w_o = self.dec.w_x.data, self.w_o.data
-        h = np.zeros((len(enc.lengths), d), dtype=self.dtype)
+        h = np.zeros((max(len(enc.lengths), 2), d), dtype=self.dtype)
         c = np.zeros_like(h)
         prev = np.full(len(enc.lengths), START_LABEL)
         chosen = np.empty(rows.size, dtype=np.int64)
         p_true = np.empty(rows.size, dtype=self.dtype)
         at = 0
         for k in counts.tolist():
+            width = max(k, 2)
             x[at : at + k, :d] = emb[prev[:k]]
-            h, c, _, _ = self.dec.advance(x[at : at + k] @ w_x, h[:k], c[:k])
-            lp = stable_log_softmax(h @ w_o.T, axis=1)
+            h, c, _, _ = self.dec.advance(x[at : at + width] @ w_x, h[:width], c[:width])
+            lp = stable_log_softmax(row_products(h[:k], w_o.T), axis=1)
             p_true[at : at + k] = np.exp(lp[:, 1])
             if draws is None:
                 chosen[at : at + k] = np.argmax(lp, axis=1)
@@ -252,20 +253,54 @@ class ExtractiveModel:
         ``enc``) under teacher feed, summed over the documents of ``enc``."""
         return -tensor_sum(self.decode_labels(enc, labels).chosen_log_probs())
 
-    def select_top_k(self, doc: Document, k: int) -> TopK:
-        """Greedy-feed inference; rank by p(y_i=1), ties to lower index."""
+    def greedy_labels(self, docs) -> list[tuple[list[int], np.ndarray]]:
+        """Each document's greedy labels and p(y_i = 1), from noise-free
+        passes over packs of consecutive documents of at most PACK_WORDS
+        words (a longer document is a pack of its own). No row depends on
+        its pack, so a document gets the bits it gets alone."""
+        out = []
+        with no_grad():
+            for pack in _packs(docs):
+                labels, probs = self.choose_labels(self.encode_documents(pack))
+                start = 0
+                for doc in pack:
+                    end = start + len(doc)
+                    out.append((labels[start:end], probs[start:end]))
+                    start = end
+        return out
+
+    def select_top_k_each(self, docs, k: int) -> list[TopK]:
+        """Greedy-feed inference; each document's k sentences of highest
+        p(y_i = 1), ties to lower index."""
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        with no_grad():
-            _, probs = self.choose_labels(self.encode_document(doc))
-        probs = probs.tolist()
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-        chosen = tuple(sorted(order[: min(k, len(probs))]))
-        return TopK(
-            indices=chosen,
-            prob_true=tuple(probs),
-            sentences=tuple(doc.sentences[i] for i in chosen),
-        )
+        tops = []
+        for doc, (_, probs) in zip(docs, self.greedy_labels(docs)):
+            probs = probs.tolist()
+            order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+            chosen = tuple(sorted(order[: min(k, len(probs))]))
+            tops.append(TopK(indices=chosen, prob_true=tuple(probs),
+                             sentences=tuple(doc.sentences[i] for i in chosen)))
+        return tops
+
+    def select_top_k(self, doc: Document, k: int) -> TopK:
+        """The one-document case of ``select_top_k_each``."""
+        return self.select_top_k_each([doc], k)[0]
+
+
+def _packs(docs):
+    """Runs of consecutive documents of at most PACK_WORDS words each; a
+    longer document makes a run of its own."""
+    pack, words = [], 0
+    for doc in docs:
+        n = sum(len(s.tokens) for s in doc.sentences)
+        if pack and words + n > PACK_WORDS:
+            yield pack
+            pack, words = [], 0
+        pack.append(doc)
+        words += n
+    if pack:
+        yield pack
 
 
 def save_extractive(path, model: ExtractiveModel, run_config: dict, vocab):
@@ -278,35 +313,27 @@ def load_extractive(path, vocab) -> ExtractiveModel:
                            expected_vocab_hash=vocab.content_hash())
     vocab_size, d = data.config_sizes(vocab_size=("extractive.embed", 0),
                                       d=("extractive.embed", 1))
-    model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=np.random.default_rng(0))
+    model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=None)
     apply_state(model.parameters(), data.arrays)
     return model
 
 
 def evaluate_rouge_mean(model: ExtractiveModel, records, k: int) -> float:
     """Mean rouge_mean of top-k extractions over (doc, summary) records."""
-    scores = []
-    for doc, summary in records:
-        top = model.select_top_k(doc, k)
-        scores.append(rouge_mean(list(top.sentences), list(summary.sentences)))
+    tops = model.select_top_k_each([doc for doc, _ in records], k)
+    scores = [rouge_mean(list(top.sentences), list(summary.sentences))
+              for top, (_, summary) in zip(tops, records)]
     return float(np.mean(scores)) if scores else 0.0
 
 
 def label_accuracy(model: ExtractiveModel, records, labels_by_id) -> float:
-    """Greedy-feed prediction accuracy against stored labels; documents
-    are encoded EVAL_CHUNK at a time."""
+    """Greedy-feed prediction accuracy against stored labels."""
+    docs = [doc for doc, _ in records]
     hits = total = 0
-    with no_grad():
-        for start in range(0, len(records), EVAL_CHUNK):
-            docs = [doc for doc, _ in records[start : start + EVAL_CHUNK]]
-            labels, _ = model.choose_labels(model.encode_documents(docs))
-            offset = 0
-            for doc in docs:
-                gold = labels_by_id[doc.id]
-                predicted = labels[offset : offset + len(doc)]
-                hits += sum(int(p == g) for p, g in zip(predicted, gold.labels))
-                total += len(gold)
-                offset += len(doc)
+    for doc, (predicted, _) in zip(docs, model.greedy_labels(docs)):
+        gold = labels_by_id[doc.id]
+        hits += sum(int(p == g) for p, g in zip(predicted, gold.labels))
+        total += len(gold)
     return hits / total if total else 0.0
 
 

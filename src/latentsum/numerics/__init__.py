@@ -17,10 +17,13 @@ from .tensor import (
     join_masks,
     log_softmax,
     matmul,
+    matmul_gemm,
+    matmul_rowwise,
     mul,
     neg,
     no_grad,
     reshape,
+    segment_mean,
     sigmoid,
     slice_axis,
     softmax,
@@ -45,7 +48,7 @@ from .checkpoint import (
 __all__ = [
     "ShapeError", "Tensor", "Parameter", "add", "backward", "concat", "constant",
     "detach", "dropout", "dropout_mask", "embedding_lookup", "gather_rows", "join_masks",
-    "log_softmax", "matmul",
+    "log_softmax", "matmul", "matmul_gemm", "matmul_rowwise", "segment_mean",
     "mul", "neg", "no_grad", "reshape", "sigmoid", "slice_axis", "softmax",
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
     "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm", "step_schedule",

@@ -34,8 +34,10 @@ from .tensor import (
     _accumulate,
     _make,
     add,
+    gemm_rows,
     matmul,
     mul,
+    recording,
     sigmoid,
     slice_axis,
     stable_sigmoid,
@@ -46,7 +48,8 @@ from .tensor import (
 def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray,
               b: np.ndarray):
     """One step in numpy from the projected input ``xw = x @ w_x``, over
-    (k, ·) rows or (cells, k, ·) stacks with matching ``w_h`` and ``b``.
+    (k, ·) rows or (cells, k, ·) stacks with matching ``w_h`` and ``b``;
+    a one-row ``xw`` broadcasts over the rows of ``h``.
 
     Returns the new h and c, the activated gates i|f|g|o and tanh(c),
     which backpropagation through time reads.
@@ -60,23 +63,23 @@ def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray,
     return act[..., 3 * hid :] * tc, c, act, tc
 
 
-def step_schedule(lengths, reverse: bool = False):
+def step_schedule(lengths):
     """The order in which packed sequences advance together, longest
     first, so the sequences still active at step t are a prefix.
 
     Returns ``order`` (sequence indices, longest first), ``counts`` (the
-    sequences active at each step) and ``rows`` (the row each active
-    sequence reads, step after step: sum(lengths) rows in all, each once).
-    ``reverse`` reads each sequence from its own last row back to its first.
+    sequences active at each step), ``rows`` (the row each active sequence
+    reads, step after step: sum(lengths) rows in all, each once) and
+    ``back_rows``, the same read from each sequence's own last row back to
+    its first.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     steps = np.arange(sorted_len[0])[:, None]
     live = steps < sorted_len
-    offset = sorted_len - 1 - steps if reverse else steps
-    rows = ((lengths.cumsum() - lengths)[order] + offset)[live]
-    return order, live.sum(axis=1), rows
+    first = (lengths.cumsum() - lengths)[order]
+    return order, live.sum(axis=1), (first + steps)[live], (first + sorted_len - 1 - steps)[live]
 
 
 class LSTMCell:
@@ -137,30 +140,35 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         raise ShapeError(f"{name}: h0 shape {h0.data.shape} is not {(lengths.size, hid)}")
 
     n, dirs = x.data.shape[0], len(cells)
-    schedules = [step_schedule(lengths, r) for r in reverse]
-    order, counts = schedules[0][:2]
+    order, counts, fwd_rows, back_rows = step_schedule(lengths)
     # per cell, the rows read step after step, as rows of the (cells * n, .)
     # stacks below: cell j's block starts at j * n
-    flat = np.stack([s[2] for s in schedules]) + n * np.arange(dirs)[:, None]
-    ends = counts.cumsum().tolist()
-    steps = [flat[:, end - k : end] for k, end in zip(counts.tolist(), ends)]
+    flat = np.stack([back_rows if r else fwd_rows for r in reverse]) + n * np.arange(dirs)[:, None]
+    # no step is a one-row product (see ``gemm_rows``): the state buffers
+    # keep a spare row, so a lone sequence's step runs two rows, and its
+    # projected input broadcasts over both
+    steps = [(k, max(k, 2), flat[:, end - k : end])
+             for k, end in zip(counts.tolist(), counts.cumsum().tolist())]
 
     w_h = np.stack([c.w_h.data for c in cells])
     b = np.stack([c.b.data for c in cells])
-    xw = np.matmul(x.data, np.stack([c.w_x.data for c in cells])).reshape(dirs * n, 4 * hid)
+    xw = gemm_rows(x.data, np.stack([c.w_x.data for c in cells])).reshape(dirs * n, 4 * hid)
     dtype = xw.dtype
-    h_state = np.zeros((dirs, lengths.size, hid), dtype)
+    h_state = np.zeros((dirs, max(lengths.size, 2), hid), dtype)
     if h0 is not None:
-        h_state[0] = h0.data[order]
-    c_state = np.zeros((dirs, lengths.size, hid), dtype)
+        h_state[0, : lengths.size] = h0.data[order]
+    c_state = np.zeros_like(h_state)
     out = np.empty((dirs * n, hid), dtype)
+    parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
+        + (() if h0 is None else (h0,))
+    keep = recording(parents)  # under no_grad, no cache for backpropagation
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
-    for rows in steps:
-        k = rows.shape[1]
-        hp, cp = h_state[:, :k], c_state[:, :k]
+    for k, width, rows in steps:
+        hp, cp = h_state[:, :width], c_state[:, :width]
         h, c, act, tc = lstm_step(xw[rows], hp, cp, w_h, b)
-        out[rows] = h
-        cache.append((rows, act, hp, cp, tc))
+        out[rows] = h[:, :k]
+        if keep:
+            cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
         h_state, c_state = h, c  # a finished sequence's state is never read again
 
     def bw(grad):
@@ -201,8 +209,6 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
             dh0[order] = dh[0]
             _accumulate(h0, dh0)
 
-    parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
-        + (() if h0 is None else (h0,))
     return _make(out.reshape(dirs, n, hid).transpose(1, 0, 2).reshape(n, dirs * hid),
                  parents, bw)
 

@@ -7,6 +7,14 @@ Gradients persist (and keep accumulating) until explicitly zeroed.
 
 Conventions: vectors are (1, d) rows, sequences are (T, d) matrices, and
 matmul is strictly two-dimensional. Scalars are 0-d arrays.
+
+Under OpenBLAS the bits of a row of a product can depend on how many rows
+the product has. numpy sends a one-row product to gemv, which rounds
+differently from gemm, and gemm rounds a narrow product (a few columns)
+differently for different row counts. ``matmul_gemm`` and
+``matmul_rowwise`` avoid the two cases, and ``segment_mean`` sums each
+segment on its own, so a row computed with them does not depend on what
+else is packed beside it.
 """
 
 from __future__ import annotations
@@ -97,9 +105,14 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(np.asarray(value))
 
 
+def recording(parents) -> bool:
+    """Whether a primitive over ``parents`` goes on the tape."""
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -205,9 +218,25 @@ def sigmoid(a: Tensor) -> Tensor:
 # shape / structure primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` that never runs as a one-row product: numpy sends a
+    (1, K) @ (K, N) product to gemv, whose bits differ from the same row
+    inside a product of two or more rows, so a lone row goes in twice."""
+    if a.shape[-2] != 1:
+        return np.matmul(a, b)
+    return np.matmul(np.concatenate([a, a], axis=-2), b)[..., :1, :]
+
+
+def row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` without BLAS: each element is numpy's sum of products along
+    a contiguous axis, so its bits depend on its own row and column only.
+    For narrow ``b``, whose BLAS rows vary with the row count."""
+    return np.add.reduce(a[:, None, :] * b.T[None], axis=2)
+
+
+def _product(op: str, a: Tensor, b: Tensor, forward) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+        raise ShapeError(f"{op}: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def bw(g):
         if a.requires_grad:
@@ -215,7 +244,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
-    return _make(a.data @ b.data, (a, b), bw)
+    return _make(forward(a.data, b.data), (a, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return _product("matmul", a, b, np.matmul)
+
+
+def matmul_gemm(a: Tensor, b: Tensor) -> Tensor:
+    """``matmul`` through ``gemm_rows``: a one-row ``a`` gets the bits its
+    row has in any product of two or more rows."""
+    return _product("matmul_gemm", a, b, gemm_rows)
+
+
+def matmul_rowwise(a: Tensor, b: Tensor) -> Tensor:
+    """``matmul`` through ``row_products``: every row's bits are the same
+    whatever the row count."""
+    return _product("matmul_rowwise", a, b, row_products)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -292,6 +337,23 @@ def tensor_sum(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(expanded, a.data.shape))
 
     return _make(a.data.sum(), (a,), bw)
+
+
+def segment_mean(a: Tensor, lengths) -> Tensor:
+    """Mean of each segment of consecutive rows of ``a``, one row per
+    segment; ``lengths`` are the segments' row counts, in order. Each sum
+    runs over its own segment's rows alone (``np.add.reduceat``)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if a.data.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 \
+            or lengths.sum() != a.data.shape[0]:
+        raise ShapeError(f"segment_mean: lengths {lengths.tolist()} do not partition "
+                         f"the rows of shape {a.data.shape}")
+    counts = lengths[:, None].astype(a.data.dtype)
+
+    def bw(g):
+        _accumulate(a, np.repeat(g / counts, lengths, axis=0))
+
+    return _make(np.add.reduceat(a.data, lengths.cumsum() - lengths, axis=0) / counts, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from latentsum.corpus import (
     tokenize,
 )
 from latentsum.extractive import (
+    EncodedDocument,
     ExtractiveModel,
     evaluate_rouge_mean,
     label_accuracy,
@@ -222,10 +223,17 @@ def test_c3_reinforce_matches_exact_expectation():
     sample_rewards = np.empty(n_samples)
     with no_grad():
         enc = model.encode_document(doc)
-        for j in range(n_samples):
-            z = tuple(model.choose_labels(enc, rng.random(len(enc)))[0])  # reinforce_step's draw
-            counts[z] = counts.get(z, 0) + 1
-            sample_rewards[j] = rewards[z]
+        # every draw's label choice in one call, on the encoding tiled once per
+        # draw; no row depends on the others, so each sample is the per-draw
+        # choice reinforce_step makes
+        tiled = EncodedDocument(v=Tensor(np.tile(enc.v.data, (n_samples, 1))),
+                                h_e=Tensor(np.tile(enc.h_e.data, (n_samples, 1))),
+                                lengths=(len(enc),) * n_samples)
+        labels, _ = model.choose_labels(tiled, rng.random(n_samples * len(enc)))
+    for j, z in enumerate(np.reshape(labels, (n_samples, len(enc))).tolist()):
+        z = tuple(z)
+        counts[z] = counts.get(z, 0) + 1
+        sample_rewards[j] = rewards[z]
     mc_mean = float(sample_rewards.mean())
     se = float(sample_rewards.std(ddof=1) / np.sqrt(n_samples))
     gap = abs(exact["expected_reward"] - mc_mean)

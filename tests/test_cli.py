@@ -401,6 +401,17 @@ class TestExitCodes:
                     "--out", tmp_path / "s.jsonl"]) == 4
         assert "error[checkpoint]" in capsys.readouterr().err
 
+    def test_vocabulary_entry_of_the_wrong_type_is_data_error(self, pipeline, tmp_path,
+                                                              capsys):
+        payload = json.loads(Path(pipeline["vocab"]).read_text())
+        payload["tokens"][0][1] = True  # a boolean count
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(payload))
+        assert run(["--config", pipeline["config"], "summarize",
+                    "--corpus", pipeline["corpus"], "--vocab", vocab,
+                    "--checkpoint", pipeline["latent"], "--out", tmp_path / "s.jsonl"]) == 3
+        assert repr(payload["tokens"][0][0]) in capsys.readouterr().err
+
     def test_compress_without_scorer_is_data_error(self, pipeline, tmp_path):
         assert run(["--config", pipeline["config"], "summarize",
                     "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],

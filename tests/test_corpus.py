@@ -162,6 +162,19 @@ class TestVocabulary:
         with pytest.raises(DataError, match=named):
             Vocabulary.from_json(text)
 
+    @pytest.mark.parametrize("tokens,named", [
+        ([["a", 3], [1, 2]], "1"),
+        ([["a", 3], [None, 2]], "None"),
+        ([["a", 3], [["b"], 2]], r"\['b'\]"),
+        ([["a", 3], ["x", True]], "'x'"),
+        ([["a", 3], ["x", 2.0]], "'x'"),
+        ([["a", 3], ["x", "2"]], "'x'"),
+    ])
+    def test_from_json_rejects_non_string_tokens_and_non_int_counts(self, tokens, named):
+        text = json.dumps({"specials": list(SPECIAL_TOKENS), "tokens": tokens})
+        with pytest.raises(DataError, match=named):
+            Vocabulary.from_json(text)
+
 
 class TestLoadCorpus:
     def _write(self, tmp_path, lines, name="train.jsonl"):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from latentsum import extractive
 from latentsum.corpus import UNK, Document, Sentence
 from latentsum.errors import CheckpointError, DataError
 from latentsum.extractive import (
+    EncodedDocument,
     EncoderNoise,
     ExtractiveModel,
     evaluate_rouge_mean,
@@ -16,6 +18,7 @@ from latentsum.extractive import (
 )
 from latentsum.labeling import LabelSequence, oracle_labels
 from latentsum.numerics import (
+    Tensor,
     backward,
     finite_difference_check,
     no_grad,
@@ -628,3 +631,89 @@ class TestTraining:
 
     def test_evaluate_rouge_mean_empty(self):
         assert evaluate_rouge_mean(tiny_model(), [], 3) == 0.0
+
+
+class TestPacksCannotChangeBits:
+    """A document's labels and p(y_i = 1) from any pack equal, bit for bit,
+    what it gets alone: no row of the encoder or of the label chooser
+    depends on the other rows of its pack."""
+
+    SETTINGS = [(16, np.float32), (64, np.float32), (6, np.float64)]
+
+    @staticmethod
+    def _docs(seed, n_docs=13):
+        # one-sentence documents and one-word sentences among longer ones
+        rng = np.random.default_rng(seed)
+        docs = []
+        for j in range(n_docs):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 8))).tolist()
+            if j % 4 == 0:
+                lengths = lengths[:1]
+            if j % 3 == 0:
+                lengths = [1] * len(lengths)
+            doc = encoded_doc(lengths=lengths, seed=seed * 100 + j)
+            docs.append(Document(id=f"d{j}", sentences=doc.sentences))
+        return docs
+
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_select_top_k_equals_every_pack(self, d, dtype):
+        model = tiny_model(d=d, seed=d, dtype=dtype)
+        docs = self._docs(d)
+        alone = [model.select_top_k(doc, 3) for doc in docs]
+        with no_grad():
+            encoded = [model.encode_document(doc) for doc in docs]
+        for size in (1, 2, 5, len(docs)):
+            for start in range(0, len(docs), size):
+                pack = docs[start : start + size]
+                with no_grad():
+                    enc = model.encode_documents(pack)
+                    labels, probs = model.choose_labels(enc)
+                end = 0
+                for doc, top, own in zip(pack, alone[start:], encoded[start:]):
+                    end += len(doc)
+                    rows = slice(end - len(doc), end)
+                    where = f"pack of {size}, {doc.id} (BLAS {blas_build()})"
+                    assert enc.v.data[rows].tobytes() == own.v.data.tobytes(), where
+                    assert enc.h_e.data[rows].tobytes() == own.h_e.data.tobytes(), where
+                    assert probs[rows].tolist() == list(top.prob_true), where
+                assert labels == [y for doc in pack for y in model.greedy_labels([doc])[0][0]]
+        assert model.select_top_k_each(docs, 3) == alone
+
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_tiled_choice_equals_each_draw(self, d, dtype):
+        model = tiny_model(d=d, seed=d + 1, dtype=dtype)
+        draws_per_doc = 40
+        for doc in self._docs(d + 1, n_docs=5):
+            with no_grad():
+                enc = model.encode_document(doc)
+            n = len(enc)
+            tiled = EncodedDocument(v=Tensor(np.tile(enc.v.data, (draws_per_doc, 1))),
+                                    h_e=Tensor(np.tile(enc.h_e.data, (draws_per_doc, 1))),
+                                    lengths=(n,) * draws_per_doc)
+            draws = np.random.default_rng(n).random(draws_per_doc * n)
+            labels, probs = model.choose_labels(tiled, draws)
+            for j in range(draws_per_doc):
+                want_labels, want_probs = model.choose_labels(enc, draws[j * n : (j + 1) * n])
+                assert labels[j * n : (j + 1) * n] == want_labels
+                assert probs[j * n : (j + 1) * n].tobytes() == want_probs.tobytes(), \
+                    f"draw {j} of {doc.id} (BLAS {blas_build()})"
+
+    def test_packs_hold_at_most_the_word_budget(self, monkeypatch):
+        monkeypatch.setattr(extractive, "PACK_WORDS", 10)
+        docs = [encoded_doc(lengths=lengths, seed=j) for j, lengths in
+                enumerate([[3, 2], [4], [1], [12], [5, 5], [6]])]
+        packs = list(extractive._packs(docs))
+        assert [[docs.index(doc) for doc in pack] for pack in packs] == \
+            [[0, 1, 2], [3], [4], [5]]
+        model = tiny_model()
+        passes = []
+        choose = ExtractiveModel.choose_labels
+
+        def counting(self, enc, draws=None):
+            passes.append(enc.lengths)
+            return choose(self, enc, draws)
+
+        monkeypatch.setattr(ExtractiveModel, "choose_labels", counting)
+        tops = model.select_top_k_each(docs, 2)
+        assert passes == [(2, 1, 1), (1,), (2,), (1,)]
+        assert tops == [model.select_top_k(doc, 2) for doc in docs]

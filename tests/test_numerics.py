@@ -38,10 +38,13 @@ from latentsum.numerics import (
     log_softmax,
     lstm_sequence,
     matmul,
+    matmul_gemm,
+    matmul_rowwise,
     mul,
     no_grad,
     reshape,
     run_bilstm,
+    segment_mean,
     save_checkpoint,
     sigmoid,
     slice_axis,
@@ -51,7 +54,7 @@ from latentsum.numerics import (
     transpose,
     zero_grads,
 )
-from latentsum.numerics.tensor import stable_sigmoid
+from latentsum.numerics.tensor import gemm_rows, row_products, stable_sigmoid
 
 from conftest import (
     CHECKPOINT_DAMAGE,
@@ -274,6 +277,87 @@ def where_sigmoid(x):
     """The select formula stable_sigmoid replaced, kept as its oracle."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
+class TestRowsIndependentOfThePack:
+    """The primitives whose rows keep their bits whatever else is packed
+    beside them, against the same rows computed alone."""
+
+    @pytest.mark.parametrize("dtype,k,n", [(np.float32, 64, 16), (np.float32, 192, 256),
+                                           (np.float64, 18, 24), (np.float64, 12, 6)])
+    def test_gemm_rows_gives_every_row_its_bits_alone(self, dtype, k, n):
+        rng = np.random.default_rng(k + n)
+        a = rng.normal(size=(40, k)).astype(dtype)
+        b = rng.normal(size=(k, n)).astype(dtype)
+        alone = np.concatenate([gemm_rows(a[i : i + 1], b) for i in range(len(a))])
+        for rows in (2, 3, 7, 40):
+            assert gemm_rows(a[:rows], b).tobytes() == alone[:rows].tobytes(), \
+                f"{rows} rows (BLAS {blas_build()})"
+
+    @pytest.mark.parametrize("dtype,k,n", [(np.float32, 64, 2), (np.float32, 16, 1),
+                                           (np.float64, 18, 2), (np.float64, 6, 1)])
+    def test_row_products_give_every_row_its_bits_alone(self, dtype, k, n):
+        rng = np.random.default_rng(k * n)
+        a = rng.normal(size=(40, k)).astype(dtype)
+        b = rng.normal(size=(k, n)).astype(dtype)
+        alone = np.concatenate([row_products(a[i : i + 1], b) for i in range(len(a))])
+        for rows in (2, 5, 8, 40):
+            assert row_products(a[:rows], b).tobytes() == alone[:rows].tobytes()
+        np.testing.assert_allclose(alone, a @ b, rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+    def test_segment_mean_is_each_segment_alone(self):
+        rng = np.random.default_rng(3)
+        lengths = [3, 1, 7, 2, 1]
+        a = rng.normal(size=(sum(lengths), 6)).astype(np.float32)
+        means = segment_mean(constant(a), lengths).data
+        start = 0
+        for row, n in zip(means, lengths):
+            alone = segment_mean(constant(a[start : start + n]), [n]).data[0]
+            assert row.tobytes() == alone.tobytes()
+            np.testing.assert_allclose(row, a[start : start + n].mean(axis=0), rtol=1e-6)
+            start += n
+        with pytest.raises(ShapeError, match="partition"):
+            segment_mean(constant(a), [3, 1])
+
+    def test_gradchecks(self):
+        rng = np.random.default_rng(4)
+        x = Parameter("x", rng.normal(size=(7, 4)))
+        w = Parameter("w", rng.normal(size=(4, 3)))
+        one = Parameter("one", rng.normal(size=(1, 4)))
+        weights = constant(rng.normal(size=(3, 3)))
+
+        def loss_fn():
+            pooled = segment_mean(tanh(x), [2, 4, 1])
+            out = add(matmul_rowwise(pooled, w), matmul_gemm(one, w))
+            return tensor_sum(mul(out, mul(out, weights)))
+
+        report = finite_difference_check([x, w, one], loss_fn, rng, num_coords=60)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("d", [16, 64])
+    def test_recurrence_rows_equal_each_sequence_alone(self, d):
+        # a lone sequence's steps run beside a spare row, so no step is a
+        # one-row product and every state has its bits in any pack
+        rng = np.random.default_rng(d)
+        fwd, bwd = LSTMCell("fw", d, d, rng), LSTMCell("bw", d, d, rng)
+        lengths = [1, 5, 3, 1, 8, 2]
+        x = constant(rng.normal(size=(sum(lengths), d)).astype(np.float32))
+        packed = run_bilstm(fwd, bwd, x, lengths).data
+        start = 0
+        for n in lengths:
+            alone = run_bilstm(fwd, bwd, slice_axis(x, 0, start, start + n), [n]).data
+            assert packed[start : start + n].tobytes() == alone.tobytes(), \
+                f"length {n} (BLAS {blas_build()})"
+            start += n
+
+    def test_no_grad_run_gives_the_taped_states(self):
+        rng = np.random.default_rng(5)
+        cell = LSTMCell("c", 4, 4, rng, dtype=np.float64)
+        x = Parameter("x", rng.normal(size=(6, 4)))
+        with no_grad():
+            out = lstm_sequence(cell, x, [4, 2])
+        assert not out.requires_grad and out._backward is None
+        np.testing.assert_array_equal(out.data, lstm_sequence(cell, x, [4, 2]).data)
 
 
 class TestStableSigmoid:
