@@ -47,7 +47,7 @@ START_LABEL = 0
 
 # words encoded together when a split is labeled in packs: it bounds the
 # memory of a pass, and no row's bits depend on the pack
-PACK_WORDS = 1024
+PACK_WORDS = 4096
 
 
 @dataclass

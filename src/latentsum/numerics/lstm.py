@@ -6,15 +6,19 @@ gate order i, f, g, o. The forget-gate bias initializes to 1.
 
 ``run_bilstm`` and ``lstm_sequence`` run whole sequences as one tape node
 through one recurrence over any number of cells (directions) at once. The
-input projection is one matmul per cell over every row (the hoisting of
-Appleyard, Kočiský & Blunsom, "Optimizing Performance of RNNs on GPUs",
-2016). The cells' states then stack to (cells, k, h) and their recurrent
-weights to (cells, h, 4h), so each step is one batched matmul and one pass
-of gate arithmetic for both directions of a Bi-LSTM, and
-backpropagation through time, written out in numpy, walks the same stacked
-arrays. A batched matmul makes the same (k, h) @ (h, 4h) product per cell
-as a matmul of that cell alone, and the gate arithmetic is elementwise, so
-every state and gradient has the bits of one recurrence per cell.
+input projection is hoisted out of the steps (Appleyard, Kočiský & Blunsom,
+"Optimizing Performance of RNNs on GPUs", 2016), one run of whole steps at
+a time: a run is one matmul per cell over at most RUN_ROWS rows, so the
+projection's memory does not grow with the pack. The cells' states then
+stack to (cells, k, h) and their recurrent weights to (cells, h, 4h), so
+each step is one batched matmul and one pass of gate arithmetic for both
+directions of a Bi-LSTM, whose states go straight into the (rows, cells, h)
+result; backpropagation through time, written out in numpy, walks the same
+stacked arrays. A batched matmul makes the same (k, h) @ (h, 4h) product
+per cell as a matmul of that cell alone, a row of a product of two or more
+rows has the same bits in any such product, and the gate arithmetic is
+elementwise, so every state and gradient has the bits of one recurrence per
+cell over one projection of every row.
 
 ``lstm_step`` is the one step formula: behind the recurrence, and behind
 ``LSTMCell.advance`` in the tape-free decode loops that feed their own
@@ -43,6 +47,11 @@ from .tensor import (
     stable_sigmoid,
     tanh,
 )
+
+# the most rows per cell that one input projection of the recurrence
+# covers: it bounds the projection's memory, and each run is one more
+# product, so a document of a few hundred words stays a few runs
+RUN_ROWS = 256
 
 
 def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray,
@@ -76,10 +85,13 @@ def step_schedule(lengths):
     lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
-    steps = np.arange(sorted_len[0])[:, None]
-    live = steps < sorted_len
-    first = (lengths.cumsum() - lengths)[order]
-    return order, live.sum(axis=1), (first + steps)[live], (first + sorted_len - 1 - steps)[live]
+    # linear in the rows: a (steps, sequences) mask would grow with the
+    # longest sequence times the number of sequences
+    counts = np.searchsorted(-sorted_len, -np.arange(sorted_len[0]))
+    steps = np.repeat(np.arange(sorted_len[0]), counts)  # each read's step
+    rank = np.arange(steps.size) - np.repeat(counts.cumsum() - counts, counts)
+    first = (lengths.cumsum() - lengths)[order][rank]  # each read's sequence's first row
+    return order, counts, first + steps, first + sorted_len[rank] - 1 - steps
 
 
 class LSTMCell:
@@ -117,6 +129,19 @@ class LSTMCell:
         return mul(o, tanh(c)), c
 
 
+def _runs(counts):
+    """The steps' widths, rows per cell, in runs of whole steps of at most
+    RUN_ROWS rows; a wider step is a run of its own."""
+    runs, rows = [], 0
+    for k in counts:
+        if not runs or rows + k > RUN_ROWS:
+            runs.append([])
+            rows = 0
+        runs[-1].append(k)
+        rows += k
+    return runs
+
+
 def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
                 h0: Tensor | None = None) -> Tensor:
     """States of packed sequences under every cell of ``cells`` side by
@@ -141,38 +166,47 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
 
     n, dirs = x.data.shape[0], len(cells)
     order, counts, fwd_rows, back_rows = step_schedule(lengths)
-    # per cell, the rows read step after step, as rows of the (cells * n, .)
-    # stacks below: cell j's block starts at j * n
-    flat = np.stack([back_rows if r else fwd_rows for r in reverse]) + n * np.arange(dirs)[:, None]
+    # per cell, the rows of x it reads step after step
+    read = np.stack([back_rows if r else fwd_rows for r in reverse])
+    cell_of = np.arange(dirs)[:, None]
+
+    w_x = np.stack([c.w_x.data for c in cells])
+    w_h = np.stack([c.w_h.data for c in cells])
+    b = np.stack([c.b.data for c in cells])
+    dtype = np.result_type(x.data, w_x)
     # no step is a one-row product (see ``gemm_rows``): the state buffers
     # keep a spare row, so a lone sequence's step runs two rows, and its
     # projected input broadcasts over both
-    steps = [(k, max(k, 2), flat[:, end - k : end])
-             for k, end in zip(counts.tolist(), counts.cumsum().tolist())]
-
-    w_h = np.stack([c.w_h.data for c in cells])
-    b = np.stack([c.b.data for c in cells])
-    xw = gemm_rows(x.data, np.stack([c.w_x.data for c in cells])).reshape(dirs * n, 4 * hid)
-    dtype = xw.dtype
     h_state = np.zeros((dirs, max(lengths.size, 2), hid), dtype)
     if h0 is not None:
         h_state[0, : lengths.size] = h0.data[order]
     c_state = np.zeros_like(h_state)
-    out = np.empty((dirs * n, hid), dtype)
+    out = np.empty((n, dirs, hid), dtype)  # row r's states, cell after cell
     parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
         + (() if h0 is None else (h0,))
     keep = recording(parents)  # under no_grad, no cache for backpropagation
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
-    for k, width, rows in steps:
-        hp, cp = h_state[:, :width], c_state[:, :width]
-        h, c, act, tc = lstm_step(xw[rows], hp, cp, w_h, b)
-        out[rows] = h[:, :k]
-        if keep:
-            cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
-        h_state, c_state = h, c  # a finished sequence's state is never read again
+    start = 0  # the first row of ``read`` that the step reads
+    for run in _runs(counts.tolist()):
+        # one input projection per run, over the rows its steps read; a
+        # row's bits do not depend on the run, so this is the hoisted
+        # projection over every row, a run's rows at a time
+        base = start
+        xw = gemm_rows(x.data[read[:, base : base + sum(run)]], w_x)
+        for k in run:
+            width = max(k, 2)
+            rows = read[:, start : start + k]
+            hp, cp = h_state[:, :width], c_state[:, :width]
+            h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h, b)
+            out[rows, cell_of] = h[:, :k]
+            if keep:
+                cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
+            h_state, c_state = h, c  # a finished sequence's state is never read again
+            del act, tc  # unless cached, this step's gates go before the next's are made
+            start += k
 
     def bw(grad):
-        grad = grad.reshape(n, dirs, hid).transpose(1, 0, 2).reshape(dirs * n, hid)
+        grad = grad.reshape(n, dirs, hid)
         w_h_t = w_h.transpose(0, 2, 1)
         dh = np.zeros((dirs, lengths.size, hid), dtype)
         dc = np.zeros((dirs, lengths.size, hid), dtype)
@@ -181,7 +215,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
             k = rows.shape[1]
             i, f = act[..., :hid], act[..., hid : 2 * hid]
             g, o = act[..., 2 * hid : 3 * hid], act[..., 3 * hid :]
-            dh_t = dh[:, :k] + grad[rows]
+            dh_t = dh[:, :k] + grad[rows, cell_of]
             dc_t = dc[:, :k] + dh_t * o * (1.0 - tc * tc)
             dp = np.concatenate([dc_t * g * i * (1.0 - i),
                                  dc_t * cp * f * (1.0 - f),
@@ -190,8 +224,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
             d_pre.append(dp)
             dc[:, :k] = dc_t * f
             dh[:, :k] = np.matmul(dp, w_h_t)
-        rows = np.concatenate([step[0] for step in reversed(cache)], axis=1) \
-            - n * np.arange(dirs)[:, None]
+        rows = np.concatenate([step[0] for step in reversed(cache)], axis=1)
         d_pre = np.concatenate(d_pre, axis=1)
         h_prev = np.concatenate([step[2] for step in reversed(cache)], axis=1)
         # x's gradient gets one sum per cell, added in cell order, as the
@@ -209,8 +242,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
             dh0[order] = dh[0]
             _accumulate(h0, dh0)
 
-    return _make(out.reshape(dirs, n, hid).transpose(1, 0, 2).reshape(n, dirs * hid),
-                 parents, bw)
+    return _make(out.reshape(n, dirs * hid), parents, bw)
 
 
 def lstm_sequence(cell: LSTMCell, x: Tensor, lengths, h0: Tensor | None = None,

@@ -202,7 +202,13 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     exp(min(x, 0)) / (1 + exp(-|x|)) is e / (1 + e) with e = exp(x) for
     x < 0 and 1 / (1 + exp(-x)) otherwise: the two branches of the usual
     select, bit for bit, without evaluating both and picking per element."""
-    return (np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))).astype(x.dtype, copy=False)
+    # in place, so that no more than two arrays of x's size live beside x
+    num = np.exp(np.minimum(x, 0))
+    den = np.abs(x)
+    np.exp(np.negative(den, out=den), out=den)
+    den += 1
+    num /= den
+    return num.astype(x.dtype, copy=False)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 # OpenBLAS reads its thread count when numpy loads it, so pin it first:
@@ -33,6 +34,23 @@ def blas_build() -> str:
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the most bytes that tracemalloc saw allocated
+    at once while it ran, above what was allocated when it started. numpy
+    reports its arrays' buffers to tracemalloc, so this counts them."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def _checkpoint_parts(raw: bytes) -> tuple[dict, bytes]:

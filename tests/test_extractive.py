@@ -21,13 +21,14 @@ from latentsum.numerics import (
     Tensor,
     backward,
     finite_difference_check,
+    lstm,
     no_grad,
     slice_axis,
     tensor_sum,
     zero_grads,
 )
 
-from conftest import blas_build, doc_from, tiny_records
+from conftest import blas_build, doc_from, tiny_records, traced_peak
 
 
 def tiny_model(d=6, vocab_size=16, seed=3, dtype=np.float64):
@@ -42,6 +43,21 @@ def encoded_doc(n_sents=4, seed=11, lengths=None):
         ids = tuple(int(i) for i in rng.integers(4, 12, size=n))
         sentences.append(Sentence(tokens=tuple(f"t{i}" for i in ids), ids=ids))
     return Document(id="d", sentences=tuple(sentences))
+
+
+def split_of(words, seed, sentence_words=(5, 40), sentences_per_doc=25):
+    """Documents of ``sentences_per_doc`` sentences of ``sentence_words``
+    words (at most), ``words`` words in all: the last sentence is cut to fit."""
+    rng = np.random.default_rng(seed)
+    docs, lengths, left = [], [], words
+    while left:
+        lengths.append(min(int(rng.integers(sentence_words[0], sentence_words[1] + 1)), left))
+        left -= lengths[-1]
+        if len(lengths) == sentences_per_doc or not left:
+            doc = encoded_doc(lengths=lengths, seed=seed * 1000 + len(docs))
+            docs.append(Document(id=f"s{seed}d{len(docs)}", sentences=doc.sentences))
+            lengths = []
+    return docs
 
 
 def stepwise_mean(model, ids):
@@ -698,6 +714,24 @@ class TestPacksCannotChangeBits:
                 assert probs[j * n : (j + 1) * n].tobytes() == want_probs.tobytes(), \
                     f"draw {j} of {doc.id} (BLAS {blas_build()})"
 
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_documents_beside_a_pack_boundary_get_their_bits_alone(self, d, dtype):
+        # short sentences, so a pack's first steps are wider than a run of
+        # the recurrence's projection; a document that would straddle the
+        # budget starts the next pack
+        model = tiny_model(d=d, seed=d + 2, dtype=dtype)
+        docs = split_of(extractive.PACK_WORDS + 1500, seed=d, sentence_words=(1, 16),
+                        sentences_per_doc=40)
+        packs = list(extractive._packs(docs))
+        first_words = sum(len(s.tokens) for doc in packs[0] for s in doc.sentences)
+        boundary = packs[1][0]
+        assert len(packs) == 2
+        assert first_words + sum(len(s.tokens) for s in boundary.sentences) \
+            > extractive.PACK_WORDS
+        assert sum(len(doc) for doc in packs[0]) > lstm.RUN_ROWS
+        alone = [model.select_top_k(doc, 3) for doc in docs]
+        assert model.select_top_k_each(docs, 3) == alone, f"BLAS {blas_build()}"
+
     def test_packs_hold_at_most_the_word_budget(self, monkeypatch):
         monkeypatch.setattr(extractive, "PACK_WORDS", 10)
         docs = [encoded_doc(lengths=lengths, seed=j) for j, lengths in
@@ -717,3 +751,36 @@ class TestPacksCannotChangeBits:
         tops = model.select_top_k_each(docs, 2)
         assert passes == [(2, 1, 1), (1,), (2,), (1,)]
         assert tops == [model.select_top_k(doc, 2) for doc in docs]
+
+
+class TestSelectionMemory:
+    """A selection pass's memory grows with its pack, not with the split:
+    greedy_labels under tracemalloc at d=64 in float32."""
+
+    # the peak per pack word over one full 1,024-word pack of split_of's
+    # documents when the recurrence projected every row of a pack at once
+    # and copied its states to transpose them (3.73 MB, 3,647 bytes a word)
+    BYTES_PER_WORD = 3647
+
+    @staticmethod
+    def _peak(docs):
+        model = tiny_model(d=64, seed=64, dtype=np.float32)
+        model.greedy_labels(split_of(200, seed=9))  # first-call allocations
+        return traced_peak(lambda: model.greedy_labels(docs))[1]
+
+    def test_a_full_pack_peaks_below_the_old_bytes_per_word(self):
+        docs = split_of(extractive.PACK_WORDS, seed=1)
+        assert len(list(extractive._packs(docs))) == 1
+        assert self._peak(docs) / extractive.PACK_WORDS <= self.BYTES_PER_WORD
+
+    def test_the_peak_does_not_grow_with_the_split(self):
+        docs = split_of(extractive.PACK_WORDS, seed=2)
+        assert len(list(extractive._packs(docs * 8))) == 8
+        # the labels and p(y_i = 1) of 7 more packs' documents are a few KB
+        assert self._peak(docs * 8) <= 1.05 * self._peak(docs)
+
+    def test_one_long_document_stays_below_the_old_bytes_per_word(self):
+        words = 10_000
+        docs = split_of(words, seed=3, sentences_per_doc=words)
+        assert len(docs) == 1
+        assert self._peak(docs) / words <= self.BYTES_PER_WORD

@@ -49,11 +49,13 @@ from latentsum.numerics import (
     sigmoid,
     slice_axis,
     softmax,
+    step_schedule,
     tensor_sum,
     tanh,
     transpose,
     zero_grads,
 )
+from latentsum.numerics import lstm
 from latentsum.numerics.tensor import gemm_rows, row_products, stable_sigmoid
 
 from conftest import (
@@ -61,6 +63,7 @@ from conftest import (
     blas_build,
     damage_checkpoint,
     rewrite_checkpoint_header,
+    traced_peak,
 )
 
 
@@ -358,6 +361,90 @@ class TestRowsIndependentOfThePack:
             out = lstm_sequence(cell, x, [4, 2])
         assert not out.requires_grad and out._backward is None
         np.testing.assert_array_equal(out.data, lstm_sequence(cell, x, [4, 2]).data)
+
+
+class TestProjectionRuns:
+    """The recurrence projects its inputs one run of whole steps at a time;
+    every run budget gives the states and gradients of one projection over
+    every row, bit for bit."""
+
+    # nine sequences, so the first steps are wider than budgets of 1, 2 and
+    # 7 rows, and a lone sequence's last steps make one-row runs
+    LENGTHS = [3, 7, 1, 5, 7, 2, 9, 4, 1]
+
+    def test_runs_are_whole_steps_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(lstm, "RUN_ROWS", 7)
+        assert lstm._runs([9, 5, 2, 2, 1, 1, 1, 1]) == [[9], [5, 2], [2, 1, 1, 1, 1]]
+        assert lstm._runs([3, 3, 3]) == [[3, 3], [3]]
+        monkeypatch.setattr(lstm, "RUN_ROWS", 1)
+        assert lstm._runs([2, 1, 1]) == [[2], [1], [1]]
+
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    @pytest.mark.parametrize("d,dtype", [(16, np.float32), (64, np.float32), (6, np.float64)])
+    def test_every_budget_gives_the_bits_of_one_projection(self, monkeypatch, d, dtype,
+                                                           budget):
+        rng = np.random.default_rng(d + budget)
+        fwd, bwd, one = (LSTMCell(name, d, d, rng, dtype) for name in ("fw", "bw", "one"))
+        lengths, n = self.LENGTHS, sum(self.LENGTHS)
+        x = Parameter("x", rng.normal(size=(n, d)).astype(dtype))
+        h0 = Parameter("h0", rng.normal(size=(len(lengths), d)).astype(dtype))
+        weights = constant(rng.normal(size=(n, 3 * d)).astype(dtype))
+        params = [x, h0] + fwd.parameters() + bwd.parameters() + one.parameters()
+
+        def states():
+            return concat([run_bilstm(fwd, bwd, x, lengths),
+                           lstm_sequence(one, x, lengths, h0=h0, reverse=True)], axis=1)
+
+        def run():
+            zero_grads(params)
+            out = states()
+            backward(tensor_sum(mul(out, weights)))
+            with no_grad():
+                untaped = states()
+            return [out.data, untaped.data] + [p.grad_or_zeros().copy() for p in params]
+
+        monkeypatch.setattr(lstm, "RUN_ROWS", n)  # one projection over every row
+        want = run()
+        monkeypatch.setattr(lstm, "RUN_ROWS", budget)
+        got = run()
+        for name, g, w in zip(["states", "no_grad states"] + [p.name for p in params],
+                              got, want):
+            assert g.tobytes() == w.tobytes(), \
+                f"{name} at {budget} rows per run (BLAS {blas_build()})"
+
+    @pytest.mark.parametrize("lengths", [[1], [3, 7, 2, 7, 1], [1, 1, 4], [5000] + [1] * 1000])
+    def test_schedule_equals_a_loop_over_the_steps(self, lengths):
+        order, counts, rows, back_rows = step_schedule(lengths)
+        first = np.cumsum(lengths) - lengths
+        want_order = sorted(range(len(lengths)), key=lambda j: (-lengths[j], j))
+        want_counts, want_rows, want_back = [], [], []
+        for t in range(max(lengths)):
+            live = [j for j in want_order if lengths[j] > t]
+            want_counts.append(len(live))
+            want_rows.extend(first[j] + t for j in live)
+            want_back.extend(first[j] + lengths[j] - 1 - t for j in live)
+        assert order.tolist() == want_order
+        assert counts.tolist() == want_counts
+        assert rows.tolist() == want_rows
+        assert back_rows.tolist() == want_back
+
+    def test_schedule_memory_is_linear_in_the_rows(self):
+        # one long sequence beside many short ones: a (steps, sequences)
+        # mask took 45 MB here, 7,557 bytes a row
+        lengths = [5000] + [1] * 1000
+        _, peak = traced_peak(lambda: step_schedule(lengths))
+        assert peak / sum(lengths) <= 128
+
+    def test_memory_beside_the_states_does_not_grow_with_the_rows(self):
+        # 32,000 rows at d=64 in float32: projecting every row at once took
+        # 2,048 bytes a row, and copying the states to transpose them 512;
+        # now one run's buffer and the schedule's row indices remain
+        rng = np.random.default_rng(7)
+        fwd, bwd = LSTMCell("fw", 64, 64, rng), LSTMCell("bw", 64, 64, rng)
+        x = constant(rng.normal(size=(32_000, 64)).astype(np.float32))
+        with no_grad():
+            out, peak = traced_peak(lambda: run_bilstm(fwd, bwd, x, [2_000] * 16))
+        assert (peak - out.data.nbytes) / 32_000 <= 128
 
 
 class TestStableSigmoid:
