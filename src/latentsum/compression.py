@@ -40,6 +40,7 @@ from .numerics import (
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
+from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
 from .numerics.tensor import stable_softmax
 
@@ -194,11 +195,12 @@ class CompressionModel:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
         EOS is masked at the first step so the output is non-empty.
 
-        The source is encoded once; each step is then numpy arithmetic on
-        the parameters' arrays, the products of ``LSTMCell.advance``,
-        ``_attend`` and ``_output_logits`` in their order, so no tape node
-        is built per step. ``LSTMCell.step`` and ``_attend`` are its
-        stepwise test oracles."""
+        The source is encoded once, and the decoder's ``step_weights`` are
+        taken once; each step is then numpy arithmetic on arrays,
+        ``lstm_step`` and the products of ``_attend`` and
+        ``_output_logits`` in their order, so no tape node is built per
+        step. ``LSTMCell.step`` and ``_attend`` are its stepwise test
+        oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
@@ -207,12 +209,13 @@ class CompressionModel:
         projected = ann @ self.u_h.data
         w_s, v_a = self.w_s.data, self.v_a.data
         w_out, b_out = self.w_out.data, self.b_out.data
-        tgt_embed, w_x = self.tgt_embed.data, self.dec.w_x.data
+        tgt_embed = self.tgt_embed.data
+        w_x, w_h, b = self.dec.step_weights()
         h, c = s0.data, np.zeros((1, self.d), dtype=self.dtype)
         token = BOS
         out: list[int] = []
         for step in range(max_len):
-            h, c, _, _ = self.dec.advance(tgt_embed[[token]] @ w_x, h, c)
+            h, c, _, _ = lstm_step(tgt_embed[[token]] @ w_x + b, h, c, w_h)
             weights = stable_softmax((np.tanh(h @ w_s + projected) @ v_a).T, axis=1)
             logits = (np.concatenate([h, weights @ ann], axis=1) @ w_out + b_out)[0]
             logits[PAD] = -np.inf

@@ -39,6 +39,7 @@ from .numerics import (
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
+from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
 from .numerics.tensor import row_products, stable_log_softmax
 from .rouge import rouge_mean
@@ -201,11 +202,12 @@ class ExtractiveModel:
         per row of ``enc``, label i is 1 when its draw is below p(y_i = 1).
         Tape-free, and without ``decode_labels``' scoring pass.
 
-        Each step advances every still-active document's row at once, with
-        the arithmetic of ``lstm_step`` and of ``decode_labels``' output
-        layer. No step is a one-row product: a lone document's step runs
-        beside a spare row of the buffers. So each row's bits do not depend
-        on the other documents of ``enc``. Returns the labels and each row's
+        Each step advances every still-active document's row at once
+        through ``lstm_step``, on the decoder's ``step_weights`` taken once
+        per call, and through ``decode_labels``' output layer. No step is a
+        one-row product: a lone document's step runs beside a spare row of
+        the buffers. So each row's bits do not depend on the other
+        documents of ``enc``. Returns the labels and each row's
         p(y_i = 1) as its step computed it.
         """
         _, counts, rows, _ = step_schedule(enc.lengths)
@@ -223,7 +225,8 @@ class ExtractiveModel:
                 raise DataError(f"{draws.size} draws for {rows.size} sentences")
             draws = draws.astype(x.dtype)[rows]
         emb = self.w_e.data.T  # one row per label
-        w_x, w_o = self.dec.w_x.data, self.w_o.data
+        w_x, w_h, b = self.dec.step_weights()
+        w_o = self.w_o.data
         h = np.zeros((max(len(enc.lengths), 2), d), dtype=self.dtype)
         c = np.zeros_like(h)
         prev = np.full(len(enc.lengths), START_LABEL)
@@ -233,7 +236,7 @@ class ExtractiveModel:
         for k in counts.tolist():
             width = max(k, 2)
             x[at : at + k, :d] = emb[prev[:k]]
-            h, c, _, _ = self.dec.advance(x[at : at + width] @ w_x, h[:width], c[:width])
+            h, c, _, _ = lstm_step(x[at : at + width] @ w_x + b, h[:width], c[:width], w_h)
             lp = stable_log_softmax(row_products(h[:k], w_o.T), axis=1)
             p_true[at : at + k] = np.exp(lp[:, 1])
             if draws is None:

@@ -21,12 +21,18 @@ elementwise, so every state and gradient has the bits of one recurrence per
 cell over one projection of every row.
 
 ``lstm_step`` is the one step formula: behind the recurrence, and behind
-``LSTMCell.advance`` in the tape-free decode loops that feed their own
-output back. ``LSTMCell.step`` builds the same step as a small graph of
-tape primitives; it is kept as the stepwise test oracle.
+the tape-free decode loops that feed their own output back. It takes all
+four gates from one tanh, as sigma(z) = tanh(z / 2) / 2 + 1 / 2: the
+halving is folded into the i, f and o columns of the weights that
+``LSTMCell.step_weights`` returns, which is exact, one half being a power
+of two, and the bias joins the input projection. ``LSTMCell.step`` builds
+the textbook step as a small graph of tape primitives; it is kept as the
+stepwise test oracle.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +50,6 @@ from .tensor import (
     recording,
     sigmoid,
     slice_axis,
-    stable_sigmoid,
     tanh,
 )
 
@@ -54,20 +59,36 @@ from .tensor import (
 RUN_ROWS = 256
 
 
-def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray,
-              b: np.ndarray):
-    """One step in numpy from the projected input ``xw = x @ w_x``, over
-    (k, ·) rows or (cells, k, ·) stacks with matching ``w_h`` and ``b``;
-    a one-row ``xw`` broadcasts over the rows of ``h``.
+@lru_cache(maxsize=None)
+def gate_affine(hid: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate column i|f|g|o, ``scale`` (1/2, 1/2, 1, 1/2) and ``shift``
+    (1/2, 1/2, 0, 1/2), read-only: ``tanh(z * scale) * scale + shift`` is
+    sigma(z) on the i, f and o columns and tanh(z) on g."""
+    scale = np.full(4 * hid, 0.5, dtype)
+    scale[2 * hid : 3 * hid] = 1
+    shift = 1 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
+def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
+    """One step in numpy from the projected input ``xw = x @ w_x + b``,
+    over (k, ·) rows or (cells, k, ·) stacks with a matching ``w_h``;
+    ``w_x``, ``w_h`` and ``b`` are ``LSTMCell.step_weights``. A one-row
+    ``xw`` broadcasts over the rows of ``h``.
 
     Returns the new h and c, the activated gates i|f|g|o and tanh(c),
     which backpropagation through time reads.
     """
     hid = h.shape[-1]
-    pre = xw + np.matmul(h, w_h) + b
-    act = stable_sigmoid(pre)
-    np.tanh(pre[..., 2 * hid : 3 * hid], out=act[..., 2 * hid : 3 * hid])
-    c = act[..., hid : 2 * hid] * c + act[..., :hid] * act[..., 2 * hid : 3 * hid]
+    act = np.matmul(h, w_h)
+    act += xw
+    np.tanh(act, out=act)
+    scale, shift = gate_affine(hid, act.dtype)
+    act *= scale
+    act += shift
+    c = act[..., hid : 2 * hid] * c
+    c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
     tc = np.tanh(c)
     return act[..., 3 * hid :] * tc, c, act, tc
 
@@ -113,12 +134,15 @@ class LSTMCell:
         zero = np.zeros((1, self.hidden_size), dtype=self.dtype)
         return Tensor(zero), Tensor(zero.copy())
 
-    def advance(self, xw: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """``lstm_step`` with this cell's weights."""
-        return lstm_step(xw, h, c, self.w_h.data, self.b.data)
+    def step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(w_x, w_h, b)`` for ``lstm_step``: copies with the i, f and o
+        columns halved."""
+        return tuple(w * gate_affine(self.hidden_size, w.dtype)[0]
+                     for w in (self.w_x.data, self.w_h.data, self.b.data))
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """The step as tape primitives; the stepwise oracle of ``lstm_step``."""
+        """The textbook step as tape primitives, gates through ``sigmoid``;
+        the stepwise oracle of ``lstm_step``."""
         h = self.hidden_size
         pre = add(add(matmul(x, self.w_x), matmul(h_prev, self.w_h)), self.b)
         i = sigmoid(slice_axis(pre, 1, 0, h))
@@ -170,9 +194,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     read = np.stack([back_rows if r else fwd_rows for r in reverse])
     cell_of = np.arange(dirs)[:, None]
 
-    w_x = np.stack([c.w_x.data for c in cells])
-    w_h = np.stack([c.w_h.data for c in cells])
-    b = np.stack([c.b.data for c in cells])
+    w_x, w_h, b = (np.stack(w) for w in zip(*(c.step_weights() for c in cells)))
     dtype = np.result_type(x.data, w_x)
     # no step is a one-row product (see ``gemm_rows``): the state buffers
     # keep a spare row, so a lone sequence's step runs two rows, and its
@@ -188,16 +210,17 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
     start = 0  # the first row of ``read`` that the step reads
     for run in _runs(counts.tolist()):
-        # one input projection per run, over the rows its steps read; a
-        # row's bits do not depend on the run, so this is the hoisted
-        # projection over every row, a run's rows at a time
+        # one input projection per run, bias included, over the rows its
+        # steps read; a row's bits do not depend on the run, so this is the
+        # hoisted projection over every row, a run's rows at a time
         base = start
         xw = gemm_rows(x.data[read[:, base : base + sum(run)]], w_x)
+        xw += b
         for k in run:
             width = max(k, 2)
             rows = read[:, start : start + k]
             hp, cp = h_state[:, :width], c_state[:, :width]
-            h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h, b)
+            h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h)
             out[rows, cell_of] = h[:, :k]
             if keep:
                 cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
@@ -207,7 +230,9 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
 
     def bw(grad):
         grad = grad.reshape(n, dirs, hid)
-        w_h_t = w_h.transpose(0, 2, 1)
+        # the cached gates are activated, so the gradient goes through the
+        # cells' own weights, not the step's halved ones
+        w_h_t = np.stack([c.w_h.data for c in cells]).transpose(0, 2, 1)
         dh = np.zeros((dirs, lengths.size, hid), dtype)
         dc = np.zeros((dirs, lengths.size, hid), dtype)
         d_pre = []

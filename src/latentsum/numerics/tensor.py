@@ -196,8 +196,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without overflow, in x's dtype; the one formula
-    behind ``sigmoid`` and the gates of ``lstm_step``.
+    """Logistic function without overflow, in x's dtype, behind the tape
+    ``sigmoid`` of the stepwise oracle ``LSTMCell.step``; ``lstm_step``
+    takes its gates from one tanh instead (see ``numerics.lstm``).
 
     exp(min(x, 0)) / (1 + exp(-|x|)) is e / (1 + e) with e = exp(x) for
     x < 0 and 1 / (1 + exp(-x)) otherwise: the two branches of the usual

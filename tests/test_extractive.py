@@ -274,8 +274,8 @@ class TestStepwiseOracle:
 
     @pytest.mark.parametrize("feed", ["greedy", "sample"])
     def test_float32_labels_equal_stepwise_reference(self, feed):
-        # the label-choice loop does the reference's arithmetic, so the
-        # labels and the draws agree exactly, not just to a tolerance
+        # the label-choice loop rounds differently from the reference only
+        # in the last bits, so the labels and the draws agree exactly
         for seed in range(6):
             model = tiny_model(d=16, seed=seed, dtype=np.float32)
             with no_grad():
@@ -285,6 +285,25 @@ class TestStepwiseOracle:
                 _, ref_labels, _ = stepwise_decode(model, enc, feed, rng=rng_b)
             assert labels == ref_labels
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("feed", ["greedy", "sample"])
+    def test_float32_wide_choice_matches_stepwise_reference(self, feed):
+        # at d=64 in float32 the labels agree, and p(y = 1) to a few float32
+        # ulps of 0.5 (1e-6 stated; up to 1.8e-7 measured)
+        atol = 1e-6
+        for seed in range(4):
+            model = tiny_model(d=64, seed=seed, dtype=np.float32)
+            for p in model.parameters():
+                p.data *= 3  # p(y = 1) moves off 0.5, so labels vary
+            with no_grad():
+                enc = model.encode_document(encoded_doc(n_sents=12, seed=80 + seed))
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                draws = rng_a.random(len(enc)) if feed == "sample" else None
+                labels, probs = model.choose_labels(enc, draws)
+                ref_lp, ref_labels, _ = stepwise_decode(model, enc, feed, rng=rng_b)
+            assert labels == ref_labels
+            assert probs.dtype == np.float32
+            np.testing.assert_allclose(probs, np.exp(ref_lp.data[:, 1]), rtol=0, atol=atol)
 
 
 class TestTopK:

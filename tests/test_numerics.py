@@ -447,18 +447,25 @@ class TestProjectionRuns:
         assert (peak - out.data.nbytes) / 32_000 <= 128
 
 
+def sigmoid_inputs(dtype, bits):
+    """One column of every input class a gate meets: ±0, ±inf, NaN, ±max,
+    normal and subnormal tiny values, a ±120 grid and 300,000 random bit
+    patterns."""
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, info.max, -info.max,
+                        info.tiny, -info.tiny, info.smallest_subnormal,
+                        -info.smallest_subnormal, info.tiny / 3, -info.tiny / 3],
+                       dtype=dtype)
+    patterns = np.random.default_rng(7).integers(0, np.iinfo(bits).max, size=300_000,
+                                                 dtype=bits, endpoint=True)
+    return np.concatenate([special, np.linspace(-120, 120, 24_001, dtype=dtype),
+                           patterns.view(dtype)]).reshape(-1, 1)
+
+
 class TestStableSigmoid:
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
     def test_bitwise_equal_to_select_formula(self, dtype, bits):
-        info = np.finfo(dtype)
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, info.max, -info.max,
-                            info.tiny, -info.tiny, info.smallest_subnormal,
-                            -info.smallest_subnormal, info.tiny / 3, -info.tiny / 3],
-                           dtype=dtype)
-        patterns = np.random.default_rng(7).integers(0, np.iinfo(bits).max, size=300_000,
-                                                     dtype=bits, endpoint=True)
-        x = np.concatenate([special, np.linspace(-120, 120, 24_001, dtype=dtype),
-                            patterns.view(dtype)]).reshape(-1, 1)
+        x = sigmoid_inputs(dtype, bits)
         with np.errstate(over="ignore", invalid="ignore"):
             want, got = where_sigmoid(x), stable_sigmoid(x)
         assert got.dtype == dtype
@@ -466,6 +473,62 @@ class TestStableSigmoid:
         assert nan.sum() > 0
         np.testing.assert_array_equal(np.isnan(got), nan)  # NaN payloads may differ
         np.testing.assert_array_equal(got[~nan].view(bits), want[~nan].view(bits))
+
+
+class TestOneTanhGates:
+    """``lstm_step``'s gates, tanh(z / 2) / 2 + 1 / 2 for i, f and o and
+    tanh(z) for g, read off its returned gates with h = c = 0 and w_h = 0,
+    so that each gate column is one pre-activation z."""
+
+    @staticmethod
+    def gates(z):
+        # one unit, so the four gate columns are z's; the pre-activation is
+        # z @ w_x + b with w_x = 1 and b = 0
+        dtype = z.dtype
+        cell = LSTMCell("g", 1, 1, np.random.default_rng(0), dtype=dtype)
+        cell.w_x.data = np.ones((1, 4), dtype)
+        cell.w_h.data = np.zeros((1, 4), dtype)
+        cell.b.data = np.zeros((1, 4), dtype)
+        w_x, w_h, b = cell.step_weights()
+        zero = np.zeros_like(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, act, _ = lstm.lstm_step(z @ w_x + b, zero, zero, w_h)
+            pre = z @ cell.w_x.data + cell.b.data
+        assert act.dtype == dtype and act.shape == (len(z), 4)
+        return act, pre
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_gates_within_one_eps_of_float64(self, dtype, bits):
+        z = sigmoid_inputs(dtype, bits)
+        act, _ = self.gates(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sig = where_sigmoid(z.astype(np.float64))[:, 0]
+            tanh_z = np.tanh(z.astype(np.float64))[:, 0]
+        nan = np.isnan(z[:, 0])
+        assert nan.sum() > 0
+        for j, want in ((0, sig), (1, sig), (2, tanh_z), (3, sig)):
+            got = act[:, j]
+            np.testing.assert_array_equal(np.isnan(got), nan, err_msg=f"gate {j}")
+            err = np.abs(got[~nan].astype(np.float64) - want[~nan])
+            assert err.max() <= np.finfo(dtype).eps, f"gate {j}: {err.max()}"
+            low, high = (-1, 1) if j == 2 else (0, 1)
+            assert low <= got[~nan].min() and got[~nan].max() <= high, f"gate {j}"
+        for value, want in ((np.inf, [1, 1, 1, 1]), (-np.inf, [0, 0, -1, 0])):
+            row = act[z[:, 0] == value]
+            assert len(row) and (row == np.array(want, dtype)).all(), value
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_scaled_weights_give_the_tanh_formula_of_half_the_pre_activation(self, dtype, bits):
+        # halving w_x and b in the i, f and o columns halves their
+        # pre-activation exactly, so the step's gates carry the bits of
+        # tanh(pre / 2) / 2 + 1 / 2 and tanh(pre)
+        act, pre = self.gates(sigmoid_inputs(dtype, bits))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.tanh(pre * 0.5) * 0.5 + 0.5
+            want[:, 2] = np.tanh(pre[:, 2])
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(act), nan)  # NaN payloads may differ
+        np.testing.assert_array_equal(act[~nan].view(bits), want[~nan].view(bits))
 
 
 class TestLSTM:
@@ -605,6 +668,48 @@ class TestLSTM:
         assert np.array_equal(fused, expected), f"states differ (BLAS {blas_build()})"
         for p, got, want in zip(params, fused_grads, expected_grads):
             assert np.array_equal(got, want), f"{p.name} gradient differs (BLAS {blas_build()})"
+
+    # float32 states of the one-tanh step against the textbook tape step:
+    # the two round differently (the halving fold, the bias's place in the
+    # sum, one tanh for sigma), by about one float32 eps (1.2e-7) on states
+    # below 1 in magnitude
+    F32_STATE_ATOL = 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_lstm_sequence_matches_stepwise_reference(self, reverse):
+        rng = np.random.default_rng(21)
+        cell = LSTMCell("s", 64, 64, rng)
+        lengths = [9, 1, 23, 4]
+        x = rng.normal(size=(sum(lengths), 64)).astype(np.float32)
+        h0 = rng.normal(0.0, 0.5, size=(len(lengths), 64)).astype(np.float32)
+        with no_grad():
+            fused = lstm_sequence(cell, constant(x), lengths, h0=constant(h0),
+                                  reverse=reverse).data
+            rows, start = [], 0
+            for b, n in enumerate(lengths):
+                rows += stepwise_states(cell, x[start : start + n], reverse,
+                                        constant(h0[b : b + 1]))
+                start += n
+        want = np.concatenate([r.data for r in rows])
+        assert fused.dtype == want.dtype == np.float32
+        np.testing.assert_allclose(fused, want, rtol=0, atol=self.F32_STATE_ATOL)
+
+    def test_float32_run_bilstm_matches_stepwise_reference(self):
+        rng = np.random.default_rng(22)
+        fwd, bwd = LSTMCell("fw", 64, 64, rng), LSTMCell("bw", 64, 64, rng)
+        lengths = [5, 30, 1, 12]
+        x = rng.normal(size=(sum(lengths), 64)).astype(np.float32)
+        with no_grad():
+            fused = run_bilstm(fwd, bwd, constant(x), lengths).data
+            rows, start = [], 0
+            for n in lengths:
+                seq = x[start : start + n]
+                rows += [np.concatenate([f.data, b.data], axis=1) for f, b in
+                         zip(stepwise_states(fwd, seq), stepwise_states(bwd, seq, reverse=True))]
+                start += n
+        assert fused.dtype == np.float32
+        np.testing.assert_allclose(fused, np.concatenate(rows), rtol=0,
+                                   atol=self.F32_STATE_ATOL)
 
     def test_run_bilstm_gradcheck(self):
         rng = np.random.default_rng(19)
