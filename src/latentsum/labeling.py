@@ -2,19 +2,23 @@
 source/target pairs for the compression model.
 
 Both procedures are greedy and deterministic; ties always resolve to the
-lowest sentence index.
+lowest sentence index. Both count the document and the summary once per n
+into integer matrices over the summary's n-grams (``rouge.count_matrix``)
+and score every candidate sentence in one pass of array operations, with
+the bits of a ``rouge_mean`` call on the same sentences.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Document, Sentence, SummarySet
 from .errors import DataError
 from .numerics.checkpoint import read_json_lines
-from .rouge import clipped_matches, mean_f1, ngram_counts, pooled_counts
+from .rouge import count_matrix, mean_f1
 
 
 @dataclass(frozen=True)
@@ -24,8 +28,10 @@ class LabelSequence:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.labels):
-            raise DataError(f"labels must be 0/1, got {self.labels!r}")
+        # exact type: bools and numpy or float values would not round-trip
+        # through labels.jsonl
+        if any(type(v) is not int or v not in (0, 1) for v in self.labels):
+            raise DataError(f"labels must be the ints 0 and 1, got {self.labels!r}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -41,91 +47,60 @@ class CompressionPair:
     doc_id: str
 
 
-def _counted(sentence: Sentence) -> tuple[tuple[Counter, int], ...]:
-    """(n-gram counts, n-gram total) of one sentence, for n = 1 and 2."""
-    out = []
+def _sides(doc: Document, summary: SummarySet) -> list[tuple[np.ndarray, ...]]:
+    """For n = 1 and 2: the document's and the summary sentences' count
+    matrices over the summary's n-grams, and each side's n-gram totals."""
+    k = len(doc)
+    sides = []
     for n in (1, 2):
-        counts = ngram_counts(sentence, n)
-        out.append((counts, sum(counts.values())))
-    return tuple(out)
-
-
-def _gain(pool: Counter, hits: dict, ref: Counter) -> int:
-    """Clipped matches against ref that adding hits to pool would gain."""
-    gained = 0
-    for gram, count in hits.items():
-        have = pool.get(gram, 0)
-        gained += min(have + count, ref[gram]) - min(have, ref[gram])
-    return gained
+        counts, totals = count_matrix(doc.sentences + summary.sentences, summary.sentences, n)
+        sides.append((counts[:k], totals[:k], counts[k:], totals[k:]))
+    return sides
 
 
 def oracle_labels(doc: Document, summary: SummarySet, max_select: int = 3) -> LabelSequence:
     """Greedily pick the sentence subset maximizing rouge_mean against the
     summary; stop when nothing strictly improves or max_select is hit.
 
-    Each sentence's n-grams are counted once. For each n the selected set
-    keeps its pooled counts of the summary's n-grams (no other n-gram can
-    match), its clipped matches and its n-gram total, so trying sentence i
-    adds only i's counts. The integers, and so every score, are the ones
-    rouge_mean computes from the sentences."""
-    refs = [pooled_counts(summary.sentences, n) for n in (1, 2)]
-    ref_totals = [sum(ref.values()) for ref in refs]
-    # per sentence and n: its counts of the n-grams the summary holds, and
-    # its n-gram total
-    sents = [
-        [({g: c for g, c in counts.items() if g in ref}, total)
-         for (counts, total), ref in zip(_counted(sent), refs)]
-        for sent in doc.sentences
-    ]
-    pools = [Counter(), Counter()]
-    matched = [0, 0]
+    Each round scores every sentence at once. For each n the selected set
+    keeps its pooled row of counts over the summary's n-grams and its n-gram
+    total; adding sentence i clips pool + M[i] at the summary's counts. The
+    integers, and so every score, are the ones rouge_mean computes from the
+    sentences, and the first argmax is the lowest index among ties."""
+    refs = [(M, T, H.sum(0), U.sum()) for M, T, H, U in _sides(doc, summary)]
+    pools = [np.zeros_like(R) for _, _, R, _ in refs]
     totals = [0, 0]
     selected: list[int] = []
     best = 0.0
     while len(selected) < max_select:
-        best_gain_idx = -1
-        best_score = best
-        for i, grams in enumerate(sents):
-            if i in selected:
-                continue
-            score = mean_f1(*(
-                (matched[k] + _gain(pools[k], hits, refs[k]), totals[k] + total, ref_totals[k])
-                for k, (hits, total) in enumerate(grams)
-            ))
-            if score > best_score:
-                best_score = score
-                best_gain_idx = i
-        if best_gain_idx < 0:
+        scores = mean_f1(*(
+            (np.minimum(pool + M, R).sum(1), total + T, ref_total)
+            for (M, T, R, ref_total), pool, total in zip(refs, pools, totals)
+        ))
+        scores[selected] = -np.inf
+        i = int(np.argmax(scores))
+        if not scores[i] > best:
             break
-        for k, (hits, total) in enumerate(sents[best_gain_idx]):
-            matched[k] += _gain(pools[k], hits, refs[k])
-            totals[k] += total
-            pools[k].update(hits)
-        selected.append(best_gain_idx)
-        best = best_score
+        for k, (M, T, _, _) in enumerate(refs):
+            pools[k] += M[i]
+            totals[k] += T[i]
+        selected.append(i)
+        best = scores[i]
     chosen = set(selected)
     return LabelSequence(labels=tuple(1 if i in chosen else 0 for i in range(len(doc))))
 
 
 def compression_pairs(doc: Document, summary: SummarySet) -> list[CompressionPair]:
     """For each summary sentence, pair it with its closest document
-    sentence under rouge_mean; each sentence's n-grams are counted once."""
-    sources = [_counted(sent) for sent in doc.sentences]
-    pairs = []
-    for target in summary.sentences:
-        ref = _counted(target)
-        best_j = 0
-        best_score = -1.0
-        for j, source in enumerate(sources):
-            score = mean_f1(*(
-                (clipped_matches(ref_counts, counts), total, ref_total)
-                for (counts, total), (ref_counts, ref_total) in zip(source, ref)
-            ))
-            if score > best_score:
-                best_score = score
-                best_j = j
-        pairs.append(CompressionPair(source=doc.sentences[best_j], target=target, doc_id=doc.id))
-    return pairs
+    sentence under rouge_mean, the lowest index among ties (sentence 0 when
+    nothing matches). Every (sentence, target) score comes from one
+    broadcast of the two sides' count matrices."""
+    scores = mean_f1(*(
+        (np.minimum(M[:, None], H[None]).sum(-1), T[:, None], U)
+        for M, T, H, U in _sides(doc, summary)
+    ))
+    return [CompressionPair(source=doc.sentences[j], target=target, doc_id=doc.id)
+            for j, target in zip(scores.argmax(0), summary.sentences)]
 
 
 def labels_to_jsonl_line(doc_id: str, labels: LabelSequence) -> str:
@@ -140,16 +115,14 @@ def load_labels(path) -> dict[str, LabelSequence]:
                 raise DataError(f"expected a JSON object, got {type(obj).__name__}")
             doc_id = str(obj["id"])
             labels = obj["labels"]
-            # bool is an int subclass, so the type is checked exactly
-            if not isinstance(labels, list) or any(type(v) is not int or v not in (0, 1)
-                                                   for v in labels):
-                raise DataError(f"'labels' must be a list of the ints 0 and 1, "
-                                f"got {labels!r}")
+            if not isinstance(labels, list):
+                raise DataError(f"'labels' must be a list, got {labels!r}")
+            sequence = LabelSequence(labels=tuple(labels))
         except (KeyError, DataError) as exc:
             raise DataError(f"labels line {line_no}: {exc}") from exc
         if doc_id in table:
             raise DataError(f"labels line {line_no}: duplicate document id {doc_id!r}")
-        table[doc_id] = LabelSequence(labels=tuple(labels))
+        table[doc_id] = sequence
     return table
 
 

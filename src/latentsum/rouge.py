@@ -11,15 +11,18 @@ filtering.
 
 Every n-gram score is a function of three integers: the clipped matches,
 the candidate's n-gram total and the reference's. Callers that score many
-candidates against one reference (the oracle labels) count each sentence
-once with ``ngram_counts`` and hand those integers to ``mean_f1``, the
-formula ``rouge_mean`` applies.
+candidates against one reference (the oracle labels, the compression
+pairs) count each side once into a ``count_matrix`` and hand arrays of
+those integers to ``mean_f1``, the formula ``rouge_mean`` applies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+import numpy as np
 
 from .corpus import Sentence
 
@@ -43,11 +46,14 @@ def _score(matched: float, cand_total: int, ref_total: int) -> RougeScore:
     return RougeScore(precision=precision, recall=recall, f1=_f1(precision, recall))
 
 
+def _ngrams(tokens, n: int):
+    return zip(*(tokens[k:] for k in range(n)))
+
+
 def ngram_counts(sentence: Sentence, n: int) -> Counter:
     """Counts of one sentence's n-grams; no n-gram crosses a sentence
     boundary."""
-    toks = sentence.tokens
-    return Counter(zip(*(toks[k:] for k in range(n))))
+    return Counter(_ngrams(sentence.tokens, n))
 
 
 def pooled_counts(sentences, n: int) -> Counter:
@@ -61,6 +67,28 @@ def pooled_counts(sentences, n: int) -> Counter:
 def clipped_matches(cand: Counter, ref: Counter) -> int:
     """N-grams the two sides share, each clipped at the smaller count."""
     return sum(min(cand[gram], ref[gram]) for gram in cand.keys() & ref.keys())
+
+
+def count_matrix(sentences, reference, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of each sentence's n-grams over the G distinct n-grams of the
+    reference sentences, as an (|S|, G) integer matrix, and each sentence's
+    n-gram total. No other n-gram can match, so the clipped matches of a set
+    of rows against a set of reference rows are ``minimum`` of the two sets'
+    column sums, summed."""
+    columns: dict = {}
+    for sent in reference:
+        for gram in _ngrams(sent.tokens, n):
+            columns.setdefault(gram, len(columns))
+    # a last column takes every n-gram the reference lacks and is dropped
+    width = len(columns) + 1
+    totals = [max(len(sent.tokens) - n + 1, 0) for sent in sentences]
+    index = np.fromiter(
+        chain.from_iterable(map(columns.get, _ngrams(sent.tokens, n), repeat(width - 1))
+                            for sent in sentences),
+        dtype=np.intp, count=sum(totals))
+    index += np.repeat(np.arange(0, len(totals) * width, width), totals)
+    counts = np.bincount(index, minlength=len(totals) * width)
+    return counts.reshape(len(totals), width)[:, :-1], np.array(totals)
 
 
 def _overlap(candidate, reference, n: int) -> tuple[int, int, int]:
@@ -97,12 +125,26 @@ def rouge_l(candidate, reference) -> RougeScore:
     return _score(_lcs_length(cand, ref), len(cand), len(ref))
 
 
-def mean_f1(unigram: tuple[int, int, int], bigram: tuple[int, int, int]) -> float:
+def _ratio(num, den) -> np.ndarray:
+    # 0.0 where den is 0, as _score and _f1 give; num has the result's shape
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+
+
+def mean_f1(unigram: tuple, bigram: tuple) -> np.ndarray:
     """Mean of ROUGE-1 and ROUGE-2 F1, each given as (clipped matches,
-    candidate n-gram total, reference n-gram total)."""
-    return (_score(*unigram).f1 + _score(*bigram).f1) / 2.0
+    candidate n-gram total, reference n-gram total): integers or integer
+    arrays. The totals broadcast against the matches, whose shape the
+    result takes. Each F1 runs ``_score``'s float64 operations in its order
+    on the same integers, so every element has the bits of the scalar
+    formula."""
+    f1s = []
+    for matched, cand_total, ref_total in (unigram, bigram):
+        precision = _ratio(matched, cand_total)
+        recall = _ratio(matched, ref_total)
+        f1s.append(_ratio(2.0 * precision * recall, precision + recall))
+    return (f1s[0] + f1s[1]) / 2.0
 
 
 def rouge_mean(candidate, reference) -> float:
     """Mean of ROUGE-1 and ROUGE-2 F1; the greedy-selection objective."""
-    return mean_f1(_overlap(candidate, reference, 1), _overlap(candidate, reference, 2))
+    return float(mean_f1(_overlap(candidate, reference, 1), _overlap(candidate, reference, 2)))

@@ -102,10 +102,42 @@ def _wide_case(rng, n_sents):
     return doc_from(sentences, doc_id="wide"), summary_from(summary)
 
 
+def _zero_total_cases(rng):
+    """Cases where a total the F1 divides by is 0: a summary of one-token
+    sentences (no reference bigrams), a document of one-token sentences (no
+    candidate bigrams), and a summary that shares no n-gram with the
+    document (no matches at all)."""
+    cases = []
+    for _ in range(20):
+        doc = random_sentences(rng, int(rng.integers(1, 7)), max_len=5, vocab_size=4)
+        one_token_doc = random_sentences(rng, int(rng.integers(1, 7)), max_len=1, vocab_size=4)
+        summary = random_sentences(rng, int(rng.integers(1, 4)), max_len=5, vocab_size=4)
+        one_token_summary = random_sentences(rng, int(rng.integers(1, 4)), max_len=1,
+                                             vocab_size=4)
+        foreign = [Sentence(tokens=tuple("x" + t for t in s.tokens)) for s in summary]
+        for d, h in ((doc, one_token_summary), (one_token_doc, summary),
+                     (one_token_doc, one_token_summary), (doc, foreign)):
+            cases.append((Document(id="zero", sentences=tuple(d)),
+                          SummarySet(sentences=tuple(h))))
+    return cases
+
+
+def _is_foreign(doc, summary):
+    return not ({t for s in doc.sentences for t in s.tokens}
+                & {t for s in summary.sentences for t in s.tokens})
+
+
 class TestLabelSequence:
     def test_rejects_non_binary(self):
         with pytest.raises(DataError):
             LabelSequence(labels=(0, 2))
+
+    @pytest.mark.parametrize("labels", [(True, False), (np.int64(1), np.int64(0)), (1.0, 0.0)])
+    def test_rejects_labels_that_are_not_ints(self, labels):
+        # each would write a labels.jsonl line that load_labels refuses
+        # (true/false, 1.0) or that json cannot write (int64)
+        with pytest.raises(DataError, match="ints 0 and 1"):
+            LabelSequence(labels=labels)
 
     def test_selected_indices(self):
         assert LabelSequence(labels=(0, 1, 1, 0)).selected_indices() == (1, 2)
@@ -149,6 +181,12 @@ class TestOracleLabels:
             max_select = case % 5 + 1
             got = oracle_labels(doc, summary, max_select=max_select)
             assert got.labels == greedy_reference(doc, summary, max_select)
+        for case, (doc, summary) in enumerate(_zero_total_cases(rng)):
+            max_select = case % 5 + 1
+            got = oracle_labels(doc, summary, max_select=max_select)
+            assert got.labels == greedy_reference(doc, summary, max_select)
+            if _is_foreign(doc, summary):
+                assert got.labels == (0,) * len(doc)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_reference_on_wide_documents(self, seed):
@@ -228,16 +266,20 @@ class TestCompressionPairs:
                           summary_from([s.text() for s in summary_sents])))
         cases += [_edge_case(rng) for _ in range(300)]
         cases += [_wide_case(rng, n) for n in (15, 35)]
+        cases += _zero_total_cases(rng)
         for doc, summary in cases:
             pairs = compression_pairs(doc, summary)
             assert [pair.target for pair in pairs] == list(summary.sentences)
             for pair, target in zip(pairs, summary.sentences):
                 got = rouge_mean([pair.source], [target])
                 scores = [rouge_mean([s], [target]) for s in doc.sentences]
-                assert got == pytest.approx(max(scores), abs=1e-12)
+                # exact: ties resolve on exact bits
+                assert got == max(scores)
                 # lowest index among ties
                 best_j = scores.index(max(scores))
                 assert pair.source == doc.sentences[best_j]
+                if _is_foreign(doc, summary):
+                    assert pair.source == doc.sentences[0]
 
 
 def test_labeling_scores_from_counts_without_rouge_calls(monkeypatch):

@@ -5,6 +5,7 @@ n-gram matching by greedy list removal instead of Counter clipping, and
 LCS by memoized recursion instead of bit-parallel big-int arithmetic.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -12,7 +13,16 @@ import pytest
 
 from latentsum.cli import _evaluate_system
 from latentsum.corpus import load_corpus
-from latentsum.rouge import RougeScore, _lcs_length, rouge_l, rouge_mean, rouge_n
+from latentsum.rouge import (
+    RougeScore,
+    _lcs_length,
+    _score,
+    count_matrix,
+    mean_f1,
+    rouge_l,
+    rouge_mean,
+    rouge_n,
+)
 from latentsum.toy import write_toy_corpus
 
 from conftest import random_sentences, sent
@@ -24,8 +34,9 @@ def _ngrams(tokens, n):
     return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def oracle_rouge_n(candidate, reference, n):
-    """Clipped overlap via explicit multiset matching with removal."""
+def oracle_overlap(candidate, reference, n):
+    """(clipped matches, candidate total, reference total) via explicit
+    multiset matching with removal."""
     cand, ref = [], []
     for s in candidate:
         cand.extend(_ngrams(s.tokens, n))
@@ -37,8 +48,14 @@ def oracle_rouge_n(candidate, reference, n):
         if gram in pool:
             pool.remove(gram)
             matched += 1
-    precision = matched / len(cand) if cand else 0.0
-    recall = matched / len(ref) if ref else 0.0
+    return matched, len(cand), len(ref)
+
+
+def oracle_rouge_n(candidate, reference, n):
+    """Clipped overlap score from the removal oracle's counts."""
+    matched, cand, ref = oracle_overlap(candidate, reference, n)
+    precision = matched / cand if cand else 0.0
+    recall = matched / ref if ref else 0.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 
@@ -185,6 +202,51 @@ class TestRougeMean:
 
     def test_disjoint(self):
         assert rouge_mean([sent("a b")], [sent("x y")]) == 0.0
+
+    def test_returns_a_float(self):
+        assert type(rouge_mean([sent("the cat")], [sent("the cat sat")])) is float
+
+
+class TestMeanF1:
+    def test_arrays_have_the_bits_of_score(self):
+        # every (matches, candidate total, reference total) up to 7, zero
+        # totals included, and large totals: each element of the array form
+        # is the scalar formula's mean bit for bit
+        rng = np.random.default_rng(5)
+        triples = np.concatenate([np.array(list(itertools.product(range(8), repeat=3))),
+                                  rng.integers(0, 2**40, size=(300, 3))])
+        unigram = tuple(triples.T)
+        bigram = tuple(rng.permutation(triples).T)
+        want = [(_score(*map(int, u)).f1 + _score(*map(int, b)).f1) / 2.0
+                for u, b in zip(zip(*unigram), zip(*bigram))]
+        assert mean_f1(unigram, bigram).tobytes() == np.array(want).tobytes()
+
+    def test_totals_broadcast_against_matches(self):
+        matched = np.array([[0, 1], [2, 0], [3, 3]])
+        cand_totals = np.array([[0], [4], [5]])
+        ref_totals = np.array([0, 6])
+        got = mean_f1((matched, cand_totals, ref_totals), (matched, cand_totals, ref_totals))
+        want = [[_score(int(matched[i, j]), int(cand_totals[i, 0]), int(ref_totals[j])).f1
+                 for j in range(2)] for i in range(3)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestCountMatrix:
+    def test_rows_give_clipped_matches_and_totals(self):
+        # any set of rows against any set of reference rows: the clipped
+        # matches are min(row sums) over the columns, as the removal oracle
+        # counts them
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            candidate, reference = _random_case(rng)
+            for n in (1, 2):
+                counts, totals = count_matrix(candidate + reference, reference, n)
+                cand_rows, ref_rows = counts[:len(candidate)], counts[len(candidate):]
+                assert counts.shape[1] == len({g for s in reference for g in _ngrams(s.tokens, n)})
+                assert totals.tolist() == [len(_ngrams(s.tokens, n))
+                                           for s in candidate + reference]
+                matched = int(np.minimum(cand_rows.sum(0), ref_rows.sum(0)).sum())
+                assert matched == oracle_overlap(candidate, reference, n)[0]
 
 
 # ------------------------------------------------------------- properties
