@@ -195,12 +195,13 @@ class CompressionModel:
         """Argmax decoding until EOS or max_len; PAD is never emitted and
         EOS is masked at the first step so the output is non-empty.
 
-        The source is encoded once, and the decoder's ``step_weights`` are
-        taken once; each step is then numpy arithmetic on arrays,
-        ``lstm_step`` and the products of ``_attend`` and
-        ``_output_logits`` in their order, so no tape node is built per
-        step. ``LSTMCell.step`` and ``_attend`` are its stepwise test
-        oracles."""
+        The source is encoded once, and the decoder's ``step_weights``
+        are made once per parameter version; each step is then numpy
+        arithmetic on arrays, ``lstm_step`` and the products of ``_attend``
+        and ``_output_logits`` in their order, so no tape node is built per
+        step. The state and the context go into one preallocated
+        ``[h | context]`` row in place of a concatenation. ``LSTMCell.step``
+        and ``_attend`` are its stepwise test oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         with no_grad():
@@ -211,13 +212,20 @@ class CompressionModel:
         w_out, b_out = self.w_out.data, self.b_out.data
         tgt_embed = self.tgt_embed.data
         w_x, w_h, b = self.dec.step_weights()
-        h, c = s0.data, np.zeros((1, self.d), dtype=self.dtype)
+        d = self.d
+        h, c = s0.data, np.zeros((1, d), dtype=self.dtype)
+        row = np.empty((1, 3 * d), dtype=self.dtype)  # [h | context]
         token = BOS
         out: list[int] = []
         for step in range(max_len):
-            h, c, _, _ = lstm_step(tgt_embed[[token]] @ w_x + b, h, c, w_h)
+            xw = tgt_embed[token : token + 1] @ w_x
+            xw += b
+            h, c, _, _ = lstm_step(xw, h, c, w_h)
             weights = stable_softmax((np.tanh(h @ w_s + projected) @ v_a).T, axis=1)
-            logits = (np.concatenate([h, weights @ ann], axis=1) @ w_out + b_out)[0]
+            row[:, :d] = h
+            np.matmul(weights, ann, out=row[:, d:])
+            logits = (row @ w_out)[0]
+            logits += b_out[0]
             logits[PAD] = -np.inf
             logits[BOS] = -np.inf
             if step == 0:

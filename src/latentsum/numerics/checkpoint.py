@@ -152,8 +152,8 @@ def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> Chec
 
 
 def apply_state(params, arrays: dict[str, np.ndarray]):
-    """Load checkpoint arrays into live Parameters by name, as writable
-    copies in each Parameter's dtype."""
+    """Load checkpoint arrays into live Parameters by name, as one copy
+    each in the Parameter's dtype, which binding makes read-only."""
     by_name = {p.name: p for p in params}
     missing = sorted(set(by_name) - set(arrays))
     extra = sorted(set(arrays) - set(by_name))

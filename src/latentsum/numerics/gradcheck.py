@@ -46,13 +46,17 @@ def finite_difference_check(params, loss_fn, rng, num_coords: int = 200,
         p = params[int(rng.choice(len(params), p=probs))]
         flat_index = int(rng.integers(p.data.size))
         index = np.unravel_index(flat_index, p.data.shape)
-        original = p.data[index]
-        p.data[index] = original + eps
-        loss_plus = float(loss_fn().data)
-        p.data[index] = original - eps
-        loss_minus = float(loss_fn().data)
-        p.data[index] = original
-        fd = (loss_plus - loss_minus) / (2.0 * eps)
+        # parameter arrays are read-only: bind perturbed copies, then the
+        # original array again
+        original = p.data
+        losses = []
+        for step in (eps, -eps):
+            perturbed = original.copy()
+            perturbed[index] += step
+            p.data = perturbed
+            losses.append(float(loss_fn().data))
+        p.data = original
+        fd = (losses[0] - losses[1]) / (2.0 * eps)
         an = float(analytic[id(p)][index])
         rel = abs(an - fd) / max(abs(an) + abs(fd), 1e-3)
         report.checked += 1

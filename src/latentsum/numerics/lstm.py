@@ -25,9 +25,13 @@ the tape-free decode loops that feed their own output back. It takes all
 four gates from one tanh, as sigma(z) = tanh(z / 2) / 2 + 1 / 2: the
 halving is folded into the i, f and o columns of the weights that
 ``LSTMCell.step_weights`` returns, which is exact, one half being a power
-of two, and the bias joins the input projection. ``LSTMCell.step`` builds
-the textbook step as a small graph of tape primitives; it is kept as the
-stepwise test oracle.
+of two, and the bias joins the input projection. Parameter arrays are
+read-only and an update binds a new array, so these weights, and a
+Bi-LSTM's stack of both cells' weights, are made once per parameter
+version and reused until a parameter is rebound, as Appleyard et al.
+prepare their weight layouts once between updates. ``LSTMCell.step``
+builds the textbook step as a small graph of tape primitives; it is kept
+as the stepwise test oracle.
 """
 
 from __future__ import annotations
@@ -126,6 +130,8 @@ class LSTMCell:
         self.w_x = Parameter(f"{prefix}.w_x", init_uniform((input_size, 4 * hidden_size), 4 * hidden_size, rng, dtype))
         self.w_h = Parameter(f"{prefix}.w_h", init_uniform((hidden_size, 4 * hidden_size), 4 * hidden_size, rng, dtype))
         self.b = Parameter(f"{prefix}.b", bias)
+        self._prepared = None  # (w_x, w_h, b arrays, their step weights)
+        self._stacked = None  # (every cell's arrays, stacked step weights)
 
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.b]
@@ -135,10 +141,17 @@ class LSTMCell:
         return Tensor(zero), Tensor(zero.copy())
 
     def step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w_x, w_h, b)`` for ``lstm_step``: copies with the i, f and o
-        columns halved."""
-        return tuple(w * gate_affine(self.hidden_size, w.dtype)[0]
-                     for w in (self.w_x.data, self.w_h.data, self.b.data))
+        """``(w_x, w_h, b)`` for ``lstm_step``: read-only copies with the
+        i, f and o columns halved, made once per parameter version. They
+        are rebuilt only when ``w_x``, ``w_h`` or ``b`` is bound to an array
+        other than the one they were made from."""
+        sources = (self.w_x.data, self.w_h.data, self.b.data)
+        if not _prepared_from(self._prepared, sources):
+            weights = tuple(w * gate_affine(self.hidden_size, w.dtype)[0] for w in sources)
+            for w in weights:
+                w.setflags(write=False)
+            self._prepared = (sources, weights)
+        return self._prepared[1]
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         """The textbook step as tape primitives, gates through ``sigmoid``;
@@ -151,6 +164,37 @@ class LSTMCell:
         o = sigmoid(slice_axis(pre, 1, 3 * h, 4 * h))
         c = add(mul(f, c_prev), mul(i, g))
         return mul(o, tanh(c)), c
+
+
+def _prepared_from(prepared, sources) -> bool:
+    """Whether ``prepared``, a (source arrays, weights) pair or None, was
+    made from exactly the arrays ``sources``. Parameter arrays are
+    read-only and an update binds a new one, so the same arrays mean the
+    same values. The pair holds arrays only, never a cell, so a model is
+    freed without the cycle collector."""
+    return prepared is not None and len(prepared[0]) == len(sources) \
+        and all(a is b for a, b in zip(prepared[0], sources))
+
+
+def _stacked_weights(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``step_weights`` of every cell stacked to (cells, ·, ·), made once
+    per parameter version of the cells and kept on the first cell; one
+    cell's are views of its own."""
+    if len(cells) == 1:
+        return tuple(w[None] for w in cells[0].step_weights())
+    sources = tuple(p.data for c in cells for p in c.parameters())
+    first = cells[0]
+    if not _prepared_from(first._stacked, sources):
+        stacks = tuple(np.empty((len(cells),) + src.shape, np.result_type(*sources[j::3]))
+                       for j, src in enumerate(sources[:3]))
+        for j, cell in enumerate(cells):
+            for stack, p in zip(stacks, cell.parameters()):
+                w = p.data
+                np.multiply(w, gate_affine(cell.hidden_size, w.dtype)[0], out=stack[j])
+        for stack in stacks:
+            stack.setflags(write=False)
+        first._stacked = (sources, stacks)
+    return first._stacked[1]
 
 
 def _runs(counts):
@@ -194,7 +238,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     read = np.stack([back_rows if r else fwd_rows for r in reverse])
     cell_of = np.arange(dirs)[:, None]
 
-    w_x, w_h, b = (np.stack(w) for w in zip(*(c.step_weights() for c in cells)))
+    w_x, w_h, b = _stacked_weights(cells)
     dtype = np.result_type(x.data, w_x)
     # no step is a one-row product (see ``gemm_rows``): the state buffers
     # keep a spare row, so a lone sequence's step runs two rows, and its
@@ -214,19 +258,22 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         # steps read; a row's bits do not depend on the run, so this is the
         # hoisted projection over every row, a run's rows at a time
         base = start
-        xw = gemm_rows(x.data[read[:, base : base + sum(run)]], w_x)
+        run_rows = read[:, base : base + sum(run)]
+        xw = gemm_rows(x.data[run_rows], w_x)
         xw += b
+        states = []  # the run's states in step order, scattered once per run
         for k in run:
             width = max(k, 2)
             rows = read[:, start : start + k]
             hp, cp = h_state[:, :width], c_state[:, :width]
             h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h)
-            out[rows, cell_of] = h[:, :k]
+            states.append(h[:, :k])
             if keep:
                 cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
             h_state, c_state = h, c  # a finished sequence's state is never read again
             del act, tc  # unless cached, this step's gates go before the next's are made
             start += k
+        out[run_rows, cell_of] = states[0] if len(states) == 1 else np.concatenate(states, axis=1)
 
     def bw(grad):
         grad = grad.reshape(n, dirs, hid)

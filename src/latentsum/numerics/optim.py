@@ -15,10 +15,14 @@ def check_finite(params, where: str = "update"):
             raise NumericError(f"non-finite gradient in {p.name} before {where}")
 
 
-def _check_values_finite(params):
-    for p in params:
-        if not np.isfinite(p.data).all():
+def _bind(params, values):
+    """Bind each parameter's updated array, once every one is finite: a
+    step that raises leaves every parameter as it was."""
+    for p, value in zip(params, values):
+        if not np.isfinite(value).all():
             raise NumericError(f"non-finite values in {p.name} after optimizer step")
+    for p, value in zip(params, values):
+        p.data = value
 
 
 def clip_global_norm(params, max_norm: float) -> float:
@@ -62,13 +66,15 @@ def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: 
     validation; stop ends training early. Each row gains, per group, the
     epoch's mean pre-clip gradient norm and the share of steps that
     clipping rescaled. When any epoch was scored, the parameters of the
-    best-scored epoch are restored.
+    best-scored epoch are restored: parameter arrays are read-only and
+    each step binds new ones, so the snapshot keeps references to that
+    epoch's arrays, not copies.
     """
     if not items:
         raise DataError("cannot train on an empty item list")
     params = [p for opt in groups.values() for p in opt.params]
     best_score = -np.inf
-    best = [p.data.copy() for p in params]
+    best = [p.data for p in params]
     scored = False
     metrics: list[dict] = []
     for epoch in range(1, epochs + 1):
@@ -95,7 +101,7 @@ def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: 
             scored = True
             if score > best_score:
                 best_score = score
-                best = [p.data.copy() for p in params]
+                best = [p.data for p in params]
         if stop:
             break
     if scored:
@@ -111,10 +117,8 @@ class SGD:
 
     def step(self):
         check_finite(self.params, "SGD step")
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
-        _check_values_finite(self.params)
+        stepped = [p for p in self.params if p.grad is not None]
+        _bind(stepped, [p.data - self.lr * p.grad for p in stepped])
 
 
 # Adam's moment decay rates and denominator offset: Kingma & Ba's defaults
@@ -133,14 +137,16 @@ class Adam:
 
     def step(self):
         check_finite(self.params, "Adam step")
-        self.t += 1
-        correct1 = 1.0 - BETA1 ** self.t
-        correct2 = 1.0 - BETA2 ** self.t
-        for i, p in enumerate(self.params):
+        t = self.t + 1
+        correct1 = 1.0 - BETA1 ** t
+        correct2 = 1.0 - BETA2 ** t
+        m, v, values = [], [], []
+        for p, m_prev, v_prev in zip(self.params, self.m, self.v):
             g = p.grad_or_zeros()
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
-            m_hat = self.m[i] / correct1
-            v_hat = self.v[i] / correct2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        _check_values_finite(self.params)
+            m.append(BETA1 * m_prev + (1.0 - BETA1) * g)
+            v.append(BETA2 * v_prev + (1.0 - BETA2) * g * g)
+            m_hat = m[-1] / correct1
+            v_hat = v[-1] / correct2
+            values.append(p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS))
+        _bind(self.params, values)
+        self.t, self.m, self.v = t, m, v

@@ -83,7 +83,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor."""
+    """A named, trainable tensor whose array is read-only.
+
+    Binding ``data`` marks the array read-only, after copying one that
+    views another array or buffer, so no writable alias is left; an update
+    binds a new array. An array's identity is then its version: whatever is prepared
+    from it (``LSTMCell.step_weights``) stays exact while the same array is
+    bound, and an in-place write raises ``ValueError``.
+    """
 
     __slots__ = ("name",)
 
@@ -91,6 +98,14 @@ class Parameter(Tensor):
         init = data.data if isinstance(data, Tensor) else data
         super().__init__(np.array(init), requires_grad=True)
         self.name = name
+
+    def __setattr__(self, name, value):
+        if name == "data":
+            value = np.asarray(value)
+            if value.base is not None:
+                value = value.copy()
+            value.setflags(write=False)
+        super().__setattr__(name, value)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -123,9 +138,10 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     g = _unbroadcast(g, t.data.shape)
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    grad = t.grad
+    if grad is None:
+        t.grad = grad = np.zeros_like(t.data)
+    grad += g  # in place, without rebinding a Parameter's attribute
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

@@ -335,9 +335,10 @@ class TestGreedyDecodeIsTapeFree:
         # at init scale the argmax barely depends on attention or the cell
         # state; three times wider weights and a random output bias make
         # each of them change the ids
-        model.b_out.data[:] = rng.normal(0.0, 0.1, size=model.b_out.data.shape)
+        model.b_out.data = rng.normal(0.0, 0.1, size=model.b_out.data.shape).astype(
+            model.b_out.data.dtype)
         for p in model.parameters():
-            p.data *= 3
+            p.data = p.data * 3
         sources = [[int(v) for v in rng.integers(4, 1500, size=n)] for n in (20, 27, 33, 40)]
         want = [stepwise_greedy_ids(model, source, 30) for source in sources]
         assert sum(len(ids) for ids in want) > 60

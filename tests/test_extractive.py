@@ -294,7 +294,7 @@ class TestStepwiseOracle:
         for seed in range(4):
             model = tiny_model(d=64, seed=seed, dtype=np.float32)
             for p in model.parameters():
-                p.data *= 3  # p(y = 1) moves off 0.5, so labels vary
+                p.data = p.data * 3  # p(y = 1) moves off 0.5, so labels vary
             with no_grad():
                 enc = model.encode_document(encoded_doc(n_sents=12, seed=80 + seed))
                 rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -252,7 +252,7 @@ class TestSurrogate:
     def test_baseline_predict_blocks_gradient_into_policy(self):
         model = policy()
         baseline = BaselineModel(model.d, dtype=np.float64)
-        baseline.w.data += 0.5
+        baseline.w.data = baseline.w.data + 0.5
         enc = model.encode_document(tiny_doc())
         dec = model.decode_labels(enc, model.choose_labels(enc)[0])
         loss = tensor_sum(baseline.predict(dec.h_d))
@@ -476,14 +476,16 @@ class TestExhaustive:
         for p in model.parameters():
             if p.name not in ("extractive.w_o", "extractive.w_e"):
                 continue
-            flat = p.data.reshape(-1)
-            for idx in rng.choice(flat.size, size=3, replace=False):
-                original = flat[idx]
-                flat[idx] = original + h
-                up = expectation()
-                flat[idx] = original - h
-                down = expectation()
-                flat[idx] = original
+            original = p.data
+            for idx in rng.choice(original.size, size=3, replace=False):
+                values = []
+                for value in (original.flat[idx] + h, original.flat[idx] - h):
+                    flat = original.reshape(-1).copy()
+                    flat[idx] = value
+                    p.data = flat.reshape(original.shape)
+                    values.append(expectation())
+                p.data = original
+                up, down = values
                 fd = (up - down) / (2 * h)
                 got = out["gradient"][p.name].reshape(-1)[idx]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -591,7 +593,7 @@ class TestTrainLatent:
         records[-1] = (records[-1][0], empty)
         model = ExtractiveModel(len(vocab), small_config.d, np.random.default_rng(0))
         baseline = BaselineModel(small_config.d)
-        baseline.w.data += 0.25
+        baseline.w.data = baseline.w.data + 0.25
         before = [p.data.copy() for p in model.parameters() + baseline.parameters()]
         comp = CompressionModel(len(vocab), small_config.d, np.random.default_rng(7))
         with pytest.raises(DataError, match=f"{records[-1][0].id!r} has an empty summary"):
@@ -700,6 +702,76 @@ class TestRewardMatrixIsTheOnlyPath:
         comp = CompressionModel(len(vocab), cfg.d, np.random.default_rng(1))
         assert train_latent(model, BaselineModel(cfg.d), records, comp, cfg,
                             np.random.default_rng(2))
+
+
+class TestPreparedStepWeights:
+    """Each LSTM's step weights are made once per parameter version."""
+
+    @staticmethod
+    def _models(vocab, d, seed=0):
+        rng = np.random.default_rng(seed)
+        return (ExtractiveModel(len(vocab), d, rng), CompressionModel(len(vocab), d, rng),
+                BaselineModel(d))
+
+    def test_every_model_parameter_is_read_only(self, small_config):
+        _, vocab = tiny_records(n_docs=1)
+        for model in self._models(vocab, small_config.d):
+            for p in model.parameters():
+                with pytest.raises(ValueError, match="read-only"):
+                    p.data *= 2
+
+    def _pipeline(self, cfg):
+        from latentsum.compression import decode_greedy, train_compression
+        from latentsum.extractive import train_extractive
+        from latentsum.labeling import compression_pairs, oracle_labels
+
+        records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
+        model, comp, baseline = self._models(vocab, cfg.d)
+        rng = np.random.default_rng(1)
+        labels = {doc.id: oracle_labels(doc, summary) for doc, summary in records}
+        pairs = [p for doc, summary in records for p in compression_pairs(doc, summary)]
+        metrics = [train_extractive(model, records, labels, records[:1], cfg, rng),
+                   train_compression(comp, pairs, pairs[:1], cfg, rng),
+                   train_latent(model, baseline, records, comp, cfg, rng)]
+        doc = records[0][0]
+        outputs = [model.select_top_k(doc, 2).indices,
+                   decode_greedy(comp, vocab, doc.sentences[0], 5).ids]
+        params = [(p.name, p.data.tobytes())
+                  for m in (model, comp, baseline) for p in m.parameters()]
+        return metrics, outputs, params
+
+    def test_training_is_bit_identical_with_the_caches_bypassed(self, small_config,
+                                                                  monkeypatch):
+        from latentsum.numerics import lstm
+
+        cfg = dataclasses.replace(small_config, extractive_epochs=2, compression_epochs=2,
+                                  latent_epochs=2)
+        cached = self._pipeline(cfg)
+        monkeypatch.setattr(lstm, "_prepared_from", lambda prepared, sources: False)
+        assert self._pipeline(cfg) == cached
+
+    def test_models_are_freed_without_the_cycle_collector(self, small_config):
+        import gc
+        import weakref
+
+        from latentsum.compression import decode_greedy
+        from latentsum.numerics import LSTMCell
+
+        records, vocab = tiny_records(n_docs=1)
+        doc = records[0][0]
+        model, comp, _ = self._models(vocab, small_config.d)
+        gc.disable()
+        try:
+            model.select_top_k(doc, 2)
+            decode_greedy(comp, vocab, doc.sentences[0], 5)
+            # the models and their cells, whose caches must not refer back
+            refs = [weakref.ref(obj) for m in (model, comp)
+                    for obj in [m, *(v for v in vars(m).values() if isinstance(v, LSTMCell))]]
+            assert len(refs) == 10
+            del model, comp
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestStepIsOracleOnly:

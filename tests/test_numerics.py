@@ -744,6 +744,121 @@ class TestLSTM:
             lstm_sequence(cell, x, [4], h0=constant(np.zeros((2, 3))))
 
 
+class TestPreparedStepWeights:
+    """Parameter arrays are read-only and an update binds a new array, so
+    each LSTM's step weights are made once per parameter version."""
+
+    @staticmethod
+    def pair(seed=30, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        return LSTMCell("f", 3, 4, rng, dtype=dtype), LSTMCell("b", 3, 4, rng, dtype=dtype)
+
+    @staticmethod
+    def halved(cell):
+        scale = lstm.gate_affine(cell.hidden_size, cell.dtype)[0]
+        return [p.data * scale for p in cell.parameters()]
+
+    def test_in_place_writes_raise(self):
+        fwd, _ = self.pair()
+        for p in fwd.parameters():
+            assert not p.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p.data += 1.0
+        view = np.zeros((3, 8))[:, :4]
+        p = Parameter("v", view)
+        p.data = view  # a view is copied, so no writable alias is left
+        assert not np.shares_memory(p.data, view) and not p.data.flags.writeable
+
+    def test_same_objects_until_a_parameter_is_rebound(self):
+        fwd, bwd = self.pair()
+        weights = fwd.step_weights()
+        stacked = lstm._stacked_weights((fwd, bwd))
+        assert all(a is b for a, b in zip(fwd.step_weights(), weights))
+        assert all(a is b for a, b in zip(lstm._stacked_weights((fwd, bwd)), stacked))
+        assert not any(w.flags.writeable for w in weights + stacked)
+        for got, want in zip(weights, self.halved(fwd)):
+            np.testing.assert_array_equal(got, want)
+        for j, cell in enumerate((fwd, bwd)):
+            for got, want in zip(stacked, self.halved(cell)):
+                np.testing.assert_array_equal(got[j], want)
+        bwd.b.data = bwd.b.data + 1.0
+        assert all(a is b for a, b in zip(fwd.step_weights(), weights))
+        restacked = lstm._stacked_weights((fwd, bwd))
+        assert not any(a is b for a, b in zip(restacked, stacked))
+        np.testing.assert_array_equal(restacked[2][1], self.halved(bwd)[2])
+
+    def _rebuilt_after(self, update):
+        """Whether ``update(fwd, bwd)`` makes both caches rebuild, to the
+        halved values of the parameters it leaves bound."""
+        fwd, bwd = self.pair()
+        weights = fwd.step_weights()
+        stacked = lstm._stacked_weights((fwd, bwd))
+        update(fwd, bwd)
+        new_weights = fwd.step_weights()
+        new_stacked = lstm._stacked_weights((fwd, bwd))
+        assert not any(a is b for a, b in zip(new_weights, weights))
+        assert not any(a is b for a, b in zip(new_stacked, stacked))
+        for got, want in zip(new_weights, self.halved(fwd)):
+            np.testing.assert_array_equal(got, want)
+        for j, cell in enumerate((fwd, bwd)):
+            for got, want in zip(new_stacked, self.halved(cell)):
+                np.testing.assert_array_equal(got[j], want)
+
+    @staticmethod
+    def _grads(cells, value=0.1):
+        for cell in cells:
+            for p in cell.parameters():
+                p.grad = np.full_like(p.data, value)
+
+    @pytest.mark.parametrize("make", [lambda ps: Adam(ps, lr=0.01), lambda ps: SGD(ps, lr=0.01)])
+    def test_rebuilt_after_an_optimizer_step(self, make):
+        def step(fwd, bwd):
+            self._grads((fwd, bwd))
+            make(fwd.parameters() + bwd.parameters()).step()
+        self._rebuilt_after(step)
+
+    def test_rebuilt_after_fits_best_epoch_restore(self):
+        def train(fwd, bwd):
+            params = fwd.parameters() + bwd.parameters()
+            best = []
+
+            def batch_loss(batch):
+                x = constant(np.ones((2, 3)))
+                loss = tensor_sum(run_bilstm(fwd, bwd, x, [2]))
+                return loss, float(loss.data), 1
+
+            def end_epoch(epoch, value_sum, count):
+                if epoch == 1:
+                    best.extend(p.data for p in params)
+                return {"epoch": epoch}, -epoch, False  # epoch 1 scores best
+
+            fit({"": SGD(params, lr=0.1)}, [None], batch_loss, end_epoch, epochs=2,
+                batch_size=1, clip_norm=5.0, rng=np.random.default_rng(0))
+            assert all(p.data is want for p, want in zip(params, best))
+        self._rebuilt_after(train)
+
+    def test_rebuilt_after_apply_state(self, tmp_path):
+        def load(fwd, bwd):
+            params = fwd.parameters() + bwd.parameters()
+            path = tmp_path / "cells.ckpt"
+            save_checkpoint(path, "demo", params, {}, "h")
+            apply_state(params, load_checkpoint(path, "demo", "h").arrays)
+        self._rebuilt_after(load)
+
+    def test_rebuilt_after_finite_difference_check(self):
+        # the check binds perturbed copies, then the original arrays again;
+        # the loss reads both caches, which are last made from a copy
+        def check(fwd, bwd):
+            x = constant(np.random.default_rng(31).normal(size=(3, 3)))
+            report = finite_difference_check(
+                fwd.parameters() + bwd.parameters(),
+                lambda: tensor_sum(run_bilstm(fwd, bwd, x, [2, 1]))
+                + tensor_sum(lstm_sequence(fwd, x, [3])),
+                np.random.default_rng(32), num_coords=5)
+            assert report.passed, report.failures
+        self._rebuilt_after(check)
+
+
 def stepwise_states(cell, xs, reverse=False, h0=None):
     """Reference recurrence: one LSTMCell.step per row, states in row order."""
     xs = xs if isinstance(xs, Tensor) else constant(xs)
@@ -797,6 +912,30 @@ class TestOptimizers:
         p.grad = np.array([[np.nan]])
         with pytest.raises(NumericError, match="non-finite"):
             SGD([p], lr=0.1).step()
+
+    @pytest.mark.parametrize("make, grad", [(lambda ps: SGD(ps, lr=1e10), 1e30),
+                                            (lambda ps: Adam(ps, lr=1e39), 1.0)])
+    def test_a_failed_step_changes_nothing(self, make, grad):
+        # each finite float32 gradient steps a value to -inf: the step
+        # raises and leaves the parameters, the optimizer's state and the
+        # prepared step weights as they were
+        cell = LSTMCell("c", 2, 1, np.random.default_rng(33), dtype=np.float32)
+        params = cell.parameters()
+        before = [p.data for p in params]
+        weights = cell.step_weights()
+        for p in params:
+            p.grad = np.full_like(p.data, grad)
+        opt = make(params)
+        t = getattr(opt, "t", None)  # Adam's step count and moments
+        moments = [list(getattr(opt, name, [])) for name in ("m", "v")]
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite values in c.w_x"):
+            opt.step()
+        assert all(p.data is want for p, want in zip(params, before))
+        assert getattr(opt, "t", None) == t
+        for name, kept in zip(("m", "v"), moments):
+            assert all(a is b for a, b in zip(getattr(opt, name, []), kept, strict=True))
+        assert all(a is b for a, b in zip(cell.step_weights(), weights))
 
     def test_clip_scales_by_half_at_double_norm(self):
         a = param("a", [[3.0]])
@@ -1032,7 +1171,7 @@ class TestCheckpoint:
         for p, orig in zip(params, originals):
             np.testing.assert_array_equal(p.data, orig)
 
-    def test_apply_state_makes_the_one_writable_copy(self, tmp_path):
+    def test_apply_state_makes_the_one_copy(self, tmp_path):
         params = self._params()
         originals = [p.data.copy() for p in params]
         path = tmp_path / "model.ckpt"
@@ -1042,10 +1181,9 @@ class TestCheckpoint:
         assert not any(arr.flags.writeable for arr in arrays.values())
         apply_state(params, arrays)
         for p, orig in zip(params, originals):
-            assert p.data.flags.writeable and p.data.dtype == orig.dtype
+            assert not p.data.flags.writeable and p.data.dtype == orig.dtype
+            assert not np.shares_memory(p.data, arrays[p.name])
             np.testing.assert_array_equal(p.data, orig)
-            p.data += 1.0
-            np.testing.assert_array_equal(arrays[p.name], orig)
 
     def test_apply_state_rejects_shape_mismatch(self, tmp_path):
         params = self._params()
