@@ -39,12 +39,14 @@ from .numerics import (
     tensor_sum,
     transpose,
 )
+from .numerics import lstm
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
 from .numerics.tensor import stable_softmax
 
 EVAL_CHUNK = 32  # pairs decoded together by perplexity
+_NEVER_EMITTED = np.array([PAD, BOS])  # masked at every greedy step
+_NEVER_FIRST = np.array([PAD, BOS, EOS])  # masked at the first one
 
 
 @dataclass
@@ -88,6 +90,7 @@ class CompressionModel:
         self.v_a = Parameter("compression.v_a", init_uniform((a, 1), 1, rng, dtype))
         self.w_out = Parameter("compression.w_out", init_uniform((3 * d, vocab_size), vocab_size, rng, dtype))
         self.b_out = Parameter("compression.b_out", np.zeros((1, vocab_size), dtype=dtype))
+        self._joined = None  # (dec.w_h, w_s arrays, their greedy step weights)
 
     def parameters(self) -> list[Parameter]:
         params = [self.src_embed, self.tgt_embed, self.w_init, self.b_init,
@@ -106,10 +109,12 @@ class CompressionModel:
                             lengths)
         ends = lengths.cumsum()
         d = self.d
-        # each source's last forward state and first backward state
-        last = slice_axis(embedding_lookup(states, ends - 1), 1, 0, d)
-        first = slice_axis(embedding_lookup(states, ends - lengths), 1, d, 2 * d)
-        s0 = tanh(add(matmul(concat([last, first], axis=1), self.w_init), self.b_init))
+        # each source's last forward state and first backward state, rows
+        # 2r and 2r + 1 of the states viewed as (2 sum |S|, d), in one gather
+        rows = np.stack([2 * ends - 2, 2 * (ends - lengths) + 1], axis=1).ravel()
+        boundary = reshape(embedding_lookup(reshape(states, (2 * int(ends[-1]), d)), rows),
+                           (len(sources), 2 * d))
+        s0 = tanh(add(matmul(boundary, self.w_init), self.b_init))
         return states, s0
 
     def _encode_source(self, source_ids):
@@ -191,45 +196,63 @@ class CompressionModel:
         """The one-pair case of ``decode_teacher``'s summed NLL, without dropout."""
         return self.decode_teacher([(source_ids, [target_ids])]).nll()
 
-    def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
-        """Argmax decoding until EOS or max_len; PAD is never emitted and
-        EOS is masked at the first step so the output is non-empty.
+    def _greedy_weights(self) -> np.ndarray:
+        """The decoder's halved ``w_h`` beside ``w_s``, read-only, made once
+        per parameter version: one product of a state with it gives the
+        next step's recurrent term and the state's attention query."""
+        sources = (self.dec.w_h.data, self.w_s.data)
+        if not lstm._prepared_from(self._joined, sources):
+            joined = np.concatenate([self.dec.step_weights()[1], self.w_s.data], axis=1)
+            joined.setflags(write=False)
+            self._joined = (sources, joined)
+        return self._joined[1]
 
-        The source is encoded once, and the decoder's ``step_weights``
-        are made once per parameter version; each step is then numpy
-        arithmetic on arrays, ``lstm_step`` and the products of ``_attend``
-        and ``_output_logits`` in their order, so no tape node is built per
-        step. The state and the context go into one preallocated
-        ``[h | context]`` row in place of a concatenation. ``LSTMCell.step``
-        and ``_attend`` are its stepwise test oracles."""
+    def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
+        """Argmax decoding until EOS or max_len; PAD and BOS are never
+        emitted and EOS is masked at the first step so the output is
+        non-empty. Masks are assigned: -inf added to a +inf logit is NaN.
+
+        The source is encoded once. Each step is numpy arithmetic on the
+        decoder's ``step_weights`` and ``_greedy_weights``, made once per
+        parameter version: ``lstm.cell_update`` writes the state into one
+        preallocated ``[h | context]`` row, the context goes beside it, and
+        the products of ``_attend`` and ``_output_logits`` follow in their
+        order, so no tape node is built per step. ``LSTMCell.step`` and
+        ``_attend`` are its stepwise test oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
+        if len(source_ids) == 0:
+            raise DataError("compression needs a non-empty source")
         with no_grad():
             annotations, s0 = self._encode_source(source_ids)
         ann = annotations.data
         projected = ann @ self.u_h.data
-        w_s, v_a = self.w_s.data, self.v_a.data
-        w_out, b_out = self.w_out.data, self.b_out.data
+        v_a = self.v_a.data
+        w_out, b_out = self.w_out.data, self.b_out.data[0]
         tgt_embed = self.tgt_embed.data
-        w_x, w_h, b = self.dec.step_weights()
+        w_x, _, b = self.dec.step_weights()
+        joined = self._greedy_weights()
         d = self.d
-        h, c = s0.data, np.zeros((1, d), dtype=self.dtype)
+        gates = 4 * d
+        hw = s0.data @ joined  # [recurrent term | query] of the current state
+        c = np.zeros((1, d), dtype=self.dtype)
         row = np.empty((1, 3 * d), dtype=self.dtype)  # [h | context]
+        h = row[:, :d]
         token = BOS
         out: list[int] = []
         for step in range(max_len):
-            xw = tgt_embed[token : token + 1] @ w_x
-            xw += b
-            h, c, _, _ = lstm_step(xw, h, c, w_h)
-            weights = stable_softmax((np.tanh(h @ w_s + projected) @ v_a).T, axis=1)
-            row[:, :d] = h
+            act = tgt_embed[token : token + 1] @ w_x
+            act += b
+            act += hw[:, :gates]
+            _, c, _, _ = lstm.cell_update(act, c, h)
+            hw = h @ joined
+            scores = hw[:, gates:] + projected
+            np.tanh(scores, out=scores)
+            weights = stable_softmax((scores @ v_a).T, axis=1)
             np.matmul(weights, ann, out=row[:, d:])
             logits = (row @ w_out)[0]
-            logits += b_out[0]
-            logits[PAD] = -np.inf
-            logits[BOS] = -np.inf
-            if step == 0:
-                logits[EOS] = -np.inf
+            logits += b_out
+            logits[_NEVER_FIRST if step == 0 else _NEVER_EMITTED] = -np.inf
             token = int(logits.argmax())
             if token == EOS:
                 break

@@ -1,5 +1,5 @@
 """Dense-tensor numerics: reverse-mode autodiff, LSTM cells, optimizers,
-initialization, and the finite-difference gradient-check harness."""
+initialization and the checkpoint format."""
 
 from .tensor import (
     ShapeError,
@@ -36,7 +36,6 @@ from .tensor import (
 from .init import init_uniform
 from .lstm import LSTMCell, lstm_sequence, run_bilstm, step_schedule
 from .optim import Adam, SGD, check_finite, clip_global_norm, clip_report, fit
-from .gradcheck import GradCheckReport, finite_difference_check
 from .checkpoint import (
     CheckpointData,
     apply_state,
@@ -53,7 +52,6 @@ __all__ = [
     "sub", "tensor_sum", "tanh", "transpose", "zero_grads",
     "init_uniform", "LSTMCell", "lstm_sequence", "run_bilstm", "step_schedule",
     "Adam", "SGD", "check_finite", "clip_global_norm", "clip_report", "fit",
-    "GradCheckReport", "finite_difference_check",
     "CheckpointData", "apply_state", "atomic_write_text",
     "load_checkpoint", "save_checkpoint",
 ]

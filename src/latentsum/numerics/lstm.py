@@ -18,16 +18,18 @@ stacked arrays. A batched matmul makes the same (k, h) @ (h, 4h) product
 per cell as a matmul of that cell alone, a row of a product of two or more
 rows has the same bits in any such product, and the gate arithmetic is
 elementwise, so every state and gradient has the bits of one recurrence per
-cell over one projection of every row.
+cell over one projection of every row. A pack of one sequence takes its
+plan (schedule, rows read, runs) from a cache; larger packs build theirs.
 
 ``lstm_step`` is the one step formula: behind the recurrence, and behind
-the tape-free decode loops that feed their own output back. It takes all
-four gates from one tanh, as sigma(z) = tanh(z / 2) / 2 + 1 / 2: the
-halving is folded into the i, f and o columns of the weights that
-``LSTMCell.step_weights`` returns, which is exact, one half being a power
-of two, and the bias joins the input projection. Parameter arrays are
-read-only and an update binds a new array, so these weights, and a
-Bi-LSTM's stack of both cells' weights, are made once per parameter
+the tape-free decode loops that feed their own output back (as
+``cell_update``, its gate arithmetic, when a loop makes its own recurrent
+product). It takes all four gates from one tanh, as sigma(z) = tanh(z / 2)
+/ 2 + 1 / 2: the halving is folded into the i, f and o columns of the
+weights that ``LSTMCell.step_weights`` returns, which is exact, one half
+being a power of two, and the bias joins the input projection. Parameter
+arrays are read-only and an update binds a new array, so these weights,
+and a Bi-LSTM's stack of both cells' weights, are made once per parameter
 version and reused until a parameter is rebound, as Appleyard et al.
 prepare their weight layouts once between updates. ``LSTMCell.step``
 builds the textbook step as a small graph of tape primitives; it is kept
@@ -84,9 +86,16 @@ def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
     Returns the new h and c, the activated gates i|f|g|o and tanh(c),
     which backpropagation through time reads.
     """
-    hid = h.shape[-1]
     act = np.matmul(h, w_h)
     act += xw
+    return cell_update(act, c)
+
+
+def cell_update(act: np.ndarray, c: np.ndarray, h: np.ndarray | None = None):
+    """``lstm_step``'s gate arithmetic on its pre-activations ``act``
+    (``h @ w_h + xw``), which it activates in place; the new h goes into
+    ``h`` when one is given. Returns what ``lstm_step`` returns."""
+    hid = c.shape[-1]
     np.tanh(act, out=act)
     scale, shift = gate_affine(hid, act.dtype)
     act *= scale
@@ -94,7 +103,7 @@ def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
     c = act[..., hid : 2 * hid] * c
     c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
     tc = np.tanh(c)
-    return act[..., 3 * hid :] * tc, c, act, tc
+    return np.multiply(act[..., 3 * hid :], tc, out=h), c, act, tc
 
 
 def step_schedule(lengths):
@@ -210,6 +219,37 @@ def _runs(counts):
     return runs
 
 
+def _plan(lengths, reverse):
+    """``step_schedule``'s ``order`` and ``counts``, ``read``, the rows each
+    cell reads step after step (backwards where ``reverse[j]``), and the
+    ``_runs``. A pack of one sequence, the shape that recurs in any traffic
+    (each decoded sentence's encoder, each document's sentence-level
+    Bi-LSTM and label decoder), takes a cached plan."""
+    if len(lengths) == 1:
+        return _one_sequence_plan(int(lengths[0]), tuple(reverse), RUN_ROWS)
+    return _build_plan(lengths, reverse)
+
+
+def _build_plan(lengths, reverse):
+    order, counts, fwd_rows, back_rows = step_schedule(lengths)
+    read = np.stack([back_rows if r else fwd_rows for r in reverse])
+    return order, counts, read, _runs(counts.tolist())
+
+
+@lru_cache(maxsize=64)
+def _one_sequence_plan(n: int, reverse: tuple, run_rows: int):
+    """``_build_plan`` of one sequence of n rows, read-only, in a bounded
+    LRU: a plan is built once per shape, as cuDNN's is (Chetlur et al.,
+    2014). ``run_rows`` is the ``RUN_ROWS`` that ``_runs`` reads, keyed so
+    another budget gets its own runs. No failed plan is kept."""
+    if n < 1:
+        raise ShapeError(f"a sequence of {n} rows has no plan")
+    *arrays, runs = _build_plan([n], reverse)
+    for array in arrays:
+        array.setflags(write=False)
+    return (*arrays, tuple(map(tuple, runs)))
+
+
 def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
                 h0: Tensor | None = None) -> Tensor:
     """States of packed sequences under every cell of ``cells`` side by
@@ -233,9 +273,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         raise ShapeError(f"{name}: h0 shape {h0.data.shape} is not {(lengths.size, hid)}")
 
     n, dirs = x.data.shape[0], len(cells)
-    order, counts, fwd_rows, back_rows = step_schedule(lengths)
-    # per cell, the rows of x it reads step after step
-    read = np.stack([back_rows if r else fwd_rows for r in reverse])
+    order, _, read, runs = _plan(lengths, reverse)
     cell_of = np.arange(dirs)[:, None]
 
     w_x, w_h, b = _stacked_weights(cells)
@@ -253,7 +291,7 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     keep = recording(parents)  # under no_grad, no cache for backpropagation
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
     start = 0  # the first row of ``read`` that the step reads
-    for run in _runs(counts.tolist()):
+    for run in runs:
         # one input projection per run, bias included, over the rows its
         # steps read; a row's bits do not depend on the run, so this is the
         # hoisted projection over every row, a run's rows at a time
@@ -264,12 +302,12 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         states = []  # the run's states in step order, scattered once per run
         for k in run:
             width = max(k, 2)
-            rows = read[:, start : start + k]
             hp, cp = h_state[:, :width], c_state[:, :width]
             h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h)
             states.append(h[:, :k])
             if keep:
-                cache.append((rows, act[:, :k], hp[:, :k], cp[:, :k], tc[:, :k]))
+                cache.append((read[:, start : start + k], act[:, :k], hp[:, :k], cp[:, :k],
+                              tc[:, :k]))
             h_state, c_state = h, c  # a finished sequence's state is never read again
             del act, tc  # unless cached, this step's gates go before the next's are made
             start += k

@@ -1,4 +1,5 @@
-"""Central finite-difference verification of autodiff gradients.
+"""Finite-difference verification of autodiff gradients, the test suite's
+one gradient checker (acceptance gate C2 and the per-module checks).
 
 The loss callable must be a deterministic pure function of the parameter
 values (fix any sampling or dropout masks before checking) and the
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import backward, zero_grads
+from latentsum.numerics import backward, zero_grads
 
 
 @dataclass

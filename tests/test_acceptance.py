@@ -51,7 +51,6 @@ from latentsum.numerics import (
     backward,
     constant,
     embedding_lookup,
-    finite_difference_check,
     matmul,
     mul,
     no_grad,
@@ -62,6 +61,7 @@ from latentsum.rouge import rouge_l, rouge_n
 from latentsum.toy import generate_toy_corpus
 
 from conftest import blas_build, random_sentences
+from gradcheck import finite_difference_check
 from test_rouge import oracle_rouge_l, oracle_rouge_n
 
 

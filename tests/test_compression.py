@@ -19,18 +19,24 @@ from latentsum.errors import CheckpointError, DataError
 from latentsum.labeling import CompressionPair
 from latentsum.numerics import (
     Tensor,
+    add,
     backward,
+    concat,
+    constant,
     embedding_lookup,
-    finite_difference_check,
     gather_rows,
     matmul,
+    mul,
     no_grad,
+    run_bilstm,
     slice_axis,
+    tanh,
     tensor_sum,
     zero_grads,
 )
 
 from conftest import blas_build, doc_from, summary_from
+from gradcheck import finite_difference_check
 
 
 def tiny_model(d=6, vocab_size=14, seed=4, dtype=np.float64):
@@ -243,6 +249,66 @@ def attention_rows(model, source_ids, steps):
     return [model._attend(s, annotations, projected)[0].data for s in states]
 
 
+def five_node_encode(model, sources):
+    """``_encode_sources`` with s0 built from two lookups, two slices and a
+    concatenation of the states: the oracle of its one-gather s0."""
+    lengths = np.array([len(source) for source in sources])
+    states = run_bilstm(model.enc_fwd, model.enc_bwd,
+                        embedding_lookup(model.src_embed, [i for s in sources for i in s]),
+                        lengths)
+    ends = lengths.cumsum()
+    d = model.d
+    last = slice_axis(embedding_lookup(states, ends - 1), 1, 0, d)
+    first = slice_axis(embedding_lookup(states, ends - lengths), 1, d, 2 * d)
+    s0 = tanh(add(matmul(concat([last, first], axis=1), model.w_init), model.b_init))
+    return states, s0
+
+
+class TestStartState:
+    """s0 takes each source's last forward and first backward state in one
+    gather; values and gradients are the five-node formula's, bit for bit."""
+
+    SOURCES = [[4, 5, 6], [9], [4, 8, 10, 12, 13], [7, 5]]
+
+    @pytest.mark.parametrize("d,dtype", [(16, np.float32), (64, np.float32), (6, np.float64)])
+    def test_values_and_gradients_equal_the_five_node_formula(self, d, dtype):
+        model = tiny_model(d=d, seed=d, dtype=dtype)
+        params = model.parameters()
+        rng = np.random.default_rng(d)
+        n = sum(len(source) for source in self.SOURCES)
+        state_w = constant(rng.normal(size=(n, 2 * d)).astype(dtype))
+        s0_w = constant(rng.normal(size=(len(self.SOURCES), d)).astype(dtype))
+
+        def run(encode):
+            zero_grads(params)
+            states, s0 = encode(model, self.SOURCES)
+            # the states also take a gradient of their own, as attention gives them
+            backward(add(tensor_sum(mul(states, state_w)), tensor_sum(mul(s0, s0_w))))
+            return [states.data, s0.data] + [p.grad_or_zeros().copy() for p in params]
+
+        want = run(five_node_encode)
+        got = run(CompressionModel._encode_sources)
+        for name, g, w in zip(["states", "s0"] + [p.name for p in params], got, want):
+            assert g.tobytes() == w.tobytes(), f"{name} (BLAS {blas_build()})"
+
+    def test_teacher_decode_gradients_equal_the_five_node_formula(self, monkeypatch):
+        model = tiny_model(d=16, seed=5, dtype=np.float32)
+        params = model.parameters()
+        items = [(source, [[7, 8], [5]]) for source in self.SOURCES]
+
+        def grads():
+            zero_grads(params)
+            dec = model.decode_teacher(items, rng=np.random.default_rng(2), drop=0.2)
+            backward(dec.nll())
+            return [dec.log_probs.data] + [p.grad_or_zeros().copy() for p in params]
+
+        got = grads()
+        monkeypatch.setattr(CompressionModel, "_encode_sources", five_node_encode)
+        want = grads()
+        for name, g, w in zip(["log_probs"] + [p.name for p in params], got, want):
+            assert g.tobytes() == w.tobytes(), f"{name} (BLAS {blas_build()})"
+
+
 class TestAttention:
     def test_weights_normalized_and_shaped(self):
         model = tiny_model()
@@ -274,6 +340,46 @@ class TestGreedyDecode:
         model = tiny_model()
         ids = model.decode_greedy_ids([4, 5, 6], 20)
         assert PAD not in ids and BOS not in ids and EOS not in ids
+
+    def test_never_emits_pad_or_bos_at_infinite_logits(self):
+        # masked by assignment: -inf added to a +inf logit is NaN, and
+        # argmax picks a NaN
+        model = tiny_model(dtype=np.float32)
+        want = model.decode_greedy_ids([4, 5, 6], 8)
+        bias = model.b_out.data.copy()
+        bias[0, [PAD, BOS]] = np.inf
+        model.b_out.data = bias
+        assert model.decode_greedy_ids([4, 5, 6], 8) == want
+        bias = bias.copy()
+        bias[0, EOS] = np.inf
+        model.b_out.data = bias
+        ids = model.decode_greedy_ids([4, 5, 6], 8)
+        assert len(ids) == 1 and ids[0] not in (PAD, BOS, EOS)
+
+    def test_rejects_an_empty_source(self):
+        # as decode_teacher does, before anything is encoded
+        model = tiny_model()
+        for max_len in (1, 5):
+            with pytest.raises(DataError, match="non-empty source"):
+                model.decode_greedy_ids([], max_len)
+        with pytest.raises(DataError, match="non-empty source"):
+            model.decode_teacher([([], [[5]])])
+
+    def test_joined_weights_made_once_per_parameter_version(self):
+        model = tiny_model(dtype=np.float32)
+        joined = model._greedy_weights()
+        assert model._greedy_weights() is joined
+        assert not joined.flags.writeable
+        np.testing.assert_array_equal(
+            joined, np.concatenate([model.dec.step_weights()[1], model.w_s.data], axis=1))
+        for param in (model.w_s, model.dec.w_h):
+            param.data = param.data * 2
+            rebuilt = model._greedy_weights()
+            assert rebuilt is not joined
+            np.testing.assert_array_equal(
+                rebuilt,
+                np.concatenate([model.dec.step_weights()[1], model.w_s.data], axis=1))
+            joined = rebuilt
 
     def test_first_step_never_ends(self):
         model = tiny_model()

@@ -20,7 +20,6 @@ from latentsum.labeling import LabelSequence, oracle_labels
 from latentsum.numerics import (
     Tensor,
     backward,
-    finite_difference_check,
     lstm,
     no_grad,
     slice_axis,
@@ -29,6 +28,7 @@ from latentsum.numerics import (
 )
 
 from conftest import blas_build, doc_from, tiny_records, traced_peak
+from gradcheck import finite_difference_check
 
 
 def tiny_model(d=6, vocab_size=16, seed=3, dtype=np.float64):

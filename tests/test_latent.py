@@ -24,7 +24,6 @@ from latentsum.latent import (
 from latentsum.numerics import (
     backward,
     constant,
-    finite_difference_check,
     mul,
     no_grad,
     tensor_sum,
@@ -32,6 +31,7 @@ from latentsum.numerics import (
 )
 
 from conftest import blas_build, tiny_records
+from gradcheck import finite_difference_check
 
 
 def ids_sentence(ids):

@@ -30,7 +30,6 @@ from latentsum.numerics import (
     dropout,
     dropout_mask,
     embedding_lookup,
-    finite_difference_check,
     fit,
     gather_rows,
     init_uniform,
@@ -65,6 +64,7 @@ from conftest import (
     rewrite_checkpoint_header,
     traced_peak,
 )
+from gradcheck import finite_difference_check
 
 
 def param(name, values):
@@ -445,6 +445,65 @@ class TestProjectionRuns:
         with no_grad():
             out, peak = traced_peak(lambda: run_bilstm(fwd, bwd, x, [2_000] * 16))
         assert (peak - out.data.nbytes) / 32_000 <= 128
+
+
+class TestOneSequencePlans:
+    """A pack of one sequence takes its plan (order, counts, rows read and
+    runs) from a bounded cache keyed by (length, directions, RUN_ROWS)."""
+
+    DIRECTIONS = [(False,), (True,), (False, True), (True, False)]
+
+    @pytest.mark.parametrize("reverse", DIRECTIONS)
+    def test_cached_plan_equals_the_schedule_and_its_runs(self, reverse):
+        # 600 rows span RUN_ROWS (256), so the long plans have several runs
+        for n in range(1, 601):
+            order, counts, read, runs = lstm._plan(np.array([n]), reverse)
+            want_order, want_counts, rows, back_rows = step_schedule([n])
+            assert order.tolist() == want_order.tolist()
+            assert counts.tolist() == want_counts.tolist()
+            assert read.tolist() == [(back_rows if r else rows).tolist() for r in reverse]
+            assert [list(run) for run in runs] == lstm._runs(want_counts.tolist())
+            for array in (order, counts, read):
+                assert not array.flags.writeable
+            assert lstm._plan([n], reverse) is lstm._plan(np.array([n]), list(reverse))
+        with pytest.raises(ValueError, match="read-only"):
+            read[0, 0] = 1
+
+    def test_a_new_run_budget_reaches_the_runs(self, monkeypatch):
+        # the run-budget bit-identity tests patch RUN_ROWS; a one-sequence
+        # plan cached under another budget must not hide the patch
+        rng = np.random.default_rng(40)
+        cell = LSTMCell("one", 4, 4, rng, dtype=np.float64)
+        x = constant(rng.normal(size=(10, 4)))
+        products = []
+
+        def counting(a, b):
+            products.append(a.shape[-2])
+            return gemm_rows(a, b)
+
+        monkeypatch.setattr(lstm, "gemm_rows", counting)
+        want = lstm_sequence(cell, x, [10]).data
+        assert products == [10]
+        for budget, rows in ((3, [3, 3, 3, 1]), (1, [1] * 10)):
+            monkeypatch.setattr(lstm, "RUN_ROWS", budget)
+            products.clear()
+            got = lstm_sequence(cell, x, [10]).data
+            assert products == rows
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_a_failed_plan_is_never_kept(self, bad):
+        rng = np.random.default_rng(41)
+        fwd, bwd = LSTMCell("fw", 2, 3, rng), LSTMCell("bw", 2, 3, rng)
+        before = lstm._one_sequence_plan.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ShapeError, match="lengths"):
+                run_bilstm(fwd, bwd, constant(np.zeros((0, 2))), [bad])
+            with pytest.raises(ShapeError, match="lengths"):
+                lstm_sequence(fwd, constant(np.zeros((0, 2))), [bad])
+            with pytest.raises(ShapeError, match="no plan"):
+                lstm._plan([bad], (False, True))
+        assert lstm._one_sequence_plan.cache_info().currsize == before
 
 
 def sigmoid_inputs(dtype, bits):
