@@ -39,14 +39,12 @@ from .numerics import (
     tensor_sum,
     transpose,
 )
-from .numerics import lstm
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
+from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
 from .numerics.tensor import stable_softmax
 
 EVAL_CHUNK = 32  # pairs decoded together by perplexity
-_NEVER_EMITTED = np.array([PAD, BOS])  # masked at every greedy step
-_NEVER_FIRST = np.array([PAD, BOS, EOS])  # masked at the first one
 
 
 @dataclass
@@ -90,7 +88,6 @@ class CompressionModel:
         self.v_a = Parameter("compression.v_a", init_uniform((a, 1), 1, rng, dtype))
         self.w_out = Parameter("compression.w_out", init_uniform((3 * d, vocab_size), vocab_size, rng, dtype))
         self.b_out = Parameter("compression.b_out", np.zeros((1, vocab_size), dtype=dtype))
-        self._joined = None  # (dec.w_h, w_s arrays, their greedy step weights)
 
     def parameters(self) -> list[Parameter]:
         params = [self.src_embed, self.tgt_embed, self.w_init, self.b_init,
@@ -116,10 +113,6 @@ class CompressionModel:
                            (len(sources), 2 * d))
         s0 = tanh(add(matmul(boundary, self.w_init), self.b_init))
         return states, s0
-
-    def _encode_source(self, source_ids):
-        """The one-source case of ``_encode_sources``."""
-        return self._encode_sources([source_ids])
 
     def _attend(self, state: Tensor, annotations: Tensor, projected: Tensor):
         """One state's attention weights and context as tape primitives;
@@ -196,63 +189,55 @@ class CompressionModel:
         """The one-pair case of ``decode_teacher``'s summed NLL, without dropout."""
         return self.decode_teacher([(source_ids, [target_ids])]).nll()
 
-    def _greedy_weights(self) -> np.ndarray:
-        """The decoder's halved ``w_h`` beside ``w_s``, read-only, made once
-        per parameter version: one product of a state with it gives the
-        next step's recurrent term and the state's attention query."""
-        sources = (self.dec.w_h.data, self.w_s.data)
-        if not lstm._prepared_from(self._joined, sources):
-            joined = np.concatenate([self.dec.step_weights()[1], self.w_s.data], axis=1)
-            joined.setflags(write=False)
-            self._joined = (sources, joined)
-        return self._joined[1]
-
     def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
         """Argmax decoding until EOS or max_len; PAD and BOS are never
         emitted and EOS is masked at the first step so the output is
         non-empty. Masks are assigned: -inf added to a +inf logit is NaN.
+        An empty source is refused, as ``decode_teacher`` refuses it.
 
-        The source is encoded once. Each step is numpy arithmetic on the
-        decoder's ``step_weights`` and ``_greedy_weights``, made once per
-        parameter version: ``lstm.cell_update`` writes the state into one
-        preallocated ``[h | context]`` row, the context goes beside it, and
-        the products of ``_attend`` and ``_output_logits`` follow in their
-        order, so no tape node is built per step. ``LSTMCell.step`` and
-        ``_attend`` are its stepwise test oracles."""
+        The source is encoded once, by one ``run_bilstm`` under
+        ``no_grad``, and s0 is ``_encode_sources``' formula in numpy; the
+        decoder's ``step_weights`` are made once per parameter version.
+        Each step is then numpy arithmetic on arrays, ``lstm_step`` and the
+        products of ``_attend`` and ``_output_logits`` in their order, so
+        no tape node is built per step. The state and the context go into
+        one preallocated ``[h | context]`` row in place of a concatenation.
+        ``_encode_sources``, ``LSTMCell.step`` and ``_attend`` are its test
+        oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         if len(source_ids) == 0:
             raise DataError("compression needs a non-empty source")
         with no_grad():
-            annotations, s0 = self._encode_source(source_ids)
-        ann = annotations.data
-        projected = ann @ self.u_h.data
-        v_a = self.v_a.data
-        w_out, b_out = self.w_out.data, self.b_out.data[0]
-        tgt_embed = self.tgt_embed.data
-        w_x, _, b = self.dec.step_weights()
-        joined = self._greedy_weights()
+            ann = run_bilstm(self.enc_fwd, self.enc_bwd,
+                             embedding_lookup(self.src_embed, source_ids),
+                             [len(source_ids)]).data
         d = self.d
-        gates = 4 * d
-        hw = s0.data @ joined  # [recurrent term | query] of the current state
+        # s0 from the last forward state and the first backward state
+        boundary = np.concatenate([ann[-1:, :d], ann[:1, d:]], axis=1)
+        h = np.tanh(boundary @ self.w_init.data + self.b_init.data)
+        projected = ann @ self.u_h.data
+        w_s, v_a = self.w_s.data, self.v_a.data
+        w_out, b_out = self.w_out.data, self.b_out.data
+        tgt_embed = self.tgt_embed.data
+        w_x, w_h, b = self.dec.step_weights()
         c = np.zeros((1, d), dtype=self.dtype)
         row = np.empty((1, 3 * d), dtype=self.dtype)  # [h | context]
-        h = row[:, :d]
         token = BOS
         out: list[int] = []
         for step in range(max_len):
-            act = tgt_embed[token : token + 1] @ w_x
-            act += b
-            act += hw[:, :gates]
-            _, c, _, _ = lstm.cell_update(act, c, h)
-            hw = h @ joined
-            scores = hw[:, gates:] + projected
-            np.tanh(scores, out=scores)
-            weights = stable_softmax((scores @ v_a).T, axis=1)
+            xw = tgt_embed[token : token + 1] @ w_x
+            xw += b
+            h, c, _, _ = lstm_step(xw, h, c, w_h)
+            weights = stable_softmax((np.tanh(h @ w_s + projected) @ v_a).T, axis=1)
+            row[:, :d] = h
             np.matmul(weights, ann, out=row[:, d:])
             logits = (row @ w_out)[0]
-            logits += b_out
-            logits[_NEVER_FIRST if step == 0 else _NEVER_EMITTED] = -np.inf
+            logits += b_out[0]
+            logits[PAD] = -np.inf
+            logits[BOS] = -np.inf
+            if step == 0:
+                logits[EOS] = -np.inf
             token = int(logits.argmax())
             if token == EOS:
                 break

@@ -34,11 +34,12 @@ from .numerics import (
     no_grad,
     run_bilstm,
     segment_mean,
+    step_schedule,
     tensor_sum,
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.lstm import _plan, lstm_step
+from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
 from .numerics.tensor import row_products, stable_log_softmax
 from .rouge import rouge_mean
@@ -206,12 +207,10 @@ class ExtractiveModel:
         once per parameter version), and through ``decode_labels``' output
         layer. No step is a one-row product: a lone document's step runs
         beside a spare row of the buffers. So each row's bits do not
-        depend on the other documents of ``enc``. The step schedule is the
-        recurrence's plan, kept per length for a lone document. Returns the
-        labels and each row's p(y_i = 1) as its step computed it.
+        depend on the other documents of ``enc``. Returns the labels and
+        each row's p(y_i = 1) as its step computed it.
         """
-        _, counts, read, _ = _plan(enc.lengths, (False,))
-        rows = read[0]
+        _, counts, rows, _ = step_schedule(enc.lengths)
         d = self.d
         # decoder inputs concat(label embedding, h_e row), step by step, and
         # a spare row after the last step's

@@ -18,22 +18,23 @@ stacked arrays. A batched matmul makes the same (k, h) @ (h, 4h) product
 per cell as a matmul of that cell alone, a row of a product of two or more
 rows has the same bits in any such product, and the gate arithmetic is
 elementwise, so every state and gradient has the bits of one recurrence per
-cell over one projection of every row. A pack of one sequence takes its
-plan (schedule, rows read, runs) from a cache; larger packs build theirs.
+cell over one projection of every row. A lone sequence, the pack of each
+decoded sentence's encoder and of a document's sentence-level Bi-LSTM,
+takes its schedule without the sort.
 
 ``lstm_step`` is the one step formula: behind the recurrence, and behind
-the tape-free decode loops that feed their own output back (as
-``cell_update``, its gate arithmetic, when a loop makes its own recurrent
-product). It takes all four gates from one tanh, as sigma(z) = tanh(z / 2)
-/ 2 + 1 / 2: the halving is folded into the i, f and o columns of the
-weights that ``LSTMCell.step_weights`` returns, which is exact, one half
-being a power of two, and the bias joins the input projection. Parameter
-arrays are read-only and an update binds a new array, so these weights,
-and a Bi-LSTM's stack of both cells' weights, are made once per parameter
-version and reused until a parameter is rebound, as Appleyard et al.
-prepare their weight layouts once between updates. ``LSTMCell.step``
-builds the textbook step as a small graph of tape primitives; it is kept
-as the stepwise test oracle.
+the tape-free decode loops that feed their own output back. It takes all
+four gates from one tanh, as sigma(z) = tanh(z / 2) / 2 + 1 / 2: the
+halving is folded into the i, f and o columns of the weights that
+``LSTMCell.step_weights`` returns, which is exact, one half being a power
+of two, and the bias joins the input projection; a step of a few rows
+takes the gate affine at its own shape, which numpy applies without its
+broadcasting iterator. Parameter arrays are read-only and an update binds
+a new array, so these weights, and a Bi-LSTM's stack of both cells'
+weights, are made once per parameter version and reused until a parameter
+is rebound, as Appleyard et al. prepare their weight layouts once between
+updates. ``LSTMCell.step`` builds the textbook step as a small graph of
+tape primitives; it is kept as the stepwise test oracle.
 """
 
 from __future__ import annotations
@@ -66,15 +67,24 @@ RUN_ROWS = 256
 
 
 @lru_cache(maxsize=None)
-def gate_affine(hid: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+def gate_affine(hid: int, dtype: np.dtype,
+                lead: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Per gate column i|f|g|o, ``scale`` (1/2, 1/2, 1, 1/2) and ``shift``
-    (1/2, 1/2, 0, 1/2), read-only: ``tanh(z * scale) * scale + shift`` is
-    sigma(z) on the i, f and o columns and tanh(z) on g."""
-    scale = np.full(4 * hid, 0.5, dtype)
-    scale[2 * hid : 3 * hid] = 1
+    (1/2, 1/2, 0, 1/2), read-only, repeated over the leading shape
+    ``lead``: ``tanh(z * scale) * scale + shift`` is sigma(z) on the i, f
+    and o columns and tanh(z) on g."""
+    scale = np.full(lead + (4 * hid,), 0.5, dtype)
+    scale[..., 2 * hid : 3 * hid] = 1
     shift = 1 - scale
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
+
+
+# the most gate rows whose step takes ``gate_affine`` at its own shape: an
+# elementwise product of equal shapes skips numpy's broadcasting iterator,
+# about half a microsecond a product on a lone sequence's or a decode's
+# step, and the few shapes this allows keep the cache small
+AFFINE_ROWS = 4
 
 
 def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
@@ -86,24 +96,18 @@ def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
     Returns the new h and c, the activated gates i|f|g|o and tanh(c),
     which backpropagation through time reads.
     """
+    hid = h.shape[-1]
     act = np.matmul(h, w_h)
     act += xw
-    return cell_update(act, c)
-
-
-def cell_update(act: np.ndarray, c: np.ndarray, h: np.ndarray | None = None):
-    """``lstm_step``'s gate arithmetic on its pre-activations ``act``
-    (``h @ w_h + xw``), which it activates in place; the new h goes into
-    ``h`` when one is given. Returns what ``lstm_step`` returns."""
-    hid = c.shape[-1]
     np.tanh(act, out=act)
-    scale, shift = gate_affine(hid, act.dtype)
+    lead = act.shape[:-1] if act.size <= AFFINE_ROWS * 4 * hid else ()
+    scale, shift = gate_affine(hid, act.dtype, lead)
     act *= scale
     act += shift
     c = act[..., hid : 2 * hid] * c
     c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
     tc = np.tanh(c)
-    return np.multiply(act[..., 3 * hid :], tc, out=h), c, act, tc
+    return act[..., 3 * hid :] * tc, c, act, tc
 
 
 def step_schedule(lengths):
@@ -114,9 +118,13 @@ def step_schedule(lengths):
     sequences active at each step), ``rows`` (the row each active sequence
     reads, step after step: sum(lengths) rows in all, each once) and
     ``back_rows``, the same read from each sequence's own last row back to
-    its first.
+    its first. A lone sequence's schedule is built directly, without the
+    sort: it reads one row a step, in order.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 1:
+        rows = np.arange(lengths[0])
+        return np.zeros(1, np.int64), np.ones_like(rows), rows, rows[::-1]
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
     # linear in the rows: a (steps, sequences) mask would grow with the
@@ -219,37 +227,6 @@ def _runs(counts):
     return runs
 
 
-def _plan(lengths, reverse):
-    """``step_schedule``'s ``order`` and ``counts``, ``read``, the rows each
-    cell reads step after step (backwards where ``reverse[j]``), and the
-    ``_runs``. A pack of one sequence, the shape that recurs in any traffic
-    (each decoded sentence's encoder, each document's sentence-level
-    Bi-LSTM and label decoder), takes a cached plan."""
-    if len(lengths) == 1:
-        return _one_sequence_plan(int(lengths[0]), tuple(reverse), RUN_ROWS)
-    return _build_plan(lengths, reverse)
-
-
-def _build_plan(lengths, reverse):
-    order, counts, fwd_rows, back_rows = step_schedule(lengths)
-    read = np.stack([back_rows if r else fwd_rows for r in reverse])
-    return order, counts, read, _runs(counts.tolist())
-
-
-@lru_cache(maxsize=64)
-def _one_sequence_plan(n: int, reverse: tuple, run_rows: int):
-    """``_build_plan`` of one sequence of n rows, read-only, in a bounded
-    LRU: a plan is built once per shape, as cuDNN's is (Chetlur et al.,
-    2014). ``run_rows`` is the ``RUN_ROWS`` that ``_runs`` reads, keyed so
-    another budget gets its own runs. No failed plan is kept."""
-    if n < 1:
-        raise ShapeError(f"a sequence of {n} rows has no plan")
-    *arrays, runs = _build_plan([n], reverse)
-    for array in arrays:
-        array.setflags(write=False)
-    return (*arrays, tuple(map(tuple, runs)))
-
-
 def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
                 h0: Tensor | None = None) -> Tensor:
     """States of packed sequences under every cell of ``cells`` side by
@@ -273,7 +250,9 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         raise ShapeError(f"{name}: h0 shape {h0.data.shape} is not {(lengths.size, hid)}")
 
     n, dirs = x.data.shape[0], len(cells)
-    order, _, read, runs = _plan(lengths, reverse)
+    order, counts, fwd_rows, back_rows = step_schedule(lengths)
+    # per cell, the rows of x it reads step after step
+    read = np.array([back_rows if r else fwd_rows for r in reverse])
     cell_of = np.arange(dirs)[:, None]
 
     w_x, w_h, b = _stacked_weights(cells)
@@ -284,14 +263,14 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     h_state = np.zeros((dirs, max(lengths.size, 2), hid), dtype)
     if h0 is not None:
         h_state[0, : lengths.size] = h0.data[order]
-    c_state = np.zeros_like(h_state)
+    c_state = np.zeros(h_state.shape, dtype)
     out = np.empty((n, dirs, hid), dtype)  # row r's states, cell after cell
     parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
         + (() if h0 is None else (h0,))
     keep = recording(parents)  # under no_grad, no cache for backpropagation
     cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
     start = 0  # the first row of ``read`` that the step reads
-    for run in runs:
+    for run in _runs(counts.tolist()):
         # one input projection per run, bias included, over the rows its
         # steps read; a row's bits do not depend on the run, so this is the
         # hoisted projection over every row, a run's rows at a time

@@ -457,7 +457,7 @@ def test_c8_normalized_score_property():
         if i < 50:
             # independent stepwise recompute of the mean token log-probability
             with no_grad():
-                annotations, state = model._encode_source(src.ids)
+                annotations, state = model._encode_sources([src.ids])
                 projected = matmul(annotations, model.u_h)
                 cell = Tensor(np.zeros((1, model.d), dtype=model.dtype))
                 total = 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from latentsum import compression
 from latentsum.compression import (
     CompressionModel,
     decode_greedy,
@@ -34,6 +35,8 @@ from latentsum.numerics import (
     tensor_sum,
     zero_grads,
 )
+
+from latentsum.numerics.lstm import lstm_step
 
 from conftest import blas_build, doc_from, summary_from
 from gradcheck import finite_difference_check
@@ -241,7 +244,7 @@ class TestPackedBatch:
 def attention_rows(model, source_ids, steps):
     """_attend's weights over source_ids for the initial decoder state and
     steps - 1 random states."""
-    annotations, state = model._encode_source(source_ids)
+    annotations, state = model._encode_sources([source_ids])
     projected = matmul(annotations, model.u_h)
     rng = np.random.default_rng(0)
     states = [state] + [Tensor(rng.normal(size=(1, model.d)).astype(model.dtype))
@@ -356,6 +359,24 @@ class TestGreedyDecode:
         ids = model.decode_greedy_ids([4, 5, 6], 8)
         assert len(ids) == 1 and ids[0] not in (PAD, BOS, EOS)
 
+    @pytest.mark.parametrize("d,dtype", [(16, np.float32), (64, np.float32), (6, np.float64)])
+    def test_start_state_is_the_encoders(self, monkeypatch, d, dtype):
+        # s0 in numpy has the bits of _encode_sources' tape s0
+        model = tiny_model(d=d, seed=d + 1, dtype=dtype)
+        started = []
+
+        def first_state(xw, h, c, w_h):
+            started.append(h.copy())
+            return lstm_step(xw, h, c, w_h)
+
+        monkeypatch.setattr(compression, "lstm_step", first_state)
+        for source in ([4], [5, 9], [4, 8, 10, 12, 13]):
+            started.clear()
+            model.decode_greedy_ids(source, 1)
+            with no_grad():
+                _, s0 = model._encode_sources([source])
+            assert started[0].tobytes() == s0.data.tobytes(), f"{source} (BLAS {blas_build()})"
+
     def test_rejects_an_empty_source(self):
         # as decode_teacher does, before anything is encoded
         model = tiny_model()
@@ -364,22 +385,6 @@ class TestGreedyDecode:
                 model.decode_greedy_ids([], max_len)
         with pytest.raises(DataError, match="non-empty source"):
             model.decode_teacher([([], [[5]])])
-
-    def test_joined_weights_made_once_per_parameter_version(self):
-        model = tiny_model(dtype=np.float32)
-        joined = model._greedy_weights()
-        assert model._greedy_weights() is joined
-        assert not joined.flags.writeable
-        np.testing.assert_array_equal(
-            joined, np.concatenate([model.dec.step_weights()[1], model.w_s.data], axis=1))
-        for param in (model.w_s, model.dec.w_h):
-            param.data = param.data * 2
-            rebuilt = model._greedy_weights()
-            assert rebuilt is not joined
-            np.testing.assert_array_equal(
-                rebuilt,
-                np.concatenate([model.dec.step_weights()[1], model.w_s.data], axis=1))
-            joined = rebuilt
 
     def test_first_step_never_ends(self):
         model = tiny_model()
@@ -418,7 +423,7 @@ class TestGreedyDecode:
 def stepwise_greedy_ids(model, source, max_len):
     """Greedy decode from LSTMCell.step and the one-state _attend."""
     with no_grad():
-        annotations, state = model._encode_source(source)
+        annotations, state = model._encode_sources([source])
         projected = matmul(annotations, model.u_h)
         cell = Tensor(np.zeros((1, model.d), dtype=model.dtype))
         token, ref = BOS, []
@@ -464,8 +469,9 @@ class TestGreedyDecodeIsTapeFree:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         for source, ids in zip(sources, want):
-            with no_grad():
-                model._encode_source(source)
+            with no_grad():  # the decode's encoding: a lookup and a Bi-LSTM
+                run_bilstm(model.enc_fwd, model.enc_bwd,
+                           embedding_lookup(model.src_embed, source), [len(source)])
             encode_tensors = len(built)
             built.clear()
             assert model.decode_greedy_ids(source, 30) == ids

@@ -412,7 +412,9 @@ class TestProjectionRuns:
             assert g.tobytes() == w.tobytes(), \
                 f"{name} at {budget} rows per run (BLAS {blas_build()})"
 
-    @pytest.mark.parametrize("lengths", [[1], [3, 7, 2, 7, 1], [1, 1, 4], [5000] + [1] * 1000])
+    # a lone sequence's schedule is built without the sort; 600 rows span RUN_ROWS
+    @pytest.mark.parametrize("lengths", [[1], [3, 7, 2, 7, 1], [1, 1, 4], [5000] + [1] * 1000,
+                                         [7], [256], [600]])
     def test_schedule_equals_a_loop_over_the_steps(self, lengths):
         order, counts, rows, back_rows = step_schedule(lengths)
         first = np.cumsum(lengths) - lengths
@@ -447,63 +449,51 @@ class TestProjectionRuns:
         assert (peak - out.data.nbytes) / 32_000 <= 128
 
 
-class TestOneSequencePlans:
-    """A pack of one sequence takes its plan (order, counts, rows read and
-    runs) from a bounded cache keyed by (length, directions, RUN_ROWS)."""
+class TestGateAffineShapes:
+    """A step of at most AFFINE_ROWS gate rows takes ``gate_affine`` at its
+    own shape; a wider one broadcasts the (4h,) row. Same bits either way."""
 
-    DIRECTIONS = [(False,), (True,), (False, True), (True, False)]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_shape_has_the_bits_of_the_broadcast_row(self, dtype):
+        hid = 16
+        rng = np.random.default_rng(42)
+        scale, shift = lstm.gate_affine(hid, np.dtype(dtype))
+        shapes = [(k,) for k in (1, 2, 3, 4, 5, 9)] \
+            + [(cells, k) for cells in (1, 2) for k in (1, 2, 3, 5)]
+        for lead in shapes:
+            h = rng.normal(size=lead + (hid,)).astype(dtype)
+            c = rng.normal(size=lead + (hid,)).astype(dtype)
+            # a gate of each value class: large, tiny, zero, negative zero
+            xw = rng.normal(scale=4.0, size=lead + (4 * hid,)).astype(dtype)
+            xw[..., :4] = [1e30, -1e-30, 0.0, -0.0]
+            w_h = rng.normal(size=lead[:-1] + (hid, 4 * hid)).astype(dtype)
+            got = lstm.lstm_step(xw, h, c, w_h)
+            act = np.matmul(h, w_h)
+            act += xw
+            np.tanh(act, out=act)
+            act *= scale
+            act += shift
+            want_c = act[..., hid : 2 * hid] * c
+            want_c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
+            tc = np.tanh(want_c)
+            want = (act[..., 3 * hid :] * tc, want_c, act, tc)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), lead
 
-    @pytest.mark.parametrize("reverse", DIRECTIONS)
-    def test_cached_plan_equals_the_schedule_and_its_runs(self, reverse):
-        # 600 rows span RUN_ROWS (256), so the long plans have several runs
-        for n in range(1, 601):
-            order, counts, read, runs = lstm._plan(np.array([n]), reverse)
-            want_order, want_counts, rows, back_rows = step_schedule([n])
-            assert order.tolist() == want_order.tolist()
-            assert counts.tolist() == want_counts.tolist()
-            assert read.tolist() == [(back_rows if r else rows).tolist() for r in reverse]
-            assert [list(run) for run in runs] == lstm._runs(want_counts.tolist())
-            for array in (order, counts, read):
-                assert not array.flags.writeable
-            assert lstm._plan([n], reverse) is lstm._plan(np.array([n]), list(reverse))
-        with pytest.raises(ValueError, match="read-only"):
-            read[0, 0] = 1
+    def test_the_cache_holds_only_small_shapes(self):
+        # 39 step widths of a pack: only (2, 1) and (2, 2) take a shaped
+        # affine; the rest share the (4h,) row
+        hid = 8
 
-    def test_a_new_run_budget_reaches_the_runs(self, monkeypatch):
-        # the run-budget bit-identity tests patch RUN_ROWS; a one-sequence
-        # plan cached under another budget must not hide the patch
-        rng = np.random.default_rng(40)
-        cell = LSTMCell("one", 4, 4, rng, dtype=np.float64)
-        x = constant(rng.normal(size=(10, 4)))
-        products = []
+        def steps():
+            for k in range(1, 40):
+                lstm.lstm_step(np.zeros((2, 1, 4 * hid)), np.zeros((2, k, hid)),
+                               np.zeros((2, k, hid)), np.zeros((2, hid, 4 * hid)))
 
-        def counting(a, b):
-            products.append(a.shape[-2])
-            return gemm_rows(a, b)
-
-        monkeypatch.setattr(lstm, "gemm_rows", counting)
-        want = lstm_sequence(cell, x, [10]).data
-        assert products == [10]
-        for budget, rows in ((3, [3, 3, 3, 1]), (1, [1] * 10)):
-            monkeypatch.setattr(lstm, "RUN_ROWS", budget)
-            products.clear()
-            got = lstm_sequence(cell, x, [10]).data
-            assert products == rows
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_a_failed_plan_is_never_kept(self, bad):
-        rng = np.random.default_rng(41)
-        fwd, bwd = LSTMCell("fw", 2, 3, rng), LSTMCell("bw", 2, 3, rng)
-        before = lstm._one_sequence_plan.cache_info().currsize
-        for _ in range(3):
-            with pytest.raises(ShapeError, match="lengths"):
-                run_bilstm(fwd, bwd, constant(np.zeros((0, 2))), [bad])
-            with pytest.raises(ShapeError, match="lengths"):
-                lstm_sequence(fwd, constant(np.zeros((0, 2))), [bad])
-            with pytest.raises(ShapeError, match="no plan"):
-                lstm._plan([bad], (False, True))
-        assert lstm._one_sequence_plan.cache_info().currsize == before
+        lstm.gate_affine.cache_clear()
+        steps()
+        steps()
+        assert lstm.gate_affine.cache_info().currsize == 3  # (), (2, 1) and (2, 2)
 
 
 def sigmoid_inputs(dtype, bits):
@@ -799,6 +789,9 @@ class TestLSTM:
         for lengths in ([3], [2, 0, 2], []):
             with pytest.raises(ShapeError, match="lengths"):
                 lstm_sequence(cell, x, lengths)
+        for lengths in ([0], [-1]):  # a lone sequence, whose schedule skips the sort
+            with pytest.raises(ShapeError, match="lengths"):
+                lstm_sequence(cell, constant(np.zeros((0, 2))), lengths)
         with pytest.raises(ShapeError, match="h0"):
             lstm_sequence(cell, x, [4], h0=constant(np.zeros((2, 3))))
 
