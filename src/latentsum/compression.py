@@ -34,17 +34,17 @@ from .numerics import (
     reshape,
     run_bilstm,
     slice_axis,
-    softmax,
     tanh,
     tensor_sum,
-    transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
-from .numerics.tensor import stable_softmax
+from .numerics.tensor import _accumulate, _make, stable_softmax
 
-EVAL_CHUNK = 32  # pairs decoded together by perplexity
+# (source, targets) items per no-grad scoring decode: it bounds the
+# decode's memory, and no row's bits depend on its pack
+EVAL_CHUNK = 32
 
 
 @dataclass
@@ -66,6 +66,59 @@ class TeacherDecode:
     def nll(self) -> Tensor:
         """Negative log-likelihood of every target, summed."""
         return -tensor_sum(gather_rows(self.log_probs, self.targets))
+
+
+def _attend_items(scores: Tensor, annotations: Tensor, item_rows, src_len) -> Tensor:
+    """Every item's attention contexts as one tape node, (sum item_rows, 2d).
+
+    Item j owns ``item_rows[j]`` decoder rows and the next ``src_len[j]``
+    rows of ``annotations``; its rows' scores, one per (row, source
+    position), come next in ``scores``. Each row's weights are the softmax
+    of its own scores, and its context is those weights times its item's
+    annotations. The backward takes each item's gradients by the formulas
+    of ``matmul`` and ``softmax``; an item's rows of either input take
+    only its own contributions.
+
+    The last of two or more items reads its annotations through a slice of
+    its own, as in a graph of one product per item, so the tape adds that
+    item's gradient after the gradients of the projection and of the
+    decoder start state: without dropout, those three meet at a source's
+    boundary rows, and the order of their sum sets its bits.
+    """
+    last = int(src_len[-1])
+    tail = slice_axis(annotations, 0, annotations.data.shape[0] - last,
+                      annotations.data.shape[0])
+    spans = []  # per item: its rows, its annotations and scores, its weights
+    contexts = np.empty((sum(item_rows), annotations.data.shape[1]),
+                        np.result_type(scores.data, annotations.data))
+    row = start = end = 0
+    for rows, n in zip(item_rows, src_len):
+        ann = annotations.data[start : start + n]
+        weights = stable_softmax(scores.data[end : end + rows * n].reshape(rows, n), axis=1)
+        np.matmul(weights, ann, out=contexts[row : row + rows])
+        spans.append((slice(row, row + rows), slice(start, start + n),
+                      slice(end, end + rows * n), ann, weights))
+        row, start, end = row + rows, start + n, end + rows * n
+
+    def bw(g):
+        if scores.requires_grad:
+            d_scores = np.empty_like(scores.data)
+            for rows, _, item_scores, ann, weights in spans:
+                d_w = g[rows] @ ann.T
+                d_w -= np.add.reduce(d_w * weights, axis=1, keepdims=True)
+                d_scores[item_scores] = (weights * d_w).reshape(-1, 1)
+            _accumulate(scores, d_scores)
+        if annotations.requires_grad:
+            d_ann = np.empty_like(annotations.data)
+            for rows, sources, _, _, weights in spans:
+                d_ann[sources] = weights.T @ g[rows]
+            if tail is not annotations:  # the last item's rows go through ``tail``
+                _accumulate(tail, d_ann[-last:])
+                d_ann[-last:] = 0
+            _accumulate(annotations, d_ann)
+
+    parents = (scores, annotations) if tail is annotations else (scores, annotations, tail)
+    return _make(contexts, parents, bw)
 
 
 class CompressionModel:
@@ -114,16 +167,6 @@ class CompressionModel:
         s0 = tanh(add(matmul(boundary, self.w_init), self.b_init))
         return states, s0
 
-    def _attend(self, state: Tensor, annotations: Tensor, projected: Tensor):
-        """One state's attention weights and context as tape primitives;
-        kept as the stepwise test oracle of ``decode_teacher`` and
-        ``decode_greedy_ids``."""
-        # additive scores: v_a^T tanh(W_s s_t + U_h h_k) per source position
-        scores = matmul(tanh(add(matmul(state, self.w_s), projected)), self.v_a)
-        weights = softmax(transpose(scores), axis=1)  # (1, |S|)
-        context = matmul(weights, annotations)  # (1, 2d)
-        return weights, context
-
     def _output_logits(self, state: Tensor, context: Tensor) -> Tensor:
         return add(matmul(concat([state, context], axis=1), self.w_out), self.b_out)
 
@@ -135,8 +178,9 @@ class CompressionModel:
         tokens, so the states of every target come from one packed
         recurrence, each target started from its own source's s0. Each
         target attends only its own source's rows, normalized over that
-        source's length; the output layer and log_softmax run once over all
-        rows. With a nonzero ``drop``, the dropout masks are drawn off
+        source's length, and the attention of every item is one tape node
+        (``_attend_items``); the output layer and log_softmax run once over
+        all rows. With a nonzero ``drop``, the dropout masks are drawn off
         ``rng`` item by item (the source annotations, then the decoder
         states), so the generator moves as if each item were decoded alone.
         """
@@ -165,7 +209,8 @@ class CompressionModel:
         states = dropout(lstm_sequence(self.dec, inputs, lengths,
                                        h0=embedding_lookup(s0, owner)),
                          join_masks(dec_masks))  # (T, d)
-        # _attend's additive scores of every state against its own source:
+        # additive scores v_a^T tanh(W_s s_t + U_h h_k) of every state
+        # against its own source:
         # state t's block holds one row per position of that source
         row_item = owner.repeat(lengths)
         width = src_len[row_item]
@@ -175,14 +220,8 @@ class CompressionModel:
         # one score per row, row by row, so a target's scores have the bits
         # of a one-target decode
         scores = matmul_rowwise(tanh(add(query, key)), self.v_a)
-        contexts = []
-        end = 0
-        for rows, n, start in zip(item_rows, src_len, src_start):
-            item_scores = reshape(slice_axis(scores, 0, end, end + rows * n), (rows, int(n)))
-            contexts.append(matmul(softmax(item_scores, axis=1),
-                                   slice_axis(annotations, 0, start, start + n)))
-            end += rows * n
-        log_probs = log_softmax(self._output_logits(states, concat(contexts, axis=0)), axis=1)
+        contexts = _attend_items(scores, annotations, item_rows, src_len)
+        log_probs = log_softmax(self._output_logits(states, contexts), axis=1)
         return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths.tolist())
 
     def nll_loss(self, source_ids, target_ids) -> Tensor:
@@ -199,11 +238,11 @@ class CompressionModel:
         ``no_grad``, and s0 is ``_encode_sources``' formula in numpy; the
         decoder's ``step_weights`` are made once per parameter version.
         Each step is then numpy arithmetic on arrays, ``lstm_step`` and the
-        products of ``_attend`` and ``_output_logits`` in their order, so
+        products of the attention and ``_output_logits`` in their order, so
         no tape node is built per step. The state and the context go into
         one preallocated ``[h | context]`` row in place of a concatenation.
-        ``_encode_sources``, ``LSTMCell.step`` and ``_attend`` are its test
-        oracles."""
+        ``_encode_sources``, ``LSTMCell.step`` and the tests' one-state
+        attention are its oracles."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
         if len(source_ids) == 0:
@@ -279,10 +318,17 @@ def _logprobs(model: CompressionModel, items) -> list[tuple[float, int]]:
     return list(zip(dec.total_logprobs(), dec.lengths))
 
 
-def seq2seq_logprob(model: CompressionModel, source: Sentence, target: Sentence) -> tuple[float, int]:
-    """Total teacher-forced log-probability of target (EOS included) and
-    the token count it was summed over."""
-    return _logprobs(model, [(source, [target])])[0]
+def _chunked_logprobs(model: CompressionModel, items) -> list[tuple[float, int]]:
+    """``_logprobs`` of (source, targets) items, decoded EVAL_CHUNK items
+    at a time."""
+    return [logprob for start in range(0, len(items), EVAL_CHUNK)
+            for logprob in _logprobs(model, items[start : start + EVAL_CHUNK])]
+
+
+def _normalized(logprobs, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix of exp(total / count) over ``logprobs``,
+    row after row."""
+    return np.exp([total / count for total, count in logprobs]).reshape(rows, cols)
 
 
 def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
@@ -290,9 +336,22 @@ def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
     packed decode that encodes each source once."""
     if not sources:
         return np.zeros((0, len(targets)))
-    logprobs = _logprobs(model, [(source, targets) for source in sources])
-    return np.exp([total / count for total, count in logprobs]).reshape(len(sources),
-                                                                         len(targets))
+    return _normalized(_logprobs(model, [(source, targets) for source in sources]),
+                       len(sources), len(targets))
+
+
+def _score_matrices(model: CompressionModel, pairs) -> list[np.ndarray]:
+    """``s_score_matrix(model, sources, targets)`` of every (sources,
+    targets) pair, bit for bit, from decodes of EVAL_CHUNK (source, targets)
+    items at a time across the pairs."""
+    logprobs = _chunked_logprobs(model, [(source, targets) for sources, targets in pairs
+                                         for source in sources])
+    matrices, end = [], 0
+    for sources, targets in pairs:
+        size = len(sources) * len(targets)
+        matrices.append(_normalized(logprobs[end : end + size], len(sources), len(targets)))
+        end += size
+    return matrices
 
 
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
@@ -313,11 +372,9 @@ def perplexity(model: CompressionModel, pairs) -> float:
     EVAL_CHUNK pairs at a time."""
     total = 0.0
     count = 0
-    for start in range(0, len(pairs), EVAL_CHUNK):
-        chunk = pairs[start : start + EVAL_CHUNK]
-        for logprob, tokens in _logprobs(model, [(p.source, [p.target]) for p in chunk]):
-            total += logprob
-            count += tokens
+    for logprob, tokens in _chunked_logprobs(model, [(p.source, [p.target]) for p in pairs]):
+        total += logprob
+        count += tokens
     if count == 0:
         raise DataError("perplexity over an empty pair set")
     return float(np.exp(-total / count))

@@ -6,7 +6,10 @@ summary by the frozen compression model, and the decoder is updated
 with REINFORCE using a learned per-step linear baseline. The scorer is
 frozen and deterministic, so each training document's |D| x |H| score
 matrix is built once, before the first epoch, and every sample's reward
-is read from its rows.
+is read from its rows. The split's sentences are scored in packs of
+``compression.EVAL_CHUNK`` (sentence, summary) items, not one decode per
+document, and each matrix has the bits of the document's own
+``s_score_matrix``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionModel, s_score_matrix
+from .compression import CompressionModel, _score_matrices, s_score_matrix
 from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
@@ -238,8 +241,9 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     for doc, summary in train_records:
         if len(summary) == 0:
             raise DataError(f"document {doc.id!r} has an empty summary")
-    items = [(doc, s_score_matrix(compression, doc.sentences, summary.sentences))
-             for doc, summary in train_records]
+    items = list(zip([doc for doc, _ in train_records],
+                     _score_matrices(compression, [(doc.sentences, summary.sentences)
+                                                   for doc, summary in train_records])))
     rows: list[dict] = []  # this epoch's trace rows, floats only
 
     def batch_loss(batch):

@@ -13,12 +13,14 @@ projection's memory does not grow with the pack. The cells' states then
 stack to (cells, k, h) and their recurrent weights to (cells, h, 4h), so
 each step is one batched matmul and one pass of gate arithmetic for both
 directions of a Bi-LSTM, whose states go straight into the (rows, cells, h)
-result; backpropagation through time, written out in numpy, walks the same
-stacked arrays. A batched matmul makes the same (k, h) @ (h, 4h) product
-per cell as a matmul of that cell alone, a row of a product of two or more
-rows has the same bits in any such product, and the gate arithmetic is
-elementwise, so every state and gradient has the bits of one recurrence per
-cell over one projection of every row. A lone sequence, the pack of each
+result; backpropagation through time, written out in numpy (``_bptt``),
+walks the same stacked arrays, each step's gate gradients one product of
+four factors laid out over the 4h columns a run at a time, so its memory
+too is bounded by the run. A batched matmul makes the same (k, h) @ (h, 4h)
+product per cell as a matmul of that cell alone, a row of a product of two
+or more rows has the same bits in any such product, and the gate
+arithmetic is elementwise, so every state and gradient has the bits of one
+recurrence per cell over one projection of every row. A lone sequence, the pack of each
 decoded sentence's encoder and of a document's sentence-level Bi-LSTM,
 takes its schedule without the sort.
 
@@ -227,6 +229,66 @@ def _runs(counts):
     return runs
 
 
+def _bptt(cells, cache, grad, sequences, dtype):
+    """Backpropagation through time over ``_recurrence``'s cached runs of
+    steps, last step first, from ``grad``, the (rows, cells, h) gradient
+    at the states. Returns the gradient at the gate pre-activations, the
+    rows each cell read, and the states before each step, each stacked to
+    (cells, rows, ·) in the order the steps are walked, and the gradient
+    at the initial state, (cells, sequences, h) in schedule order.
+
+    Each step's pre-activation gradient is the product ((a b) c) e over the
+    4h gate columns i|f|g|o, with a = [dc|dc|dc|dh], b = [g|c_prev|i|tanh c],
+    c = [i|f|1 - g^2|o] and e = [1 - i|1 - f|1|1 - o]: the textbook
+    formulas multiplied left to right, and a product by one is exact. b, c,
+    e, 1 - tanh^2 c and the output gradient are built one run at a time,
+    so their memory is bounded as the forward's projection is, and a step
+    is then about 11 numpy calls.
+    """
+    dirs, hid = len(cells), cells[0].hidden_size
+    cell_of = np.arange(dirs)[:, None]
+    # the cached gates are activated, so the gradient goes through the
+    # cells' own weights, not the step's halved ones
+    w_h_t = np.stack([c.w_h.data for c in cells]).transpose(0, 2, 1)
+    dh = np.zeros((dirs, sequences, hid), dtype)
+    dc = np.zeros((dirs, sequences, hid), dtype)
+    d_pre = np.empty((dirs, grad.shape[0], 4 * hid), np.result_type(dh, grad))
+    rows, h_prev = [], []
+    done = 0  # the rows of d_pre written so far
+    for run in reversed(cache):
+        steps = run[::-1]
+        run_rows = np.concatenate([step[0] for step in steps], axis=1)
+        c = np.concatenate([step[1] for step in steps], axis=1)  # i|f|g|o, then factor c
+        g = c[..., 2 * hid : 3 * hid]
+        tc = np.concatenate([step[4] for step in steps], axis=1)
+        b = np.concatenate([g, np.concatenate([step[3] for step in steps], axis=1),
+                            c[..., :hid], tc], axis=-1)
+        e = 1.0 - c
+        e[..., 2 * hid : 3 * hid] = 1
+        dtanh = 1.0 - tc * tc
+        g[...] = 1.0 - g * g
+        out_grad = grad[run_rows, cell_of]
+        at = 0  # the step's first row in the run
+        for step in steps:
+            k = step[0].shape[1]
+            dh_t = dh[:, :k] + out_grad[:, at : at + k]
+            dc_t = dh_t * c[:, at : at + k, 3 * hid :]
+            dc_t *= dtanh[:, at : at + k]
+            dc_t += dc[:, :k]
+            dp = d_pre[:, done : done + k]
+            np.concatenate((dc_t, dc_t, dc_t, dh_t), axis=-1, out=dp)
+            dp *= b[:, at : at + k]
+            dp *= c[:, at : at + k]
+            dp *= e[:, at : at + k]
+            dc[:, :k] = dc_t * c[:, at : at + k, hid : 2 * hid]
+            dh[:, :k] = np.matmul(dp, w_h_t)
+            at += k
+            done += k
+        rows.append(run_rows)
+        h_prev.extend(step[2] for step in steps)
+    return d_pre, np.concatenate(rows, axis=1), np.concatenate(h_prev, axis=1), dh
+
+
 def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
                 h0: Tensor | None = None) -> Tensor:
     """States of packed sequences under every cell of ``cells`` side by
@@ -268,7 +330,8 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
     parents = (x,) + tuple(p for c in cells for p in c.parameters()) \
         + (() if h0 is None else (h0,))
     keep = recording(parents)  # under no_grad, no cache for backpropagation
-    cache = []  # per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
+    # per run, per step: rows, activated gates i|f|g|o, h_prev, c_prev, tanh(c)
+    cache = []
     start = 0  # the first row of ``read`` that the step reads
     for run in _runs(counts.tolist()):
         # one input projection per run, bias included, over the rows its
@@ -279,43 +342,24 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         xw = gemm_rows(x.data[run_rows], w_x)
         xw += b
         states = []  # the run's states in step order, scattered once per run
+        if keep:
+            cache.append([])
         for k in run:
             width = max(k, 2)
             hp, cp = h_state[:, :width], c_state[:, :width]
             h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h)
             states.append(h[:, :k])
             if keep:
-                cache.append((read[:, start : start + k], act[:, :k], hp[:, :k], cp[:, :k],
-                              tc[:, :k]))
+                cache[-1].append((read[:, start : start + k], act[:, :k], hp[:, :k],
+                                  cp[:, :k], tc[:, :k]))
             h_state, c_state = h, c  # a finished sequence's state is never read again
             del act, tc  # unless cached, this step's gates go before the next's are made
             start += k
         out[run_rows, cell_of] = states[0] if len(states) == 1 else np.concatenate(states, axis=1)
 
     def bw(grad):
-        grad = grad.reshape(n, dirs, hid)
-        # the cached gates are activated, so the gradient goes through the
-        # cells' own weights, not the step's halved ones
-        w_h_t = np.stack([c.w_h.data for c in cells]).transpose(0, 2, 1)
-        dh = np.zeros((dirs, lengths.size, hid), dtype)
-        dc = np.zeros((dirs, lengths.size, hid), dtype)
-        d_pre = []
-        for rows, act, hp, cp, tc in reversed(cache):
-            k = rows.shape[1]
-            i, f = act[..., :hid], act[..., hid : 2 * hid]
-            g, o = act[..., 2 * hid : 3 * hid], act[..., 3 * hid :]
-            dh_t = dh[:, :k] + grad[rows, cell_of]
-            dc_t = dc[:, :k] + dh_t * o * (1.0 - tc * tc)
-            dp = np.concatenate([dc_t * g * i * (1.0 - i),
-                                 dc_t * cp * f * (1.0 - f),
-                                 dc_t * i * (1.0 - g * g),
-                                 dh_t * tc * o * (1.0 - o)], axis=-1)
-            d_pre.append(dp)
-            dc[:, :k] = dc_t * f
-            dh[:, :k] = np.matmul(dp, w_h_t)
-        rows = np.concatenate([step[0] for step in reversed(cache)], axis=1)
-        d_pre = np.concatenate(d_pre, axis=1)
-        h_prev = np.concatenate([step[2] for step in reversed(cache)], axis=1)
+        d_pre, rows, h_prev, dh = _bptt(cells, cache, grad.reshape(n, dirs, hid),
+                                        lengths.size, dtype)
         # x's gradient gets one sum per cell, added in cell order, as the
         # backward of one recurrence per cell would add them
         for j, cell in enumerate(cells):

@@ -385,16 +385,19 @@ def segment_mean(a: Tensor, lengths) -> Tensor:
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax in numpy, shifted by the maximum; the one formula behind
-    ``softmax`` and the greedy compression decode's tape-free loop."""
-    exps = np.exp(x - x.max(axis=axis, keepdims=True))
-    return exps / exps.sum(axis=axis, keepdims=True)
+    ``softmax``, the teacher-forced decode's attention node and the greedy
+    compression decode's tape-free loop. The reductions are the ufuncs'
+    own, which give ``ndarray.max`` and ``.sum``'s bits without their
+    Python wrappers."""
+    exps = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return exps / np.add.reduce(exps, axis=axis, keepdims=True)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data = stable_softmax(a.data, axis)
 
     def bw(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = np.add.reduce(g * out_data, axis=axis, keepdims=True)
         _accumulate(a, out_data * (g - inner))
 
     return _make(out_data, (a,), bw)
@@ -403,15 +406,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def stable_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Log-softmax in numpy, shifted by the maximum; the one formula behind
     ``log_softmax`` and the label decoder's tape-free loop."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     out_data = stable_log_softmax(a.data, axis)
 
     def bw(g):
-        _accumulate(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+        _accumulate(a, g - np.exp(out_data) * np.add.reduce(g, axis=axis, keepdims=True))
 
     return _make(out_data, (a,), bw)
 

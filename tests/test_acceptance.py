@@ -17,7 +17,6 @@ from latentsum.compression import (
     CompressionModel,
     perplexity,
     s_score,
-    seq2seq_logprob,
     train_compression,
 )
 from latentsum.config import RunConfig
@@ -62,6 +61,7 @@ from latentsum.toy import generate_toy_corpus
 
 from conftest import blas_build, random_sentences
 from gradcheck import finite_difference_check
+from oracles import attend
 from test_rouge import oracle_rouge_l, oracle_rouge_n
 
 
@@ -465,7 +465,7 @@ def test_c8_normalized_score_property():
                 for prev, nxt in zip((BOS,) + tgt.ids, tgt.ids + (EOS,)):
                     x = embedding_lookup(model.tgt_embed, [prev])
                     state, cell = model.dec.step(x, state, cell)
-                    _, context = model._attend(state, annotations, projected)
+                    _, context = attend(model, state, annotations, projected)
                     logits = model._output_logits(state, context).data[0]
                     peak = logits.max()
                     total += float(logits[nxt] - peak

@@ -684,6 +684,64 @@ class TestPackedScoreMatrix:
         assert s_score_matrix(scorer(), [], tiny_summary().sentences).shape == (0, 2)
 
 
+class TestRewardMatricesInPacks:
+    """train_latent scores the split's sentences EVAL_CHUNK at a time, and
+    each document's matrix has the bits of its own s_score_matrix."""
+
+    @staticmethod
+    def _records():
+        # 41 sentences: the fourth document straddles the 32-sentence pack
+        # boundary, the second has one sentence and the third holds a
+        # one-token sentence
+        rng = np.random.default_rng(17)
+        records = []
+        for j, count in enumerate([12, 1, 15, 6, 7]):
+            sentences = [ids_sentence(rng.integers(4, 10, size=int(rng.integers(2, 7))))
+                         for _ in range(count)]
+            if j == 2:
+                sentences[4] = ids_sentence([7])
+            summary = [ids_sentence(rng.integers(4, 10, size=n)) for n in (1, 4, 3)[: 1 + j % 3]]
+            records.append((Document(id=f"doc{j}", sentences=tuple(sentences)),
+                            SummarySet(sentences=tuple(summary))))
+        return records
+
+    @pytest.mark.parametrize("chunk", [3, 32])
+    def test_matrices_equal_each_documents_own(self, small_config, monkeypatch, chunk):
+        from latentsum import compression, latent
+
+        records = self._records()
+        cfg = dataclasses.replace(small_config, num_samples=1, latent_epochs=1)
+        model = ExtractiveModel(10, cfg.d, np.random.default_rng(3))
+        comp = scorer(d=8, seed=4, dtype=np.float32)
+        matrices, decodes = {}, []
+        step, decode = latent.reinforce_step, CompressionModel.decode_teacher
+
+        def recording(model, baseline, doc, scores, config, rng):
+            matrices[doc.id] = scores
+            return step(model, baseline, doc, scores, config, rng)
+
+        def counting(self, items, *args, **kwargs):
+            decodes.append(len(items))
+            return decode(self, items, *args, **kwargs)
+
+        monkeypatch.setattr(compression, "EVAL_CHUNK", chunk)
+        monkeypatch.setattr(latent, "reinforce_step", recording)
+        monkeypatch.setattr(CompressionModel, "decode_teacher", counting)
+        train_latent(model, BaselineModel(cfg.d), records, comp, cfg, np.random.default_rng(5))
+        sources = sum(len(doc) for doc, _ in records)
+        assert len(decodes) == -(-sources // chunk) and sum(decodes) == sources
+        assert max(decodes) == chunk
+        monkeypatch.undo()
+        assert len(matrices) == len(records)
+        for doc, summary in records:
+            want = s_score_matrix(comp, doc.sentences, summary.sentences)
+            got = matrices[doc.id]
+            assert got.dtype == want.dtype and got.shape == want.shape == (len(doc),
+                                                                           len(summary))
+            assert got.tobytes() == want.tobytes(), \
+                f"{doc.id}: packed matrix differs from its own (BLAS {blas_build()})"
+
+
 class TestRewardMatrixIsTheOnlyPath:
     @pytest.mark.parametrize("num_samples", [1, 3])
     def test_training_never_scores_per_pair(self, small_config, monkeypatch, num_samples):
@@ -692,10 +750,13 @@ class TestRewardMatrixIsTheOnlyPath:
         from latentsum import compression, latent
 
         def refuse(*args, **kwargs):
-            raise AssertionError("per-pair scoring called from train_latent")
+            raise AssertionError("per-pair or per-document scoring called from train_latent")
 
         monkeypatch.setattr(compression, "s_score", refuse)
         monkeypatch.setattr(latent, "reward", refuse)
+        # nor one decode per document: the reward matrices come in packs
+        monkeypatch.setattr(compression, "s_score_matrix", refuse)
+        monkeypatch.setattr(latent, "s_score_matrix", refuse)
         records, vocab = tiny_records(n_docs=3, n_sents=3, vocab_words=8, seed=6)
         cfg = dataclasses.replace(small_config, num_samples=num_samples, latent_epochs=1)
         model = ExtractiveModel(len(vocab), cfg.d, np.random.default_rng(0))

@@ -496,6 +496,93 @@ class TestGateAffineShapes:
         assert lstm.gate_affine.cache_info().currsize == 3  # (), (2, 1) and (2, 2)
 
 
+def stepwise_bptt(cells, cache, grad, sequences, dtype):
+    """``lstm._bptt`` as the textbook formulas, step by step, each gate's
+    product multiplied left to right: the oracle of its one pass of
+    factors."""
+    dirs, hid = len(cells), cells[0].hidden_size
+    cell_of = np.arange(dirs)[:, None]
+    steps = [step for run in cache for step in run]
+    w_h_t = np.stack([c.w_h.data for c in cells]).transpose(0, 2, 1)
+    dh = np.zeros((dirs, sequences, hid), dtype)
+    dc = np.zeros((dirs, sequences, hid), dtype)
+    d_pre = []
+    for rows, act, hp, cp, tc in reversed(steps):
+        k = rows.shape[1]
+        i, f = act[..., :hid], act[..., hid : 2 * hid]
+        g, o = act[..., 2 * hid : 3 * hid], act[..., 3 * hid :]
+        dh_t = dh[:, :k] + grad[rows, cell_of]
+        dc_t = dc[:, :k] + dh_t * o * (1.0 - tc * tc)
+        dp = np.concatenate([dc_t * g * i * (1.0 - i),
+                             dc_t * cp * f * (1.0 - f),
+                             dc_t * i * (1.0 - g * g),
+                             dh_t * tc * o * (1.0 - o)], axis=-1)
+        d_pre.append(dp)
+        dc[:, :k] = dc_t * f
+        dh[:, :k] = np.matmul(dp, w_h_t)
+    rows = np.concatenate([step[0] for step in reversed(steps)], axis=1)
+    h_prev = np.concatenate([step[2] for step in reversed(steps)], axis=1)
+    return np.concatenate(d_pre, axis=1), rows, h_prev, dh
+
+
+class TestOnePassBPTT:
+    """Backpropagation through time in one pass of factors a run at a
+    time has the bits of the stepwise formulas, states and gradients."""
+
+    # lone and packed, one-row steps, and 600 rows that span RUN_ROWS
+    @pytest.mark.parametrize("lengths", [[1], [7], [600], [3, 7, 2, 7, 1], [1, 1],
+                                         [300, 5, 260, 1]])
+    @pytest.mark.parametrize("d,dtype", [(16, np.float32), (64, np.float32), (6, np.float64)])
+    def test_states_and_gradients_equal_the_stepwise_formulas(self, monkeypatch, lengths, d,
+                                                              dtype):
+        rng = np.random.default_rng(d + len(lengths))
+        fwd, bwd, back, ahead = (LSTMCell(name, d, d, rng, dtype)
+                                 for name in ("fw", "bw", "back", "ahead"))
+        n = sum(lengths)
+        x = Parameter("x", rng.normal(size=(n, d)).astype(dtype))
+        h0 = Parameter("h0", rng.normal(size=(len(lengths), d)).astype(dtype))
+        weights = constant(rng.normal(size=(n, 4 * d)).astype(dtype))
+        params = [x, h0] + fwd.parameters() + bwd.parameters() + back.parameters() \
+            + ahead.parameters()
+
+        def run():
+            zero_grads(params)
+            # a Bi-LSTM, and reversed and forward cells started from h0
+            out = concat([run_bilstm(fwd, bwd, x, lengths),
+                          lstm_sequence(back, x, lengths, h0=h0, reverse=True),
+                          lstm_sequence(ahead, x, lengths, h0=h0)], axis=1)
+            backward(tensor_sum(mul(out, weights)))
+            return [out.data] + [p.grad_or_zeros().copy() for p in params]
+
+        got = run()
+        monkeypatch.setattr(lstm, "_bptt", stepwise_bptt)
+        want = run()
+        for name, g, w in zip(["states"] + [p.name for p in params], got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), \
+                f"{name} at lengths {lengths} (BLAS {blas_build()})"
+
+    def test_memory_beside_the_gradients_does_not_grow_with_the_rows(self, monkeypatch):
+        # 16,000 rows at d=16 in float32: building the factors for every
+        # step at once would add 2,176 bytes a row, and keeping each step's
+        # gradient beside their concatenation 512; the factors of one run
+        # remain beside what the pass returns
+        rng = np.random.default_rng(8)
+        fwd, bwd = LSTMCell("fw", 16, 16, rng), LSTMCell("bw", 16, 16, rng)
+        x = constant(rng.normal(size=(16_000, 16)).astype(np.float32))
+        peaks = []
+        one_pass = lstm._bptt
+
+        def measured(*args):
+            result, peak = traced_peak(lambda: one_pass(*args))
+            peaks.append(peak - sum(a.nbytes for a in result))
+            return result
+
+        monkeypatch.setattr(lstm, "_bptt", measured)
+        out = run_bilstm(fwd, bwd, x, [1_000] * 16)
+        backward(tensor_sum(out))
+        assert len(peaks) == 1 and peaks[0] / 16_000 <= 128
+
+
 def sigmoid_inputs(dtype, bits):
     """One column of every input class a gate meets: ±0, ±inf, NaN, ±max,
     normal and subnormal tiny values, a ±120 grid and 300,000 random bit
