@@ -241,9 +241,9 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     for doc, summary in train_records:
         if len(summary) == 0:
             raise DataError(f"document {doc.id!r} has an empty summary")
-    items = list(zip([doc for doc, _ in train_records],
-                     _score_matrices(compression, [(doc.sentences, summary.sentences)
-                                                   for doc, summary in train_records])))
+    matrices = _score_matrices(compression, [(doc.sentences, summary.sentences)
+                                             for doc, summary in train_records])
+    items = [(doc, scores) for (doc, _), scores in zip(train_records, matrices)]
     rows: list[dict] = []  # this epoch's trace rows, floats only
 
     def batch_loss(batch):
