@@ -34,13 +34,14 @@ from .numerics import (
     reshape,
     run_bilstm,
     slice_axis,
+    softmax,
     tanh,
     tensor_sum,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
 from .numerics.lstm import lstm_step
 from .numerics.optim import Adam, fit
-from .numerics.tensor import _accumulate, _make, stable_softmax
+from .numerics.tensor import stable_softmax
 
 # (source, targets) items per no-grad scoring decode: it bounds the
 # decode's memory, and no row's bits depend on its pack
@@ -66,59 +67,6 @@ class TeacherDecode:
     def nll(self) -> Tensor:
         """Negative log-likelihood of every target, summed."""
         return -tensor_sum(gather_rows(self.log_probs, self.targets))
-
-
-def _attend_items(scores: Tensor, annotations: Tensor, item_rows, src_len) -> Tensor:
-    """Every item's attention contexts as one tape node, (sum item_rows, 2d).
-
-    Item j owns ``item_rows[j]`` decoder rows and the next ``src_len[j]``
-    rows of ``annotations``; its rows' scores, one per (row, source
-    position), come next in ``scores``. Each row's weights are the softmax
-    of its own scores, and its context is those weights times its item's
-    annotations. The backward takes each item's gradients by the formulas
-    of ``matmul`` and ``softmax``; an item's rows of either input take
-    only its own contributions.
-
-    The last of two or more items reads its annotations through a slice of
-    its own, as in a graph of one product per item, so the tape adds that
-    item's gradient after the gradients of the projection and of the
-    decoder start state: without dropout, those three meet at a source's
-    boundary rows, and the order of their sum sets its bits.
-    """
-    last = int(src_len[-1])
-    tail = slice_axis(annotations, 0, annotations.data.shape[0] - last,
-                      annotations.data.shape[0])
-    spans = []  # per item: its rows, its annotations and scores, its weights
-    contexts = np.empty((sum(item_rows), annotations.data.shape[1]),
-                        np.result_type(scores.data, annotations.data))
-    row = start = end = 0
-    for rows, n in zip(item_rows, src_len):
-        ann = annotations.data[start : start + n]
-        weights = stable_softmax(scores.data[end : end + rows * n].reshape(rows, n), axis=1)
-        np.matmul(weights, ann, out=contexts[row : row + rows])
-        spans.append((slice(row, row + rows), slice(start, start + n),
-                      slice(end, end + rows * n), ann, weights))
-        row, start, end = row + rows, start + n, end + rows * n
-
-    def bw(g):
-        if scores.requires_grad:
-            d_scores = np.empty_like(scores.data)
-            for rows, _, item_scores, ann, weights in spans:
-                d_w = g[rows] @ ann.T
-                d_w -= np.add.reduce(d_w * weights, axis=1, keepdims=True)
-                d_scores[item_scores] = (weights * d_w).reshape(-1, 1)
-            _accumulate(scores, d_scores)
-        if annotations.requires_grad:
-            d_ann = np.empty_like(annotations.data)
-            for rows, sources, _, _, weights in spans:
-                d_ann[sources] = weights.T @ g[rows]
-            if tail is not annotations:  # the last item's rows go through ``tail``
-                _accumulate(tail, d_ann[-last:])
-                d_ann[-last:] = 0
-            _accumulate(annotations, d_ann)
-
-    parents = (scores, annotations) if tail is annotations else (scores, annotations, tail)
-    return _make(contexts, parents, bw)
 
 
 class CompressionModel:
@@ -178,9 +126,8 @@ class CompressionModel:
         tokens, so the states of every target come from one packed
         recurrence, each target started from its own source's s0. Each
         target attends only its own source's rows, normalized over that
-        source's length, and the attention of every item is one tape node
-        (``_attend_items``); the output layer and log_softmax run once over
-        all rows. With a nonzero ``drop``, the dropout masks are drawn off
+        source's length; the output layer and log_softmax run once over all
+        rows. With a nonzero ``drop``, the dropout masks are drawn off
         ``rng`` item by item (the source annotations, then the decoder
         states), so the generator moves as if each item were decoded alone.
         """
@@ -220,8 +167,14 @@ class CompressionModel:
         # one score per row, row by row, so a target's scores have the bits
         # of a one-target decode
         scores = matmul_rowwise(tanh(add(query, key)), self.v_a)
-        contexts = _attend_items(scores, annotations, item_rows, src_len)
-        log_probs = log_softmax(self._output_logits(states, contexts), axis=1)
+        contexts = []
+        end = 0
+        for rows, n, start in zip(item_rows, src_len, src_start):
+            item_scores = reshape(slice_axis(scores, 0, end, end + rows * n), (rows, int(n)))
+            contexts.append(matmul(softmax(item_scores, axis=1),
+                                   slice_axis(annotations, 0, start, start + n)))
+            end += rows * n
+        log_probs = log_softmax(self._output_logits(states, concat(contexts, axis=0)), axis=1)
         return TeacherDecode(log_probs=log_probs, targets=gold, lengths=lengths.tolist())
 
     def nll_loss(self, source_ids, target_ids) -> Tensor:

@@ -385,10 +385,9 @@ def segment_mean(a: Tensor, lengths) -> Tensor:
 
 def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax in numpy, shifted by the maximum; the one formula behind
-    ``softmax``, the teacher-forced decode's attention node and the greedy
-    compression decode's tape-free loop. The reductions are the ufuncs'
-    own, which give ``ndarray.max`` and ``.sum``'s bits without their
-    Python wrappers."""
+    ``softmax`` and the greedy compression decode's tape-free loop. The
+    reductions are the ufuncs' own, which give ``ndarray.max`` and
+    ``.sum``'s bits without their Python wrappers."""
     exps = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     return exps / np.add.reduce(exps, axis=axis, keepdims=True)
 

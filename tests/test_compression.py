@@ -28,10 +28,8 @@ from latentsum.numerics import (
     matmul,
     mul,
     no_grad,
-    reshape,
     run_bilstm,
     slice_axis,
-    softmax,
     tanh,
     tensor_sum,
     zero_grads,
@@ -312,68 +310,6 @@ class TestStartState:
         want = grads()
         for name, g, w in zip(["log_probs"] + [p.name for p in params], got, want):
             assert g.tobytes() == w.tobytes(), f"{name} (BLAS {blas_build()})"
-
-
-def per_item_attention(scores, annotations, item_rows, src_len):
-    """``_attend_items`` as five tape nodes per item and a concatenation:
-    the slices of the item's scores and annotations, the reshape, the
-    softmax and the product. The oracle of its one node."""
-    contexts = []
-    end = start = 0
-    for rows, n in zip(item_rows, src_len):
-        item_scores = reshape(slice_axis(scores, 0, end, end + rows * n), (rows, int(n)))
-        contexts.append(matmul(softmax(item_scores, axis=1),
-                               slice_axis(annotations, 0, start, start + n)))
-        end += rows * n
-        start += n
-    return concat(contexts, axis=0)
-
-
-class TestOneAttentionNode:
-    """A teacher-forced decode attends every item in one tape node, with
-    the log-probabilities and gradients of one product per item."""
-
-    SOURCES = [[4, 5, 6], [9], [4, 8, 10, 12, 13], [7, 5]]
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    @pytest.mark.parametrize("drop", [0.0, 0.3])
-    @pytest.mark.parametrize("d,dtype", [(16, np.float32), (64, np.float32), (6, np.float64)])
-    def test_values_and_gradients_equal_one_product_per_item(self, monkeypatch, count, drop,
-                                                             d, dtype):
-        # with no dropout, three gradients meet at each source's boundary rows
-        model = tiny_model(d=d, seed=d + count, dtype=dtype)
-        params = model.parameters()
-        items = [(source, [[7, 8], [5]][: 1 + j % 2]) for j, source in
-                 enumerate(self.SOURCES[-count:])]
-
-        def run():
-            zero_grads(params)
-            dec = model.decode_teacher(items, rng=np.random.default_rng(3), drop=drop)
-            backward(dec.nll())
-            return [dec.log_probs.data] + [p.grad_or_zeros().copy() for p in params]
-
-        got = run()
-        monkeypatch.setattr(compression, "_attend_items", per_item_attention)
-        want = run()
-        for name, g, w in zip(["log_probs"] + [p.name for p in params], got, want):
-            assert g.tobytes() == w.tobytes(), f"{name} (BLAS {blas_build()})"
-
-    def test_the_graph_does_not_grow_with_the_items(self):
-        # one attention node, and a slice of the last item's annotations
-        model = tiny_model()
-
-        def nodes(items):
-            seen, stack = set(), [model.decode_teacher(items).nll()]
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen and node.requires_grad:
-                    seen.add(id(node))
-                    stack.extend(node._parents)
-            return len(seen)
-
-        one = nodes([(self.SOURCES[0], [[7]])])
-        assert nodes([(source, [[7]]) for source in self.SOURCES]) == one + 1
-        assert nodes([(source, [[7]]) for source in self.SOURCES * 4]) == one + 1
 
 
 class TestAttention:

@@ -1,7 +1,7 @@
 """The sha256 of every file that the README walkthrough, plus one
 ``summarize --compress``, writes on seeds 13-15, as one JSON line.
 
-    python3 tools/walkthrough_digests.py [--src .] [--seeds 13 14 15]
+    python3 tools/walkthrough_digests.py [--src .]
 
 ``--src`` is the root of a checkout: its ``src/`` runs the program and its
 README's walkthrough gives the config (as ``tests/test_cli.py`` reads it)
@@ -21,6 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEEDS = (13, 14, 15)
 COMPRESS = ("latentsum --config config.json summarize --corpus data/toy --split test "
             "--checkpoint out/extractive.ckpt --vocab out/vocab.json --compress "
             "--compression out/compression.ckpt --out out/compress.sum.jsonl")
@@ -58,10 +59,9 @@ def digests(src: Path, seed: int) -> dict:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path("."))
-    parser.add_argument("--seeds", type=int, nargs="+", default=[13, 14, 15])
     args = parser.parse_args()
     src = args.src.resolve()
-    print(json.dumps({key: value for seed in args.seeds for key, value in
+    print(json.dumps({key: value for seed in SEEDS for key, value in
                       digests(src, seed).items()}, sort_keys=True))
 
 
