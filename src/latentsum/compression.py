@@ -4,6 +4,12 @@ A Bi-LSTM encodes the source sentence; a unidirectional decoder with
 additive attention predicts the compressed sentence token by token.
 The model's normalized likelihood of a candidate compression is the
 per-token geometric-mean probability s = exp(total_logprob / tokens).
+
+Every score runs through one tape-free path: ``_logprobs`` decodes
+(source, targets) items ``EVAL_CHUNK`` at a time. ``s_score_matrices``
+turns its totals into the s matrices of many (sources, targets) pairs;
+``s_score_matrix`` and ``s_score`` are its one-pair and one-cell cases,
+and ``perplexity`` pools the same totals.
 """
 
 from __future__ import annotations
@@ -261,50 +267,39 @@ def load_compression(path, vocab) -> CompressionModel:
 def _logprobs(model: CompressionModel, items) -> list[tuple[float, int]]:
     """Total teacher-forced log-probability (EOS included) of each target of
     (source, targets) items, and the token count it was summed over, from
-    one packed decode."""
+    packed decodes of EVAL_CHUNK items at a time."""
     if any(source.ids is None or any(target.ids is None for target in targets)
            for source, targets in items):
         raise DataError("sentences must carry vocabulary ids")
+    logprobs = []
     with no_grad():
-        dec = model.decode_teacher([(source.ids, [target.ids for target in targets])
-                                    for source, targets in items])
-    return list(zip(dec.total_logprobs(), dec.lengths))
+        for start in range(0, len(items), EVAL_CHUNK):
+            dec = model.decode_teacher([(source.ids, [target.ids for target in targets])
+                                        for source, targets in items[start : start + EVAL_CHUNK]])
+            logprobs.extend(zip(dec.total_logprobs(), dec.lengths))
+    return logprobs
 
 
-def _chunked_logprobs(model: CompressionModel, items) -> list[tuple[float, int]]:
-    """``_logprobs`` of (source, targets) items, decoded EVAL_CHUNK items
-    at a time."""
-    return [logprob for start in range(0, len(items), EVAL_CHUNK)
-            for logprob in _logprobs(model, items[start : start + EVAL_CHUNK])]
-
-
-def _normalized(logprobs, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols matrix of exp(total / count) over ``logprobs``,
-    row after row."""
-    return np.exp([total / count for total, count in logprobs]).reshape(rows, cols)
-
-
-def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
-    """|sources| x |targets| matrix of s_score(source, target), from one
-    packed decode that encodes each source once."""
-    if not sources:
-        return np.zeros((0, len(targets)))
-    return _normalized(_logprobs(model, [(source, targets) for source in sources]),
-                       len(sources), len(targets))
-
-
-def _score_matrices(model: CompressionModel, pairs) -> list[np.ndarray]:
-    """``s_score_matrix(model, sources, targets)`` of every (sources,
-    targets) pair, bit for bit, from decodes of EVAL_CHUNK (source, targets)
-    items at a time across the pairs."""
-    logprobs = _chunked_logprobs(model, [(source, targets) for sources, targets in pairs
-                                         for source in sources])
+def s_score_matrices(model: CompressionModel, pairs) -> list[np.ndarray]:
+    """The |sources| x |targets| float64 matrix of s_score(source, target)
+    of every (sources, targets) pair, from decodes of EVAL_CHUNK (source,
+    targets) items at a time across the pairs: each source is encoded once
+    per pair, and no matrix's bits depend on the pairs beside it."""
+    logprobs = _logprobs(model, [(source, targets) for sources, targets in pairs
+                                 for source in sources])
     matrices, end = [], 0
     for sources, targets in pairs:
         size = len(sources) * len(targets)
-        matrices.append(_normalized(logprobs[end : end + size], len(sources), len(targets)))
+        matrices.append(np.exp([total / count for total, count in logprobs[end : end + size]])
+                        .reshape(len(sources), len(targets)))
         end += size
     return matrices
+
+
+def s_score_matrix(model: CompressionModel, sources, targets) -> np.ndarray:
+    """|sources| x |targets| matrix of s_score(source, target): the one-pair
+    case of ``s_score_matrices``."""
+    return s_score_matrices(model, [(sources, targets)])[0]
 
 
 def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> float:
@@ -325,7 +320,7 @@ def perplexity(model: CompressionModel, pairs) -> float:
     EVAL_CHUNK pairs at a time."""
     total = 0.0
     count = 0
-    for logprob, tokens in _chunked_logprobs(model, [(p.source, [p.target]) for p in pairs]):
+    for logprob, tokens in _logprobs(model, [(p.source, [p.target]) for p in pairs]):
         total += logprob
         count += tokens
     if count == 0:

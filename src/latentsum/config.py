@@ -43,7 +43,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must be > 0, got {value}")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         for key in ("dropout", "word_dropout"):
             value = getattr(self, key)

@@ -3,9 +3,10 @@ source/target pairs for the compression model.
 
 Both procedures are greedy and deterministic; ties always resolve to the
 lowest sentence index. Both count the document and the summary once per n
-into integer matrices over the summary's n-grams (``rouge.count_matrix``)
-and score every candidate sentence in one pass of array operations, with
-the bits of a ``rouge_mean`` call on the same sentences.
+into integer matrices over the summary's n-grams (``rouge.count_sides``,
+the counts ``rouge_mean`` pools) and score every candidate sentence in one
+pass of array operations through ``rouge.mean_f1``, with the bits of a
+``rouge_mean`` call on the same sentences.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .corpus import Document, Sentence, SummarySet
 from .errors import DataError
 from .numerics.checkpoint import read_json_lines
-from .rouge import count_matrix, mean_f1
+from .rouge import count_sides, mean_f1
 
 
 @dataclass(frozen=True)
@@ -36,26 +37,12 @@ class LabelSequence:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def selected_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.labels) if v == 1)
-
 
 @dataclass(frozen=True)
 class CompressionPair:
     source: Sentence
     target: Sentence
     doc_id: str
-
-
-def _sides(doc: Document, summary: SummarySet) -> list[tuple[np.ndarray, ...]]:
-    """For n = 1 and 2: the document's and the summary sentences' count
-    matrices over the summary's n-grams, and each side's n-gram totals."""
-    k = len(doc)
-    sides = []
-    for n in (1, 2):
-        counts, totals = count_matrix(doc.sentences + summary.sentences, summary.sentences, n)
-        sides.append((counts[:k], totals[:k], counts[k:], totals[k:]))
-    return sides
 
 
 def oracle_labels(doc: Document, summary: SummarySet, max_select: int = 3) -> LabelSequence:
@@ -67,7 +54,8 @@ def oracle_labels(doc: Document, summary: SummarySet, max_select: int = 3) -> La
     total; adding sentence i clips pool + M[i] at the summary's counts. The
     integers, and so every score, are the ones rouge_mean computes from the
     sentences, and the first argmax is the lowest index among ties."""
-    refs = [(M, T, H.sum(0), U.sum()) for M, T, H, U in _sides(doc, summary)]
+    sides = (count_sides(doc.sentences, summary.sentences, n) for n in (1, 2))
+    refs = [(M, T, H.sum(0), U.sum()) for M, T, H, U in sides]
     pools = [np.zeros_like(R) for _, _, R, _ in refs]
     totals = [0, 0]
     selected: list[int] = []
@@ -95,10 +83,9 @@ def compression_pairs(doc: Document, summary: SummarySet) -> list[CompressionPai
     sentence under rouge_mean, the lowest index among ties (sentence 0 when
     nothing matches). Every (sentence, target) score comes from one
     broadcast of the two sides' count matrices."""
-    scores = mean_f1(*(
-        (np.minimum(M[:, None], H[None]).sum(-1), T[:, None], U)
-        for M, T, H, U in _sides(doc, summary)
-    ))
+    sides = (count_sides(doc.sentences, summary.sentences, n) for n in (1, 2))
+    scores = mean_f1(*((np.minimum(M[:, None], H[None]).sum(-1), T[:, None], U)
+                       for M, T, H, U in sides))
     return [CompressionPair(source=doc.sentences[j], target=target, doc_id=doc.id)
             for j, target in zip(scores.argmax(0), summary.sentences)]
 

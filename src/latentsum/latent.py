@@ -6,10 +6,10 @@ summary by the frozen compression model, and the decoder is updated
 with REINFORCE using a learned per-step linear baseline. The scorer is
 frozen and deterministic, so each training document's |D| x |H| score
 matrix is built once, before the first epoch, and every sample's reward
-is read from its rows. The split's sentences are scored in packs of
-``compression.EVAL_CHUNK`` (sentence, summary) items, not one decode per
-document, and each matrix has the bits of the document's own
-``s_score_matrix``.
+is read from its rows. ``compression.s_score_matrices`` scores the split's
+sentences in packs of ``compression.EVAL_CHUNK`` (sentence, summary)
+items, not one decode per document, and each matrix has the bits of the
+document's own ``s_score_matrix``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CompressionModel, _score_matrices, s_score_matrix
+from .compression import CompressionModel, s_score_matrices, s_score_matrix
 from .corpus import Document, SummarySet
 from .errors import DataError
 from .extractive import DecodeResult, ExtractiveModel
@@ -241,8 +241,8 @@ def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,
     for doc, summary in train_records:
         if len(summary) == 0:
             raise DataError(f"document {doc.id!r} has an empty summary")
-    matrices = _score_matrices(compression, [(doc.sentences, summary.sentences)
-                                             for doc, summary in train_records])
+    matrices = s_score_matrices(compression, [(doc.sentences, summary.sentences)
+                                              for doc, summary in train_records])
     items = [(doc, scores) for (doc, _), scores in zip(train_records, matrices)]
     rows: list[dict] = []  # this epoch's trace rows, floats only
 

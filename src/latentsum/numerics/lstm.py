@@ -155,10 +155,6 @@ class LSTMCell:
     def parameters(self) -> list[Parameter]:
         return [self.w_x, self.w_h, self.b]
 
-    def initial_state(self) -> tuple[Tensor, Tensor]:
-        zero = np.zeros((1, self.hidden_size), dtype=self.dtype)
-        return Tensor(zero), Tensor(zero.copy())
-
     def step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(w_x, w_h, b)`` for ``lstm_step``: read-only copies with the
         i, f and o columns halved, made once per parameter version. They

@@ -23,6 +23,7 @@ from latentsum.corpus import (  # noqa: E402
     build_vocab,
     encode_records,
 )
+from latentsum.numerics import Tensor  # noqa: E402
 
 
 def blas_build() -> str:
@@ -94,6 +95,17 @@ CHECKPOINT_DAMAGE = {
 def damage_checkpoint(src, dst, damage):
     """Copy checkpoint ``src`` to ``dst`` with one kind of ``CHECKPOINT_DAMAGE``."""
     Path(dst).write_bytes(CHECKPOINT_DAMAGE[damage](Path(src).read_bytes()))
+
+
+def initial_state(cell) -> tuple[Tensor, Tensor]:
+    """An ``LSTMCell``'s zero (h, c), one row each, for stepwise oracles."""
+    zero = np.zeros((1, cell.hidden_size), dtype=cell.dtype)
+    return Tensor(zero), Tensor(zero.copy())
+
+
+def selected_indices(labels) -> tuple[int, ...]:
+    """The indices of a ``LabelSequence``'s selected sentences."""
+    return tuple(i for i, v in enumerate(labels.labels) if v == 1)
 
 
 def sent(text: str, vocab=None) -> Sentence:

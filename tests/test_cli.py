@@ -274,6 +274,18 @@ class TestExitCodes:
         assert run(["--config", bad, "make-toy", "--out", tmp_path / "c"]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("clip_norm", float("nan")), ("clip_norm", 0.0), ("clip_norm", -1.0),
+        ("extractive_lr", float("nan")), ("latent_lr", 0.0), ("alpha", float("nan")),
+        ("alpha", 1.5), ("dropout", float("nan")), ("stop_at_train_acc", float("nan")),
+    ])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, key, value):
+        # json writes a float NaN as NaN, and json.loads reads it back
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, key: value}))
+        assert run(["--config", bad, "make-toy", "--out", tmp_path / "c"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_divergence_is_numeric_error(self, pipeline, tmp_path, capsys):

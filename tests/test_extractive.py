@@ -27,7 +27,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 
-from conftest import blas_build, doc_from, tiny_records, traced_peak
+from conftest import blas_build, doc_from, initial_state, tiny_records, traced_peak
 from gradcheck import finite_difference_check
 
 
@@ -66,7 +66,7 @@ def stepwise_mean(model, ids):
     rows = embedding_lookup(model.embed, list(ids))
 
     def states(cell, order):
-        h, c = cell.initial_state()
+        h, c = initial_state(cell)
         out = {}
         for t in order:
             h, c = cell.step(slice_axis(rows, 0, t, t + 1), h, c)
@@ -92,7 +92,7 @@ def stepwise_decode(model, enc, feed, teacher=None, rng=None):
     Returns the (n, 2) log-probs, the labels and the (n, d) states.
     """
     from latentsum.numerics import concat, log_softmax, matmul, slice_axis, transpose
-    h, c = model.dec.initial_state()
+    h, c = initial_state(model.dec)
     prev = 0
     log_probs, labels, states = [], [], []
     for i in range(len(enc)):

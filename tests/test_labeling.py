@@ -27,7 +27,13 @@ from latentsum.labeling import (
 )
 from latentsum.rouge import rouge_mean
 
-from conftest import doc_from, random_sentences, split_content_corpus, summary_from
+from conftest import (
+    doc_from,
+    random_sentences,
+    selected_indices,
+    split_content_corpus,
+    summary_from,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -139,9 +145,6 @@ class TestLabelSequence:
         with pytest.raises(DataError, match="ints 0 and 1"):
             LabelSequence(labels=labels)
 
-    def test_selected_indices(self):
-        assert LabelSequence(labels=(0, 1, 1, 0)).selected_indices() == (1, 2)
-
 
 class TestOracleLabels:
     def test_verbatim_summary_sentence_found(self):
@@ -203,7 +206,7 @@ class TestOracleLabels:
         # in the distractor (0.7) and misses the two halves (17/18)
         for doc, summary in split_content_corpus():
             labels = oracle_labels(doc, summary, max_select=3)
-            picked = [doc.sentences[i] for i in labels.selected_indices()]
+            picked = [doc.sentences[i] for i in selected_indices(labels)]
             assert [len(s) for s in picked] == [6]
             greedy_score = rouge_mean(picked, summary.sentences)
             best = exhaustive_best_subset(doc, summary, 3)
@@ -222,7 +225,7 @@ class TestOracleLabels:
             doc = doc_from([s.text() for s in sentences])
             summary = summary_from([s.text() for s in summary_sents])
             labels = oracle_labels(doc, summary, max_select=3)
-            picked = [doc.sentences[i] for i in labels.selected_indices()]
+            picked = [doc.sentences[i] for i in selected_indices(labels)]
             greedy_score = rouge_mean(picked, summary.sentences) if picked else 0.0
             best = exhaustive_best_subset(doc, summary, 3)
             gap = best - greedy_score

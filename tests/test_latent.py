@@ -681,7 +681,8 @@ class TestPackedScoreMatrix:
                 f"packed matrix differs from per-source rows (BLAS {blas_build()})"
 
     def test_empty_source_list(self):
-        assert s_score_matrix(scorer(), [], tiny_summary().sentences).shape == (0, 2)
+        empty = s_score_matrix(scorer(), [], tiny_summary().sentences)
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
 
 
 class TestRewardMatricesInPacks:

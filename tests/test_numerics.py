@@ -61,6 +61,7 @@ from conftest import (
     CHECKPOINT_DAMAGE,
     blas_build,
     damage_checkpoint,
+    initial_state,
     rewrite_checkpoint_header,
     traced_peak,
 )
@@ -673,7 +674,7 @@ class TestLSTM:
         cell = LSTMCell("z", 3, 4, rng, dtype=np.float64)
         for p in cell.parameters():
             p.data = np.zeros_like(p.data)
-        h0, c0 = cell.initial_state()
+        h0, c0 = initial_state(cell)
         h, c = cell.step(constant(np.ones((1, 3))), h0, c0)
         np.testing.assert_allclose(h.data, np.zeros((1, 4)))
 
@@ -685,7 +686,7 @@ class TestLSTM:
             p.data = np.zeros_like(p.data)
         bias = np.array([0.4, -0.2, 0.1,  0.9, 0.9, 0.9,  0.7, -0.5, 0.3,  0.0, 0.0, 0.0])
         cell.b.data = bias.reshape(1, 4 * h)
-        h0, c0 = cell.initial_state()
+        h0, c0 = initial_state(cell)
         _, c = cell.step(constant(np.zeros((1, 2))), h0, c0)
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -702,8 +703,8 @@ class TestLSTM:
         a = LSTMCell("r", 3, 3, np.random.default_rng(42), dtype=np.float64)
         b = LSTMCell("r", 3, 3, np.random.default_rng(42), dtype=np.float64)
         x = constant(np.ones((1, 3)))
-        ha, _ = a.step(x, *a.initial_state())
-        hb, _ = b.step(x, *b.initial_state())
+        ha, _ = a.step(x, *initial_state(a))
+        hb, _ = b.step(x, *initial_state(b))
         np.testing.assert_array_equal(ha.data, hb.data)
 
     def test_bilstm_concat_shape_and_direction(self):
@@ -1001,7 +1002,7 @@ class TestPreparedStepWeights:
 def stepwise_states(cell, xs, reverse=False, h0=None):
     """Reference recurrence: one LSTMCell.step per row, states in row order."""
     xs = xs if isinstance(xs, Tensor) else constant(xs)
-    h, c = cell.initial_state()
+    h, c = initial_state(cell)
     if h0 is not None:
         h = h0
     order = range(xs.data.shape[0])

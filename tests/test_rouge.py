@@ -1,7 +1,7 @@
 """ROUGE scores against independent brute-force oracles.
 
 The oracles here deliberately use different mechanisms from the library:
-n-gram matching by greedy list removal instead of Counter clipping, and
+n-gram matching by greedy list removal instead of count matrices, and
 LCS by memoized recursion instead of bit-parallel big-int arithmetic.
 """
 
@@ -16,7 +16,6 @@ from latentsum.corpus import load_corpus
 from latentsum.rouge import (
     RougeScore,
     _lcs_length,
-    _score,
     count_matrix,
     mean_f1,
     rouge_l,
@@ -51,13 +50,18 @@ def oracle_overlap(candidate, reference, n):
     return matched, len(cand), len(ref)
 
 
-def oracle_rouge_n(candidate, reference, n):
-    """Clipped overlap score from the removal oracle's counts."""
-    matched, cand, ref = oracle_overlap(candidate, reference, n)
+def oracle_prf(matched, cand, ref):
+    """Precision, recall and F1 of three integers, in Python float
+    arithmetic: 0.0 where a denominator is 0."""
     precision = matched / cand if cand else 0.0
     recall = matched / ref if ref else 0.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
+
+
+def oracle_rouge_n(candidate, reference, n):
+    """Clipped overlap score from the removal oracle's counts."""
+    return oracle_prf(*oracle_overlap(candidate, reference, n))
 
 
 def oracle_lcs(a, b):
@@ -75,11 +79,7 @@ def oracle_lcs(a, b):
 def oracle_rouge_l(candidate, reference):
     cand = tuple(t for s in candidate for t in s.tokens)
     ref = tuple(t for s in reference for t in s.tokens)
-    lcs = oracle_lcs(cand, ref)
-    precision = lcs / len(cand) if cand else 0.0
-    recall = lcs / len(ref) if ref else 0.0
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    return oracle_prf(oracle_lcs(cand, ref), len(cand), len(ref))
 
 
 # ----------------------------------------------------------- frozen cases
@@ -211,13 +211,13 @@ class TestMeanF1:
     def test_arrays_have_the_bits_of_score(self):
         # every (matches, candidate total, reference total) up to 7, zero
         # totals included, and large totals: each element of the array form
-        # is the scalar formula's mean bit for bit
+        # is oracle_prf's mean bit for bit
         rng = np.random.default_rng(5)
         triples = np.concatenate([np.array(list(itertools.product(range(8), repeat=3))),
                                   rng.integers(0, 2**40, size=(300, 3))])
         unigram = tuple(triples.T)
         bigram = tuple(rng.permutation(triples).T)
-        want = [(_score(*map(int, u)).f1 + _score(*map(int, b)).f1) / 2.0
+        want = [(oracle_prf(*map(int, u))[2] + oracle_prf(*map(int, b))[2]) / 2.0
                 for u, b in zip(zip(*unigram), zip(*bigram))]
         assert mean_f1(unigram, bigram).tobytes() == np.array(want).tobytes()
 
@@ -226,7 +226,7 @@ class TestMeanF1:
         cand_totals = np.array([[0], [4], [5]])
         ref_totals = np.array([0, 6])
         got = mean_f1((matched, cand_totals, ref_totals), (matched, cand_totals, ref_totals))
-        want = [[_score(int(matched[i, j]), int(cand_totals[i, 0]), int(ref_totals[j])).f1
+        want = [[oracle_prf(int(matched[i, j]), int(cand_totals[i, 0]), int(ref_totals[j]))[2]
                  for j in range(2)] for i in range(3)]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -265,9 +265,15 @@ class TestOracleEquivalence:
             for n in (1, 2):
                 got = rouge_n(candidate, reference, n)
                 want = oracle_rouge_n(candidate, reference, n)
-                np.testing.assert_allclose(
-                    (got.precision, got.recall, got.f1), want, atol=1e-12,
-                )
+                assert (got.precision, got.recall, got.f1) == want, (candidate, reference, n)
+
+    def test_rouge_mean_matches_removal_oracle(self):
+        rng = np.random.default_rng(102)
+        for _ in range(300):
+            candidate, reference = _random_case(rng)
+            want = (oracle_rouge_n(candidate, reference, 1)[2]
+                    + oracle_rouge_n(candidate, reference, 2)[2]) / 2.0
+            assert rouge_mean(candidate, reference) == want, (candidate, reference)
 
     def test_rouge_l_matches_recursive_oracle(self):
         rng = np.random.default_rng(202)
@@ -275,9 +281,7 @@ class TestOracleEquivalence:
             candidate, reference = _random_case(rng)
             got = rouge_l(candidate, reference)
             want = oracle_rouge_l(candidate, reference)
-            np.testing.assert_allclose(
-                (got.precision, got.recall, got.f1), want, atol=1e-12,
-            )
+            assert (got.precision, got.recall, got.f1) == want, (candidate, reference)
 
 
 class TestRougeProperties:

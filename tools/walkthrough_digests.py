@@ -1,7 +1,7 @@
 """The sha256 of every file that the README walkthrough, plus one
 ``summarize --compress``, writes on seeds 13-15, as one JSON line.
 
-    python3 tools/walkthrough_digests.py [--src .]
+    python3 tools/walkthrough_digests.py [--src .] [--against <tree>]
 
 ``--src`` is the root of a checkout: its ``src/`` runs the program and its
 README's walkthrough gives the config (as ``tests/test_cli.py`` reads it)
@@ -9,6 +9,10 @@ and the commands. Two trees whose lines are equal wrote byte-identical
 files. Each seed runs in its own temporary directory, with OpenBLAS
 pinned to one thread, and ``evaluate``'s table is kept as
 ``evaluate.txt``. The keys are ``<seed>/<path>``.
+
+With ``--against``, the root of a second checkout, both trees run; the
+keys whose digests differ (or that only one tree wrote) are printed one a
+line, and the exit status is 1 if there is any.
 """
 
 import argparse
@@ -56,13 +60,27 @@ def digests(src: Path, seed: int) -> dict:
                 for path in sorted(work.rglob("*")) if path.is_file()}
 
 
+def all_digests(src: Path) -> dict:
+    return {key: value for seed in SEEDS for key, value in digests(src.resolve(), seed).items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path("."))
+    parser.add_argument("--against", type=Path,
+                        help="a second checkout to run and compare digests with")
     args = parser.parse_args()
-    src = args.src.resolve()
-    print(json.dumps({key: value for seed in SEEDS for key, value in
-                      digests(src, seed).items()}, sort_keys=True))
+    ours = all_digests(args.src)
+    if args.against is None:
+        print(json.dumps(ours, sort_keys=True))
+        return
+    theirs = all_digests(args.against)
+    keys = ours.keys() | theirs.keys()
+    differ = sorted(key for key in keys if ours.get(key) != theirs.get(key))
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(keys)} digests differ", file=sys.stderr)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":
