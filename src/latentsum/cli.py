@@ -37,7 +37,7 @@ from .labeling import (
     pair_to_jsonl_line,
 )
 from .numerics.checkpoint import atomic_write_text, read_json_lines
-from .rouge import rouge_l, rouge_n
+from .rouge import score_table
 from .toy import write_toy_corpus
 
 
@@ -234,23 +234,7 @@ def _evaluate_system(generated: dict, gold: dict) -> dict:
     missing = sorted(set(gold) - set(generated))
     if missing:
         raise DataError(f"generated summaries missing document ids: {missing[:3]}")
-    sums = {key: [0.0, 0.0, 0.0] for key in ("rouge1", "rouge2", "rougeL")}
-    for doc_id in sorted(gold):
-        candidate = generated[doc_id]
-        reference = gold[doc_id]
-        for key, score in (
-            ("rouge1", rouge_n(candidate, reference, 1)),
-            ("rouge2", rouge_n(candidate, reference, 2)),
-            ("rougeL", rouge_l(candidate, reference)),
-        ):
-            sums[key][0] += score.precision
-            sums[key][1] += score.recall
-            sums[key][2] += score.f1
-    n = len(gold)
-    return {
-        key: {"precision": total[0] / n, "recall": total[1] / n, "f1": total[2] / n}
-        for key, total in sums.items()
-    }
+    return score_table((generated[doc_id], gold[doc_id]) for doc_id in sorted(gold))
 
 
 def _format_table(results: list[tuple[str, dict]]) -> str:

@@ -195,7 +195,8 @@ class CompressionModel:
 
         The source is encoded once, by one ``run_bilstm`` under
         ``no_grad``, and s0 is ``_encode_sources``' formula in numpy; the
-        decoder's ``step_weights`` are made once per parameter version.
+        decoder's gate-major ``step_weights`` are made once per parameter
+        version, so a step's input and gates are (4, 1, d) blocks.
         Each step is then numpy arithmetic on arrays, ``lstm_step`` and the
         products of the attention and ``_output_logits`` in their order, so
         no tape node is built per step. The state and the context go into

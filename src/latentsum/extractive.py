@@ -203,10 +203,10 @@ class ExtractiveModel:
         Tape-free, and without ``decode_labels``' scoring pass.
 
         Each step advances every still-active document's row at once
-        through ``lstm_step``, on the decoder's ``step_weights`` (made
-        once per parameter version), and through ``decode_labels``' output
-        layer. No step is a one-row product: a lone document's step runs
-        beside a spare row of the buffers. So each row's bits do not
+        through ``lstm_step``, on the decoder's gate-major ``step_weights``
+        (made once per parameter version), and through ``decode_labels``'
+        output layer. No step is a one-row product: a lone document's step
+        runs beside a spare row of the buffers. So each row's bits do not
         depend on the other documents of ``enc``. Returns the labels and
         each row's p(y_i = 1) as its step computed it.
         """

@@ -8,35 +8,43 @@ gate order i, f, g, o. The forget-gate bias initializes to 1.
 through one recurrence over any number of cells (directions) at once. The
 input projection is hoisted out of the steps (Appleyard, Kočiský & Blunsom,
 "Optimizing Performance of RNNs on GPUs", 2016), one run of whole steps at
-a time: a run is one matmul per cell over at most RUN_ROWS rows, so the
-projection's memory does not grow with the pack. The cells' states then
-stack to (cells, k, h) and their recurrent weights to (cells, h, 4h), so
-each step is one batched matmul and one pass of gate arithmetic for both
-directions of a Bi-LSTM, whose states go straight into the (rows, cells, h)
-result; backpropagation through time, written out in numpy (``_bptt``),
-walks the same stacked arrays, each step's gate gradients one product of
-four factors laid out over the 4h columns a run at a time, so its memory
-too is bounded by the run. A batched matmul makes the same (k, h) @ (h, 4h)
-product per cell as a matmul of that cell alone, a row of a product of two
-or more rows has the same bits in any such product, and the gate
-arithmetic is elementwise, so every state and gradient has the bits of one
-recurrence per cell over one projection of every row. A lone sequence, the pack of each
-decoded sentence's encoder and of a document's sentence-level Bi-LSTM,
-takes its schedule without the sort.
+a time: a run is one matmul per gate and cell over at most RUN_ROWS rows,
+so the projection's memory does not grow with the pack. The cells' states
+then stack to (cells, k, h), and their step weights are gate-major, the
+recurrent ones (4, cells, h, h), so each step is one batched matmul whose
+gates land in four contiguous (cells, k, h) blocks, and one pass of gate
+arithmetic on whole blocks for both directions of a Bi-LSTM, whose states
+go straight into the (rows, cells, h) result. Backpropagation through
+time, written out in numpy (``_bptt``), walks the same stacked arrays:
+it lays a run's cached gates out over the 4h columns in one copy, and
+each step's gate gradients are one product of four factors over those
+columns, so its memory too is bounded by the run. A batched matmul makes
+the same (k, h) @ (h, h) product per gate and cell as a matmul of that
+gate and cell alone, a row of a product of two or more rows has the same
+bits in any such product, and the gate arithmetic is elementwise, so every
+state and gradient has the bits of one recurrence per cell over one
+projection of every row. A gate's block also has the bits of its h
+columns of the fused (k, ·) @ (·, 4h) product at the walkthrough's and the
+wide benchmark's widths (h = 16 and 64) on the BLAS that the tests name;
+at some other widths the two layouts differ in the last bit. A lone
+sequence, the pack of each decoded sentence's encoder and of a document's
+sentence-level Bi-LSTM, takes its schedule without the sort.
 
 ``lstm_step`` is the one step formula: behind the recurrence, and behind
 the tape-free decode loops that feed their own output back. It takes all
 four gates from one tanh, as sigma(z) = tanh(z / 2) / 2 + 1 / 2: the
-halving is folded into the i, f and o columns of the weights that
-``LSTMCell.step_weights`` returns, which is exact, one half being a power
-of two, and the bias joins the input projection; a step of a few rows
-takes the gate affine at its own shape, which numpy applies without its
-broadcasting iterator. Parameter arrays are read-only and an update binds
-a new array, so these weights, and a Bi-LSTM's stack of both cells'
+halving is folded into the i, f and o blocks of the gate-major weights
+that ``LSTMCell.step_weights`` returns, which is exact, one half being a
+power of two, and the bias joins the input projection; a step of a few
+rows takes the gate affine at its own width, which numpy applies without
+its broadcasting iterator. Parameter arrays are read-only and an update
+binds a new array, so these weights, and a Bi-LSTM's stack of both cells'
 weights, are made once per parameter version and reused until a parameter
 is rebound, as Appleyard et al. prepare their weight layouts once between
-updates. ``LSTMCell.step`` builds the textbook step as a small graph of
-tape primitives; it is kept as the stepwise test oracle.
+updates. The parameters themselves keep the fused (·, 4h) layout, which
+checkpoints store and the weight gradients take. ``LSTMCell.step`` builds
+the textbook step as a small graph of tape primitives; it is kept as the
+stepwise test oracle.
 """
 
 from __future__ import annotations
@@ -69,47 +77,47 @@ RUN_ROWS = 256
 
 
 @lru_cache(maxsize=None)
-def gate_affine(hid: int, dtype: np.dtype,
-                lead: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Per gate column i|f|g|o, ``scale`` (1/2, 1/2, 1, 1/2) and ``shift``
-    (1/2, 1/2, 0, 1/2), read-only, repeated over the leading shape
-    ``lead``: ``tanh(z * scale) * scale + shift`` is sigma(z) on the i, f
-    and o columns and tanh(z) on g."""
-    scale = np.full(lead + (4 * hid,), 0.5, dtype)
-    scale[..., 2 * hid : 3 * hid] = 1
+def gate_affine(dtype: np.dtype, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate i, f, g, o, ``scale`` (1/2, 1/2, 1, 1/2) and ``shift``
+    (1/2, 1/2, 0, 1/2) as read-only (4, width) arrays: over gate-major
+    blocks flattened to (4, ·), ``tanh(z * scale) * scale + shift`` is
+    sigma(z) on the i, f and o blocks and tanh(z) on g."""
+    scale = np.full((4, width), 0.5, dtype)
+    scale[2] = 1
     shift = 1 - scale
     scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
 
 
-# the most gate rows whose step takes ``gate_affine`` at its own shape: an
+# the most gate rows whose step takes ``gate_affine`` at its own width: an
 # elementwise product of equal shapes skips numpy's broadcasting iterator,
 # about half a microsecond a product on a lone sequence's or a decode's
-# step, and the few shapes this allows keep the cache small
+# step, and the few widths this allows keep the cache small
 AFFINE_ROWS = 4
 
 
 def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_h: np.ndarray):
     """One step in numpy from the projected input ``xw = x @ w_x + b``,
-    over (k, ·) rows or (cells, k, ·) stacks with a matching ``w_h``;
-    ``w_x``, ``w_h`` and ``b`` are ``LSTMCell.step_weights``. A one-row
-    ``xw`` broadcasts over the rows of ``h``.
+    over (k, h) rows or (cells, k, h) stacks with a matching ``w_h``;
+    ``w_x``, ``w_h`` and ``b`` are ``LSTMCell.step_weights`` or
+    ``_stacked_weights``, gate-major, so ``xw`` and the gates are
+    (4, [cells,] k, h). A one-row ``xw`` broadcasts over the rows of ``h``.
 
-    Returns the new h and c, the activated gates i|f|g|o and tanh(c),
-    which backpropagation through time reads.
+    Returns the new h and c, the activated gates i|f|g|o, one contiguous
+    block each, and tanh(c), which backpropagation through time reads.
     """
-    hid = h.shape[-1]
     act = np.matmul(h, w_h)
     act += xw
     np.tanh(act, out=act)
-    lead = act.shape[:-1] if act.size <= AFFINE_ROWS * 4 * hid else ()
-    scale, shift = gate_affine(hid, act.dtype, lead)
-    act *= scale
-    act += shift
-    c = act[..., hid : 2 * hid] * c
-    c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
+    blocks = act.reshape(4, -1)
+    width = blocks.shape[1]
+    scale, shift = gate_affine(act.dtype, width if width <= AFFINE_ROWS * h.shape[-1] else 1)
+    blocks *= scale
+    blocks += shift
+    c = act[1] * c
+    c += act[0] * act[2]
     tc = np.tanh(c)
-    return act[..., 3 * hid :] * tc, c, act, tc
+    return act[3] * tc, c, act, tc
 
 
 def step_schedule(lengths):
@@ -156,13 +164,15 @@ class LSTMCell:
         return [self.w_x, self.w_h, self.b]
 
     def step_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(w_x, w_h, b)`` for ``lstm_step``: read-only copies with the
-        i, f and o columns halved, made once per parameter version. They
-        are rebuilt only when ``w_x``, ``w_h`` or ``b`` is bound to an array
-        other than the one they were made from."""
+        """``(w_x, w_h, b)`` for ``lstm_step``: read-only gate-major
+        copies, (4, in, h), (4, h, h) and (4, 1, h), with the i, f and o
+        blocks halved, made once per parameter version. They are rebuilt
+        only when ``w_x``, ``w_h`` or ``b`` is bound to an array other than
+        the one they were made from."""
         sources = (self.w_x.data, self.w_h.data, self.b.data)
         if not _prepared_from(self._prepared, sources):
-            weights = tuple(w * gate_affine(self.hidden_size, w.dtype)[0] for w in sources)
+            weights = tuple(_gate_major(w, np.empty((4, w.shape[0], self.hidden_size), w.dtype))
+                            for w in sources)
             for w in weights:
                 w.setflags(write=False)
             self._prepared = (sources, weights)
@@ -191,21 +201,29 @@ def _prepared_from(prepared, sources) -> bool:
         and all(a is b for a, b in zip(prepared[0], sources))
 
 
+def _gate_major(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``w``'s (rows, 4h) columns written to ``out`` as the (4, rows, h)
+    blocks i, f, g, o, the i, f and o blocks halved, which is exact, one
+    half being a power of two; returns ``out``."""
+    return np.multiply(w.reshape(w.shape[0], 4, -1).transpose(1, 0, 2),
+                       gate_affine(w.dtype)[0][:, :, None], out=out)
+
+
 def _stacked_weights(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``step_weights`` of every cell stacked to (cells, ·, ·), made once
-    per parameter version of the cells and kept on the first cell; one
-    cell's are views of its own."""
+    """``step_weights`` of every cell stacked to (4, cells, ·, h), made
+    once per parameter version of the cells and kept on the first cell;
+    one cell's are views of its own."""
     if len(cells) == 1:
-        return tuple(w[None] for w in cells[0].step_weights())
+        return tuple(w[:, None] for w in cells[0].step_weights())
     sources = tuple(p.data for c in cells for p in c.parameters())
     first = cells[0]
     if not _prepared_from(first._stacked, sources):
-        stacks = tuple(np.empty((len(cells),) + src.shape, np.result_type(*sources[j::3]))
+        stacks = tuple(np.empty((4, len(cells), src.shape[0], first.hidden_size),
+                                np.result_type(*sources[j::3]))
                        for j, src in enumerate(sources[:3]))
         for j, cell in enumerate(cells):
             for stack, p in zip(stacks, cell.parameters()):
-                w = p.data
-                np.multiply(w, gate_affine(cell.hidden_size, w.dtype)[0], out=stack[j])
+                _gate_major(p.data, stack[:, j])
         for stack in stacks:
             stack.setflags(write=False)
         first._stacked = (sources, stacks)
@@ -254,7 +272,11 @@ def _bptt(cells, cache, grad, sequences, dtype):
     for run in reversed(cache):
         steps = run[::-1]
         run_rows = np.concatenate([step[0] for step in steps], axis=1)
-        c = np.concatenate([step[1] for step in steps], axis=1)  # i|f|g|o, then factor c
+        # the cached gates i|f|g|o, laid out over the 4h columns in one
+        # copy, then factor c
+        c = np.empty((dirs, run_rows.shape[1], 4, hid), steps[0][1].dtype)
+        np.concatenate([step[1] for step in steps], axis=2, out=c.transpose(2, 0, 1, 3))
+        c = c.reshape(dirs, -1, 4 * hid)
         g = c[..., 2 * hid : 3 * hid]
         tc = np.concatenate([step[4] for step in steps], axis=1)
         b = np.concatenate([g, np.concatenate([step[3] for step in steps], axis=1),
@@ -343,10 +365,10 @@ def _recurrence(name: str, cells, x: Tensor, lengths, reverse,
         for k in run:
             width = max(k, 2)
             hp, cp = h_state[:, :width], c_state[:, :width]
-            h, c, act, tc = lstm_step(xw[:, start - base : start - base + k], hp, cp, w_h)
+            h, c, act, tc = lstm_step(xw[:, :, start - base : start - base + k], hp, cp, w_h)
             states.append(h[:, :k])
             if keep:
-                cache[-1].append((read[:, start : start + k], act[:, :k], hp[:, :k],
+                cache[-1].append((read[:, start : start + k], act[:, :, :k], hp[:, :k],
                                   cp[:, :k], tc[:, :k]))
             h_state, c_state = h, c  # a finished sequence's state is never read again
             del act, tc  # unless cached, this step's gates go before the next's are made

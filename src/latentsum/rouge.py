@@ -16,7 +16,8 @@ them into precision, recall and F1, over integers and integer arrays alike.
 ``count_matrix``, one row per sentence over the reference's n-grams.
 ``rouge_n`` and ``rouge_mean`` pool a candidate's rows; the oracle labels
 and the compression pairs score every document sentence from the same rows
-at once, through ``mean_f1``.
+at once, through ``mean_f1``, and ``score_table`` scores every pair of an
+evaluation through one formula call per metric.
 """
 
 from __future__ import annotations
@@ -112,11 +113,33 @@ def _lcs_length(a, b) -> int:
     return len(a) - v.bit_count()
 
 
-def rouge_l(candidate, reference) -> RougeScore:
-    """LCS score over both sides flattened to single token sequences."""
+def _lcs_sides(candidate, reference) -> tuple[int, int, int]:
+    # (LCS length, candidate length, reference length) of both sides
+    # flattened to single token sequences
     cand = [tok for sent in candidate for tok in sent.tokens]
     ref = [tok for sent in reference for tok in sent.tokens]
-    return RougeScore(*map(float, _prf(_lcs_length(cand, ref), len(cand), len(ref))))
+    return _lcs_length(cand, ref), len(cand), len(ref)
+
+
+def rouge_l(candidate, reference) -> RougeScore:
+    """LCS score over both sides flattened to single token sequences."""
+    return RougeScore(*map(float, _prf(*_lcs_sides(candidate, reference))))
+
+
+def score_table(pairs) -> dict[str, dict[str, float]]:
+    """Mean ROUGE-1, ROUGE-2 and ROUGE-L precision, recall and F1 over
+    (candidate, reference) ``pairs``: each metric's counts, pair by pair,
+    go through one ``_prf`` over arrays, whose elements have the bits of
+    ``rouge_n``'s and ``rouge_l``'s; each mean is its scores summed one
+    after another in the order of ``pairs`` (``np.add.accumulate`` is
+    sequential), divided by their number."""
+    counts = [(_overlap(c, r, 1), _overlap(c, r, 2), _lcs_sides(c, r)) for c, r in pairs]
+    table = {}
+    for key, rows in zip(("rouge1", "rouge2", "rougeL"), zip(*counts)):
+        scores = np.stack(_prf(*np.array(rows, dtype=np.intp).T))
+        means = np.add.accumulate(scores, axis=1)[:, -1] / len(rows)
+        table[key] = dict(zip(("precision", "recall", "f1"), means.tolist()))
+    return table
 
 
 def mean_f1(unigram: tuple, bigram: tuple) -> np.ndarray:

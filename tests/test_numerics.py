@@ -55,7 +55,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 from latentsum.numerics import lstm
-from latentsum.numerics.tensor import gemm_rows, row_products, stable_sigmoid
+from latentsum.numerics.tensor import _accumulate, gemm_rows, row_products, stable_sigmoid
 
 from conftest import (
     CHECKPOINT_DAMAGE,
@@ -66,6 +66,12 @@ from conftest import (
     traced_peak,
 )
 from gradcheck import finite_difference_check
+
+
+def gate_major(w: np.ndarray) -> np.ndarray:
+    """(rows, 4h) gate columns i|f|g|o as the (4, rows, h) blocks that
+    ``LSTMCell.step_weights`` lays out."""
+    return w.reshape(w.shape[0], 4, -1).transpose(1, 0, 2)
 
 
 def param(name, values):
@@ -182,6 +188,44 @@ class TestBackwardHandDerivatives:
         zero_grads([w])
         assert w.grad is None
 
+    @staticmethod
+    def first_grad(data, g):
+        """The gradient that ``_accumulate`` stores from ``g``, the first
+        contribution to a tensor of ``data``, and what a zero fill plus
+        ``g`` gives."""
+        t = Parameter("t", data)
+        _accumulate(t, g)
+        want = np.zeros_like(t.data)
+        want += g
+        return t.grad, want
+
+    def test_first_contribution_of_negative_zero_is_positive_zero(self):
+        g = np.array([[-0.0, 1.5, -0.0]])
+        got, want = self.first_grad(np.ones((1, 3)), g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
+        # a fresh, writable array that does not alias the contribution
+        assert got.flags.writeable and not np.shares_memory(got, g)
+        got += 1.0
+        np.testing.assert_array_equal(g, [[-0.0, 1.5, -0.0]])
+
+    def test_first_contribution_is_cast_to_the_tensors_dtype(self):
+        # float64 into float32: one rounding after the add, as with a zero
+        # fill, so a float64 tiny below float32's range stays -0.0
+        g = np.array([[-1e-50, -0.0, 1.0000000001, 3e38 * 2]])
+        with np.errstate(over="ignore"):
+            got, want = self.first_grad(np.ones((1, 4), np.float32), g)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0]) and not np.signbit(got[0, 1])
+
+    def test_broadcast_contribution_is_added_to_zeros(self):
+        # a contribution of another shape broadcasts over the zero fill
+        got, want = self.first_grad(np.ones((2, 3)), np.array(-0.0))
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+        got, want = self.first_grad(np.ones((2, 3)), np.array([-0.0, 2.0, 3.0]))
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
+
     def test_detach_blocks_gradient(self):
         w = param("w", [[2.0]])
         loss = tensor_sum(mul(detach(w), w))
@@ -286,6 +330,31 @@ def where_sigmoid(x):
 class TestRowsIndependentOfThePack:
     """The primitives whose rows keep their bits whatever else is packed
     beside them, against the same rows computed alone."""
+
+    # the walkthrough's and the wide benchmark's widths; the property is the
+    # BLAS kernel's and does not hold at every width (not at float32 h = 24
+    # with in = 48, nor at float64 h = 6), where the gate-major weights round
+    # a gate differently from the (…, 4h) product
+    @pytest.mark.parametrize("hid,dtype", [(16, np.float32), (64, np.float32), (16, np.float64)])
+    def test_a_gate_block_of_a_product_has_the_bits_of_its_columns(self, hid, dtype):
+        # the gate-major step weights rest on this: (k, in) @ (in, h) per
+        # gate gives the bits of the gate's h columns of (k, in) @ (in, 4h),
+        # for every step width up to a run, one-row (gemv) products, each
+        # input width of the model's LSTMs, and one cell, a stack of one
+        # and a stack of two
+        rng = np.random.default_rng(hid)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for n_in in (hid, 2 * hid, 3 * hid):
+            for cells in ((), (1,), (2,)):
+                a = rng.normal(size=cells + (lstm.RUN_ROWS + 1, n_in)).astype(dtype)
+                w = rng.normal(size=cells + (n_in, 4 * hid)).astype(dtype)
+                blocks = np.ascontiguousarray(np.moveaxis(
+                    w.reshape(w.shape[:-1] + (4, hid)), -2, 0))
+                for k in range(1, lstm.RUN_ROWS + 2):
+                    whole = np.matmul(a[..., :k, :], w).reshape(cells + (k, 4, hid))
+                    got = np.matmul(a[..., :k, :], blocks)
+                    assert np.array_equal(got.view(bits), np.moveaxis(whole, -2, 0).view(bits)), \
+                        f"k={k}, in={n_in}, h={hid}, cells={cells} (BLAS {blas_build()})"
 
     @pytest.mark.parametrize("dtype,k,n", [(np.float32, 64, 16), (np.float32, 192, 256),
                                            (np.float64, 18, 24), (np.float64, 12, 6)])
@@ -452,49 +521,51 @@ class TestProjectionRuns:
 
 class TestGateAffineShapes:
     """A step of at most AFFINE_ROWS gate rows takes ``gate_affine`` at its
-    own shape; a wider one broadcasts the (4h,) row. Same bits either way."""
+    own width; a wider one broadcasts the (4, 1) column. Same bits either
+    way."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_every_shape_has_the_bits_of_the_broadcast_row(self, dtype):
+    def test_every_shape_has_the_bits_of_the_broadcast_column(self, dtype):
         hid = 16
         rng = np.random.default_rng(42)
-        scale, shift = lstm.gate_affine(hid, np.dtype(dtype))
+        scale, shift = lstm.gate_affine(np.dtype(dtype))
         shapes = [(k,) for k in (1, 2, 3, 4, 5, 9)] \
             + [(cells, k) for cells in (1, 2) for k in (1, 2, 3, 5)]
         for lead in shapes:
             h = rng.normal(size=lead + (hid,)).astype(dtype)
             c = rng.normal(size=lead + (hid,)).astype(dtype)
             # a gate of each value class: large, tiny, zero, negative zero
-            xw = rng.normal(scale=4.0, size=lead + (4 * hid,)).astype(dtype)
+            xw = rng.normal(scale=4.0, size=(4,) + lead + (hid,)).astype(dtype)
             xw[..., :4] = [1e30, -1e-30, 0.0, -0.0]
-            w_h = rng.normal(size=lead[:-1] + (hid, 4 * hid)).astype(dtype)
+            w_h = rng.normal(size=(4,) + lead[:-1] + (hid, hid)).astype(dtype)
             got = lstm.lstm_step(xw, h, c, w_h)
             act = np.matmul(h, w_h)
             act += xw
             np.tanh(act, out=act)
-            act *= scale
-            act += shift
-            want_c = act[..., hid : 2 * hid] * c
-            want_c += act[..., :hid] * act[..., 2 * hid : 3 * hid]
+            blocks = act.reshape(4, -1)
+            blocks *= scale
+            blocks += shift
+            want_c = act[1] * c
+            want_c += act[0] * act[2]
             tc = np.tanh(want_c)
-            want = (act[..., 3 * hid :] * tc, want_c, act, tc)
+            want = (act[3] * tc, want_c, act, tc)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), lead
 
     def test_the_cache_holds_only_small_shapes(self):
         # 39 step widths of a pack: only (2, 1) and (2, 2) take a shaped
-        # affine; the rest share the (4h,) row
+        # affine; the rest share the (4, 1) column
         hid = 8
 
         def steps():
             for k in range(1, 40):
-                lstm.lstm_step(np.zeros((2, 1, 4 * hid)), np.zeros((2, k, hid)),
-                               np.zeros((2, k, hid)), np.zeros((2, hid, 4 * hid)))
+                lstm.lstm_step(np.zeros((4, 2, 1, hid)), np.zeros((2, k, hid)),
+                               np.zeros((2, k, hid)), np.zeros((4, 2, hid, hid)))
 
         lstm.gate_affine.cache_clear()
         steps()
         steps()
-        assert lstm.gate_affine.cache_info().currsize == 3  # (), (2, 1) and (2, 2)
+        assert lstm.gate_affine.cache_info().currsize == 3  # widths 1, 2h and 4h
 
 
 def stepwise_bptt(cells, cache, grad, sequences, dtype):
@@ -510,8 +581,7 @@ def stepwise_bptt(cells, cache, grad, sequences, dtype):
     d_pre = []
     for rows, act, hp, cp, tc in reversed(steps):
         k = rows.shape[1]
-        i, f = act[..., :hid], act[..., hid : 2 * hid]
-        g, o = act[..., 2 * hid : 3 * hid], act[..., 3 * hid :]
+        i, f, g, o = act  # gate-major, (cells, k, h) each
         dh_t = dh[:, :k] + grad[rows, cell_of]
         dc_t = dc[:, :k] + dh_t * o * (1.0 - tc * tc)
         dp = np.concatenate([dc_t * g * i * (1.0 - i),
@@ -631,8 +701,8 @@ class TestOneTanhGates:
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, act, _ = lstm.lstm_step(z @ w_x + b, zero, zero, w_h)
             pre = z @ cell.w_x.data + cell.b.data
-        assert act.dtype == dtype and act.shape == (len(z), 4)
-        return act, pre
+        assert act.dtype == dtype and act.shape == (4, len(z), 1)
+        return act.reshape(4, -1).T, pre  # one column per gate, as ``pre``
 
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
     def test_gates_within_one_eps_of_float64(self, dtype, bits):
@@ -895,8 +965,8 @@ class TestPreparedStepWeights:
 
     @staticmethod
     def halved(cell):
-        scale = lstm.gate_affine(cell.hidden_size, cell.dtype)[0]
-        return [p.data * scale for p in cell.parameters()]
+        scale = lstm.gate_affine(cell.dtype)[0][:, :, None]
+        return [gate_major(p.data) * scale for p in cell.parameters()]
 
     def test_in_place_writes_raise(self):
         fwd, _ = self.pair()
@@ -920,12 +990,12 @@ class TestPreparedStepWeights:
             np.testing.assert_array_equal(got, want)
         for j, cell in enumerate((fwd, bwd)):
             for got, want in zip(stacked, self.halved(cell)):
-                np.testing.assert_array_equal(got[j], want)
+                np.testing.assert_array_equal(got[:, j], want)
         bwd.b.data = bwd.b.data + 1.0
         assert all(a is b for a, b in zip(fwd.step_weights(), weights))
         restacked = lstm._stacked_weights((fwd, bwd))
         assert not any(a is b for a, b in zip(restacked, stacked))
-        np.testing.assert_array_equal(restacked[2][1], self.halved(bwd)[2])
+        np.testing.assert_array_equal(restacked[2][:, 1], self.halved(bwd)[2])
 
     def _rebuilt_after(self, update):
         """Whether ``update(fwd, bwd)`` makes both caches rebuild, to the
@@ -942,7 +1012,7 @@ class TestPreparedStepWeights:
             np.testing.assert_array_equal(got, want)
         for j, cell in enumerate((fwd, bwd)):
             for got, want in zip(new_stacked, self.halved(cell)):
-                np.testing.assert_array_equal(got[j], want)
+                np.testing.assert_array_equal(got[:, j], want)
 
     @staticmethod
     def _grads(cells, value=0.1):

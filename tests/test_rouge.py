@@ -190,6 +190,33 @@ class TestEvaluateSystem:
                 tuple(w / len(gold) for w in want)
 
 
+    def test_table_equals_the_per_document_score_means(self, tmp_path):
+        # one _prf over arrays per metric gives the bits of summing each
+        # document's rouge_n and rouge_l scores in id order
+        write_toy_corpus(tmp_path, seed=14)
+        records = load_corpus(tmp_path, "test")
+        gold = {doc.id: list(summary.sentences) for doc, summary in records}
+        rng = np.random.default_rng(3)
+        for generated in ({doc.id: list(doc.sentences[:3]) for doc, _ in records},
+                          {doc.id: [doc.sentences[i] for i in rng.permutation(len(doc.sentences))
+                                    [: rng.integers(0, len(doc.sentences) + 1)]]
+                           for doc, _ in records},
+                          {doc.id: [sent("nothing matches")] for doc, _ in records}):
+            want = {key: [0.0, 0.0, 0.0] for key in ("rouge1", "rouge2", "rougeL")}
+            for doc_id in sorted(gold):
+                candidate, reference = generated[doc_id], gold[doc_id]
+                for key, score in (("rouge1", rouge_n(candidate, reference, 1)),
+                                   ("rouge2", rouge_n(candidate, reference, 2)),
+                                   ("rougeL", rouge_l(candidate, reference))):
+                    want[key][0] += score.precision
+                    want[key][1] += score.recall
+                    want[key][2] += score.f1
+            got = _evaluate_system(generated, gold)
+            assert got == {key: dict(zip(("precision", "recall", "f1"),
+                                         (v / len(gold) for v in total)))
+                           for key, total in want.items()}
+
+
 class TestRougeMean:
     def test_identity(self):
         c = [sent("the cat sat")]
