@@ -139,14 +139,12 @@ def _accumulate(t: Tensor, g: np.ndarray):
         return
     g = _unbroadcast(g, t.data.shape)
     grad = t.grad
-    if grad is None and g.shape == t.data.shape:
-        # the first contribution without a zero fill: g + 0.0 in t's dtype
-        # and layout has the bits of 0 + g, -0.0 made +0.0 included, and
-        # is a fresh array, never g itself
+    if grad is None:
+        # the first contribution without a zero fill: g + 0.0, broadcast
+        # into t's dtype and layout, has the bits of 0 + g, -0.0 made +0.0
+        # included, and is a fresh array, never g itself
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
         return
-    if grad is None:
-        t.grad = grad = np.zeros_like(t.data)
     grad += g  # in place, without rebinding a Parameter's attribute
 
 

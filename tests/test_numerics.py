@@ -219,7 +219,8 @@ class TestBackwardHandDerivatives:
         assert np.signbit(got[0, 0]) and not np.signbit(got[0, 1])
 
     def test_broadcast_contribution_is_added_to_zeros(self):
-        # a contribution of another shape broadcasts over the zero fill
+        # a contribution of another shape broadcasts to the bits of a zero
+        # fill plus it
         got, want = self.first_grad(np.ones((2, 3)), np.array(-0.0))
         assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
         got, want = self.first_grad(np.ones((2, 3)), np.array([-0.0, 2.0, 3.0]))
@@ -331,10 +332,12 @@ class TestRowsIndependentOfThePack:
     """The primitives whose rows keep their bits whatever else is packed
     beside them, against the same rows computed alone."""
 
-    # the walkthrough's and the wide benchmark's widths; the property is the
-    # BLAS kernel's and does not hold at every width (not at float32 h = 24
-    # with in = 48, nor at float64 h = 6), where the gate-major weights round
-    # a gate differently from the (…, 4h) product
+    # the walkthrough's and the wide benchmark's widths only. The property is
+    # the BLAS kernel's, and its documented limit is that it does not hold at
+    # every width: at float32 h = 24 with in = 48 and at float64 h = 6 some
+    # gate of the gate-major product differs in the last bit from its columns
+    # of the (…, 4h) product, so a model of such a width rounds differently
+    # from trees before the gate-major layout (a one-time bit change)
     @pytest.mark.parametrize("hid,dtype", [(16, np.float32), (64, np.float32), (16, np.float64)])
     def test_a_gate_block_of_a_product_has_the_bits_of_its_columns(self, hid, dtype):
         # the gate-major step weights rest on this: (k, in) @ (in, h) per

@@ -1,6 +1,6 @@
 """Wall time of the acceptance gates and of Tier-1, one tree against another.
 
-    python3 tools/gate_times.py --src . --against <tree> --pairs 5 [--out gates.json]
+    python3 tools/gate_times.py --src . --against <tree> --pairs 5 > gates.json
 
 ``--src`` and ``--against`` are roots of two checkouts. Each pair runs, in
 each tree, gate C6 alone and then the whole Tier-1 command
@@ -90,7 +90,6 @@ def main():
     parser.add_argument("--src", type=Path, default=Path("."))
     parser.add_argument("--against", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--out", type=Path, help="also write the JSON object here")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -112,10 +111,7 @@ def main():
         "summary": summary(runs, args.pairs),
         "runs": runs,
     }
-    text = json.dumps(result, indent=1)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n", encoding="utf-8")
+    print(json.dumps(result, indent=1))
     sys.exit(1 if any(r["exit"] != 0 for r in runs) else 0)
 
 
