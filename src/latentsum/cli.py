@@ -9,6 +9,7 @@ function of (inputs, config, seed) and writes its outputs atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -145,8 +146,6 @@ def cmd_train_latent(args, config: RunConfig) -> int:
         model, baseline, train, scorer, config, rng,
         trace_sink=lambda row: trace_lines.append(json.dumps(row, sort_keys=True)),
     )
-    if args.exact_oracle:
-        _exact_oracle_report(model, train, scorer, config)
     extractive_mod.save_extractive(args.out, model, config.to_dict(), vocab)
     _write_jsonl(args.trace, trace_lines)
     _write_json(args.metrics, metrics)
@@ -156,21 +155,6 @@ def cmd_train_latent(args, config: RunConfig) -> int:
     print(report)
     print(f"wrote {args.out}")
     return 0
-
-
-def _exact_oracle_report(model, records, scorer, config: RunConfig):
-    """Enumerate E[R] on the first small-enough document as a cross-check."""
-    for doc, summary in records:
-        if len(doc.sentences) <= latent_mod.EXHAUSTIVE_LIMIT:
-            result = latent_mod.exhaustive_expectation(
-                model, doc, summary, scorer, config.alpha
-            )
-            print(
-                f"exact oracle on {doc.id}: E[R]={result['expected_reward']:.6f} "
-                f"mass={result['probability_mass']:.6f}"
-            )
-            return
-    print("exact oracle: no document small enough to enumerate")
 
 
 def _summary_rows(args, config: RunConfig):
@@ -273,7 +257,9 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing keeps no state, so ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="latentsum",
         description="Latent-variable extractive summarization pipeline.",
@@ -322,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="refined checkpoint output path")
     p.add_argument("--trace", required=True, help="reward trace JSONL output path")
     p.add_argument("--metrics", required=True)
-    p.add_argument("--exact-oracle", action="store_true")
 
     p = add("summarize", cmd_summarize, "write top-max_select summaries as JSONL")
     p.add_argument("--corpus", required=True)

@@ -174,7 +174,7 @@ class ExtractiveModel:
                                lengths=lengths)
 
     def encode_document(self, doc: Document) -> EncodedDocument:
-        """The one-document, noise-free case of ``encode_documents``."""
+        """Noise-free ``encode_documents`` of one document; only tests and tracing call it."""
         return self.encode_documents([doc])
 
     def decode_labels(self, enc: EncodedDocument, labels) -> DecodeResult:

@@ -14,7 +14,6 @@ document's own ``s_score_matrix``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +26,14 @@ from .numerics import (
     Parameter,
     Tensor,
     add,
-    backward,
     constant,
     detach,
     matmul,
     mul,
     tensor_sum,
-    zero_grads,
 )
 from .numerics.optim import SGD, fit
 
-EXHAUSTIVE_LIMIT = 12
 # ReinforceStep diagnostics each trace line carries beside the reward breakdown
 TRACE_FIELDS = ("baseline_mse", "entropy", "picked", "advantage", "baseline")
 
@@ -99,10 +95,6 @@ def reward_from_matrix(s: np.ndarray, alpha: float) -> RewardBreakdown:
     r_r = float(np.mean(np.max(s, axis=0)))
     r = alpha * r_p + (1.0 - alpha) * r_r
     return RewardBreakdown(s_matrix=s, r_p=r_p, r_r=r_r, r=r, alpha=alpha)
-
-
-def _selected_logprob_sum(dec: DecodeResult) -> Tensor:
-    return tensor_sum(dec.chosen_log_probs())
 
 
 def surrogate_loss(dec: DecodeResult, advantages) -> Tensor:
@@ -183,51 +175,6 @@ def reinforce_step(model: ExtractiveModel, baseline: BaselineModel, doc: Documen
         baseline=float(values.data.mean(dtype=np.float64)),
         loss=(policy_loss + value_loss) * (1.0 / num_samples),
     )
-
-
-def exhaustive_expectation(model: ExtractiveModel, doc: Document, summary: SummarySet,
-                           compression: CompressionModel, alpha: float):
-    """Exact E[R] and exact gradient of E[R] w.r.t. the policy parameters,
-    by enumerating every label sequence. Test oracle; refuses big inputs."""
-    n = len(doc.sentences)
-    if n > EXHAUSTIVE_LIMIT:
-        raise DataError(
-            f"exhaustive enumeration refused: {n} sentences > limit {EXHAUSTIVE_LIMIT}"
-        )
-    rewards = _subset_rewards(model, doc, summary, compression, alpha)
-    params = model.parameters()
-    zero_grads(params)
-    expected = 0.0
-    total_p = 0.0
-    for z in itertools.product((0, 1), repeat=n):
-        dec = model.decode_labels(model.encode_document(doc), z)
-        logp = _selected_logprob_sum(dec)
-        p_z = float(np.exp(logp.data))
-        r_z = rewards[z]
-        total_p += p_z
-        expected += p_z * r_z
-        weight = p_z * r_z
-        if weight != 0.0:
-            backward(logp * weight)
-    grad = {p.name: p.grad_or_zeros().copy() for p in params}
-    zero_grads(params)
-    return {
-        "expected_reward": expected,
-        "probability_mass": total_p,
-        "gradient": grad,
-        "rewards": rewards,
-    }
-
-
-def _subset_rewards(model: ExtractiveModel, doc: Document, summary: SummarySet,
-                    compression: CompressionModel, alpha: float) -> dict:
-    """R for every label sequence, from one pass of pairwise scores."""
-    full = s_score_matrix(compression, doc.sentences, summary.sentences)
-    rewards = {}
-    for z in itertools.product((0, 1), repeat=len(doc.sentences)):
-        idx = [i for i, zi in enumerate(z) if zi == 1]
-        rewards[z] = reward_from_matrix(full[idx, :], alpha).r
-    return rewards
 
 
 def train_latent(model: ExtractiveModel, baseline: BaselineModel, train_records,

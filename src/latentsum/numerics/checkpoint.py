@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError
-from .tensor import Parameter
 
 FORMAT_VERSION = 2
 

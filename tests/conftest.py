@@ -24,6 +24,7 @@ from latentsum.corpus import (  # noqa: E402
     encode_records,
 )
 from latentsum.numerics import Tensor  # noqa: E402
+from latentsum.toy import ADJECTIVES, NAMES, OBJECTS, VERBS, _filler_sentence, _pick  # noqa: E402
 
 
 def blas_build() -> str:
@@ -182,3 +183,34 @@ def split_content_corpus(n_docs=4):
         records.append((doc_from(texts, doc_id=f"split{d}"),
                         summary_from([f"{a} {b} {c} {e1} {e2} {f}"])))
     return records
+
+
+def recap_corpus(seed):
+    """Train and test records on which greedy oracle labels miss the
+    best subset: 50 training and 10 test documents of 5-7 sentences.
+
+    Each document has two key sentences, "NAME VERB the ADJ OBJ .", and
+    one recap of both, "N1 and N2 V1 the O1 and V2 the O2 .", at random
+    positions; toy filler sentences fill the rest. The summary is
+    "NAME VERB the OBJ ." for each key, in document order. The recap holds
+    every summary word but not their order, so greedy takes it first.
+    """
+    rng = np.random.default_rng(seed)
+    splits = {}
+    for split, size in (("train", 50), ("test", 10)):
+        records = []
+        for index in range(size):
+            n = int(rng.integers(5, 8))
+            *key_at, recap_at = rng.choice(n, size=3, replace=False).tolist()
+            keys = [tuple(_pick(rng, words) for words in (NAMES, VERBS, ADJECTIVES, OBJECTS))
+                    for _ in key_at]
+            (n1, v1, _, o1), (n2, v2, _, o2) = keys
+            placed = {at: f"{name} {verb} the {adj} {obj} ."
+                      for at, (name, verb, adj, obj) in zip(sorted(key_at), keys)}
+            placed[recap_at] = f"{n1} and {n2} {v1} the {o1} and {v2} the {o2} ."
+            texts = [placed[i] if i in placed else _filler_sentence(rng) for i in range(n)]
+            records.append((doc_from(texts, doc_id=f"recap-{split}-{index:04d}"),
+                            summary_from([f"{name} {verb} the {obj} ."
+                                          for name, verb, _, obj in keys])))
+        splits[split] = records
+    return splits

@@ -38,13 +38,7 @@ from latentsum.extractive import (
     train_extractive,
 )
 from latentsum.labeling import compression_pairs, oracle_labels
-from latentsum.latent import (
-    BaselineModel,
-    _selected_logprob_sum,
-    exhaustive_expectation,
-    reward_from_matrix,
-    train_latent,
-)
+from latentsum.latent import BaselineModel, reward_from_matrix, train_latent
 from latentsum.numerics import (
     Tensor,
     backward,
@@ -61,7 +55,7 @@ from latentsum.toy import generate_toy_corpus
 
 from conftest import blas_build, random_sentences
 from gradcheck import finite_difference_check
-from oracles import attend
+from oracles import _selected_logprob_sum, attend, exhaustive_expectation
 from test_rouge import oracle_rouge_l, oracle_rouge_n
 
 

@@ -321,6 +321,27 @@ class TestExitCodes:
         assert "error[data]" in err and f"line {len(lines) + 1}: duplicate document id" in err
         assert not (tmp_path / "ext.ckpt").exists()
 
+    def test_removed_exact_oracle_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["train-latent", "--corpus", tmp_path, "--checkpoint", tmp_path / "e.ckpt",
+                 "--compression", tmp_path / "c.ckpt", "--vocab", tmp_path / "v.json",
+                 "--out", tmp_path / "latent.ckpt", "--trace", tmp_path / "t.jsonl",
+                 "--metrics", tmp_path / "m.json", "--exact-oracle"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --exact-oracle" in capsys.readouterr().err
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        # main shares one parser across calls; a parse error must not change it
+        outputs = []
+        for argv in (["train-latent", "--help"], ["train-latent", "--bogus"],
+                     ["train-latent", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                run(argv)
+            outputs.append((exit_info.value.code, capsys.readouterr().out))
+        assert [code for code, _ in outputs] == [0, 2, 0]
+        assert outputs[0] == outputs[2]
+        assert "--metrics" in outputs[0][1] and "--exact-oracle" not in outputs[0][1]
+
     def test_empty_training_summary_is_data_error(self, pipeline, tmp_path, capsys):
         lines = (pipeline["corpus"] / "train.jsonl").read_text().splitlines()
         last = {**json.loads(lines[-1]), "summary": []}

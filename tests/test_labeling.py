@@ -30,6 +30,7 @@ from latentsum.rouge import rouge_mean
 from conftest import (
     doc_from,
     random_sentences,
+    recap_corpus,
     selected_indices,
     split_content_corpus,
     summary_from,
@@ -213,6 +214,19 @@ class TestOracleLabels:
             assert greedy_score == pytest.approx(0.7, abs=1e-12)
             assert best == pytest.approx(17 / 18, abs=1e-12)
             assert best - greedy_score > 0.24
+
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_greedy_strictly_suboptimal_on_recap_corpus(self, seed):
+        # greedy takes the recap, which holds every summary word, and then
+        # misses the two key sentences that hold the summary's word order
+        splits = recap_corpus(seed)
+        assert [len(splits[k]) for k in ("train", "test")] == [50, 10]
+        for doc, summary in splits["train"]:
+            assert 5 <= len(doc) <= 7
+            labels = oracle_labels(doc, summary, max_select=3)
+            picked = [doc.sentences[i] for i in selected_indices(labels)]
+            greedy_score = rouge_mean(picked, summary.sentences)
+            assert greedy_score < exhaustive_best_subset(doc, summary, 3), doc.id
 
     def test_greedy_gap_vs_exhaustive_recorded(self):
         # greedy optimality is NOT asserted; the gap is measured and must

@@ -13,8 +13,6 @@ from latentsum.extractive import ExtractiveModel
 from latentsum.latent import (
     BaselineModel,
     RewardBreakdown,
-    _selected_logprob_sum,
-    exhaustive_expectation,
     reinforce_step,
     reward,
     reward_from_matrix,
@@ -32,6 +30,7 @@ from latentsum.numerics import (
 
 from conftest import blas_build, tiny_records
 from gradcheck import finite_difference_check
+from oracles import _selected_logprob_sum, exhaustive_expectation
 
 
 def ids_sentence(ids):
