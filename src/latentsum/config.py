@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -37,14 +38,12 @@ class RunConfig:
     def validate(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0,1], got {self.alpha}")
-        for key in ("extractive_lr", "compression_lr", "latent_lr"):
+        for key in ("extractive_lr", "compression_lr", "latent_lr", "clip_norm"):
             value = getattr(self, key)
-            if not value > 0:
-                raise ConfigError(f"{key} must be > 0, got {value}")
+            if not 0 < value < math.inf:  # NaN and infinity fail too
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         for key in ("dropout", "word_dropout"):
             value = getattr(self, key)
             if not 0.0 <= value < 1.0:

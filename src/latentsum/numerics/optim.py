@@ -3,41 +3,89 @@ SGD, global-norm clipping, and the supervised minibatch training loop."""
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ..errors import DataError, NumericError
-from .tensor import Parameter, backward, zero_grads
+from .tensor import Parameter, backward
 
 
-def check_finite(params, where: str = "update"):
-    for p in params:
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in {p.name} before {where}")
+class _Group:
+    """An optimizer's parameters as consecutive slices of one flat array of
+    values, read-only and of one dtype, and of one flat gradient: each
+    parameter's data and grad are views, so a step is a fixed number of
+    numpy calls that binds one new flat array and re-points the views."""
+
+    def __init__(self, params):
+        self.params: list[Parameter] = list(params)
+        if len({p.data.dtype for p in self.params}) > 1:
+            raise ValueError("an optimizer group's parameters must share one dtype")
+        sizes = [p.data.size for p in self.params]
+        self.slices = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+        self._bind()
+        self.grad = np.zeros_like(self.data)
+        self._grad_views = self._views(self.grad)
+        self.held()
+
+    def _views(self, flat) -> list[np.ndarray]:
+        return [flat[s].reshape(p.data.shape) for p, s in zip(self.params, self.slices)]
+
+    def _bind(self, flat: np.ndarray | None = None):
+        """Make ``flat`` (by default the parameters' values, gathered) the
+        group's values, each parameter viewing its slice."""
+        if flat is None:
+            flat = np.concatenate([p.data for p in self.params] or [np.zeros(0)], axis=None)
+        flat.setflags(write=False)
+        self.data = flat
+        self._data_views = self._views(flat)
+        for p, view in zip(self.params, self._data_views):
+            p.data = view
+
+    def zero_grad(self):
+        """Zero the flat gradient, which each parameter's grad then views."""
+        self.grad.fill(0)
+        for p, view in zip(self.params, self._grad_views):
+            p.grad = view
+
+    def held(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat values and gradient, after gathering any value or grad
+        bound outside the group; a parameter without a gradient adds zeros."""
+        if any(p.data is not view for p, view in zip(self.params, self._data_views)):
+            self._bind()
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is not view:
+                view[...] = 0 if p.grad is None else p.grad
+                p.grad = view
+        return self.data, self.grad
+
+    def _check(self, flat: np.ndarray, message: str):
+        """Name the first parameter whose slice of ``flat`` is not finite."""
+        if not np.isfinite(flat).all():
+            name = next(p.name for p, s in zip(self.params, self.slices)
+                        if not np.isfinite(flat[s]).all())
+            raise NumericError(message.format(name))
+
+    def _commit(self, values: np.ndarray):
+        """Bind a step's new values once all are finite: a step that raises
+        leaves every parameter as it was."""
+        self._check(values, "non-finite values in {} after optimizer step")
+        self._bind(values)
 
 
-def _bind(params, values):
-    """Bind each parameter's updated array, once every one is finite: a
-    step that raises leaves every parameter as it was."""
-    for p, value in zip(params, values):
-        if not np.isfinite(value).all():
-            raise NumericError(f"non-finite values in {p.name} after optimizer step")
-    for p, value in zip(params, values):
-        p.data = value
-
-
-def clip_global_norm(params, max_norm: float) -> float:
-    """Rescale all grads by max_norm/g when the global norm g exceeds
-    max_norm. Returns the pre-clip norm. Idempotent."""
+def clip_global_norm(group: _Group, max_norm: float) -> float:
+    """Rescale the group's gradient by max_norm/g when its global norm g
+    exceeds max_norm. Returns the pre-clip norm. Idempotent. The norm
+    sums each parameter's float64 squares on its own, in parameter order,
+    so its bits do not depend on the layout."""
+    _, grad = group.held()
+    squares = np.square(grad, dtype=np.float64)
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+    for s in group.slices:
+        total += float(np.add.reduce(squares[s]))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= max_norm / norm
     return norm
 
 
@@ -56,17 +104,17 @@ def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: 
 
     ``groups`` maps a metrics-key prefix to an optimizer over its own
     parameters. Each epoch draws one permutation of items; per minibatch
-    the grads are zeroed, batch_loss(batch) builds one graph for the whole
-    list of items and returns (loss, value_sum, count), the loss summed
-    over the items, which is backpropagated once scaled by 1/len(batch);
-    then each group in order clips its own global norm and steps. The
-    per-epoch sums of value_sum and count go to end_epoch(epoch,
-    value_sum, count_sum), which returns (metrics_row, score, stop). score
-    is the validation score, higher is better, or None without
-    validation; stop ends training early. Each row gains, per group, the
-    epoch's mean pre-clip gradient norm and the share of steps that
-    clipping rescaled. When any epoch was scored, the parameters of the
-    best-scored epoch are restored: parameter arrays are read-only and
+    each group zeroes its gradient, batch_loss(batch) builds one graph for
+    the whole list of items and returns (loss, value_sum, count), the loss
+    summed over the items, which is backpropagated once scaled by
+    1/len(batch); then each group in order clips its own global norm and
+    steps. The per-epoch sums of value_sum and count go to
+    end_epoch(epoch, value_sum, count_sum), which returns (metrics_row,
+    score, stop). score is the validation score, higher is better, or None
+    without validation; stop ends training early. Each row gains, per
+    group, the epoch's mean pre-clip gradient norm and the share of steps
+    that clipping rescaled. When any epoch was scored, the parameters of
+    the best-scored epoch are restored: parameter arrays are read-only and
     each step binds new ones, so the snapshot keeps references to that
     epoch's arrays, not copies.
     """
@@ -84,14 +132,15 @@ def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: 
         norms = {prefix: [] for prefix in groups}
         for start in range(0, len(order), batch_size):
             batch = [items[int(idx)] for idx in order[start : start + batch_size]]
-            zero_grads(params)
+            for opt in groups.values():
+                opt.zero_grad()
             loss, value, count = batch_loss(batch)
             value_sum += value
             count_sum += count
             backward(loss * (1.0 / len(batch)))
             del loss  # the graph goes before the next batch builds its own
             for prefix, opt in groups.items():
-                norms[prefix].append(clip_global_norm(opt.params, clip_norm))
+                norms[prefix].append(clip_global_norm(opt, clip_norm))
                 opt.step()
         row, score, stop = end_epoch(epoch, value_sum, count_sum)
         for prefix in groups:
@@ -110,43 +159,48 @@ def fit(groups: dict, items, batch_loss, end_epoch, *, epochs: int, batch_size: 
     return metrics
 
 
-class SGD:
+class SGD(_Group):
     def __init__(self, params, lr: float):
-        self.params = list(params)
+        super().__init__(params)
         self.lr = lr
 
     def step(self):
-        check_finite(self.params, "SGD step")
-        stepped = [p for p in self.params if p.grad is not None]
-        _bind(stepped, [p.data - self.lr * p.grad for p in stepped])
+        data, grad = self.held()
+        self._check(grad, "non-finite gradient in {} before SGD step")
+        self._commit(data - self.lr * grad)
 
 
 # Adam's moment decay rates and denominator offset: Kingma & Ba's defaults
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-class Adam:
+class Adam(_Group):
     """Kingma-Ba Adam with bias-corrected first and second moments."""
 
     def __init__(self, params, lr: float = 0.001):
-        self.params: list[Parameter] = list(params)
+        super().__init__(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self):
-        check_finite(self.params, "Adam step")
+        data, g = self.held()
+        self._check(g, "non-finite gradient in {} before Adam step")
         t = self.t + 1
-        correct1 = 1.0 - BETA1 ** t
-        correct2 = 1.0 - BETA2 ** t
-        m, v, values = [], [], []
-        for p, m_prev, v_prev in zip(self.params, self.m, self.v):
-            g = p.grad_or_zeros()
-            m.append(BETA1 * m_prev + (1.0 - BETA1) * g)
-            v.append(BETA2 * v_prev + (1.0 - BETA2) * g * g)
-            m_hat = m[-1] / correct1
-            v_hat = v[-1] / correct2
-            values.append(p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS))
-        _bind(self.params, values)
+        # data - lr * m_hat / (sqrt(v_hat) + EPS), in place where it can be:
+        # fewer fresh arrays, the same roundings
+        m = BETA1 * self.m
+        m += (1.0 - BETA1) * g
+        v = BETA2 * self.v
+        g2 = (1.0 - BETA2) * g
+        g2 *= g
+        v += g2
+        update = m / (1.0 - BETA1 ** t)
+        update *= self.lr
+        denom = np.divide(v, 1.0 - BETA2 ** t, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update /= denom
+        self._commit(np.subtract(data, update, out=update))
         self.t, self.m, self.v = t, m, v

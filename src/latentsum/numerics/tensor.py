@@ -85,11 +85,12 @@ class Tensor:
 class Parameter(Tensor):
     """A named, trainable tensor whose array is read-only.
 
-    Binding ``data`` marks the array read-only, after copying one that
-    views another array or buffer, so no writable alias is left; an update
-    binds a new array. An array's identity is then its version: whatever is prepared
-    from it (``LSTMCell.step_weights``) stays exact while the same array is
-    bound, and an in-place write raises ``ValueError``.
+    Binding ``data`` marks the array read-only. A view of a read-only
+    array that owns its memory (an optimizer group's) is kept, any other
+    view copied, so no writable alias is left; an update binds a new array.
+    An array's identity is then its version: whatever is prepared from it
+    (``LSTMCell.step_weights``) stays exact while the same array is bound,
+    and an in-place write raises ``ValueError``.
     """
 
     __slots__ = ("name",)
@@ -102,7 +103,9 @@ class Parameter(Tensor):
     def __setattr__(self, name, value):
         if name == "data":
             value = np.asarray(value)
-            if value.base is not None:
+            base = value.base
+            if base is not None and (not isinstance(base, np.ndarray)
+                                     or base.flags.writeable or not base.flags.owndata):
                 value = value.copy()
             value.setflags(write=False)
         super().__setattr__(name, value)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from latentsum.cli import main
+from latentsum.config import load_config
 from latentsum.corpus import load_corpus
+from latentsum.errors import ConfigError
 
 from conftest import (
     CHECKPOINT_DAMAGE,
@@ -285,6 +287,40 @@ class TestExitCodes:
         bad.write_text(json.dumps({**SMALL_CONFIG, key: value}))
         assert run(["--config", bad, "make-toy", "--out", tmp_path / "c"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @staticmethod
+    def training_command(key, pipeline, tmp_path):
+        """The stage that reads ``key``, writing into ``tmp_path``."""
+        out = ["--vocab", pipeline["vocab"], "--metrics", tmp_path / "m.json"]
+        return {
+            "extractive_lr": ["train-extractive", "--corpus", pipeline["corpus"],
+                              "--labels", pipeline["labels"], "--checkpoint",
+                              tmp_path / "out.ckpt", "--vocab", tmp_path / "vocab.json",
+                              "--metrics", tmp_path / "m.json"],
+            "compression_lr": ["train-compression", "--pairs", pipeline["pairs"],
+                               "--checkpoint", tmp_path / "out.ckpt", *out],
+            "latent_lr": ["train-latent", "--corpus", pipeline["corpus"],
+                          "--checkpoint", pipeline["extractive"],
+                          "--compression", pipeline["compression"], "--out",
+                          tmp_path / "out.ckpt", "--trace", tmp_path / "t.jsonl", *out],
+        }.get(key, ["make-toy", "--out", tmp_path / "out.ckpt"])
+
+    @pytest.mark.parametrize("key", ["extractive_lr", "compression_lr", "latent_lr",
+                                     "clip_norm"])
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+    def test_non_finite_rate_or_clip_norm_is_config_error(self, pipeline, tmp_path, capsys,
+                                                          key, literal):
+        # json reads Infinity, and 1e400 overflows to inf: a rate of inf
+        # diverged on the first step and an inf clip_norm never clipped
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(SMALL_CONFIG)[:-1] + f', "{key}": {literal}}}')
+        with pytest.raises(ConfigError, match=f"^{key} must be finite and > 0, got inf$"):
+            load_config(bad)
+        assert run(["--config", bad] + self.training_command(key, pipeline, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"error[config]: {key} must be finite and > 0, got inf" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "out.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

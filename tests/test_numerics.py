@@ -66,6 +66,7 @@ from conftest import (
     traced_peak,
 )
 from gradcheck import finite_difference_check
+import oracles
 
 
 def gate_major(w: np.ndarray) -> np.ndarray:
@@ -1087,10 +1088,15 @@ def stepwise_states(cell, xs, reverse=False, h0=None):
 
 
 class TestOptimizers:
+    """Each optimizer holds its parameters as one group: a parameter's
+    ``data`` views the group's flat values and its ``grad`` the group's
+    flat gradient, which the tests write through."""
+
     def test_adam_first_step_is_minus_lr(self):
         p = param("p", [[0.0]])
-        p.grad = np.array([[1.0]])
-        Adam([p], lr=0.001).step()
+        opt = Adam([p], lr=0.001)
+        opt.grad[...] = 1.0
+        opt.step()
         np.testing.assert_allclose(p.data, [[-0.001]], rtol=1e-7)
 
     def test_adam_bias_correction_two_steps(self):
@@ -1100,31 +1106,38 @@ class TestOptimizers:
         m = v = 0.0
         x = 0.0
         for t in (1, 2):
-            p.grad = np.array([[1.0]])
+            opt.zero_grad()
+            p.grad += 1.0
             opt.step()
             m = 0.9 * m + 0.1 * 1.0
             v = 0.999 * v + 0.001 * 1.0
             x -= 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         np.testing.assert_allclose(p.data, [[x]], rtol=1e-12)
+        np.testing.assert_allclose(opt.m, [m], rtol=1e-12)
+        np.testing.assert_allclose(opt.v, [v], rtol=1e-12)
+        assert opt.t == 2
 
     def test_sgd_step(self):
         p = param("p", [[1.0, 2.0]])
-        p.grad = np.array([[0.5, -0.5]])
-        SGD([p], lr=0.1).step()
+        opt = SGD([p], lr=0.1)
+        opt.grad[...] = [0.5, -0.5]
+        opt.step()
         np.testing.assert_allclose(p.data, [[0.95, 2.05]])
 
     def test_zero_grad_means_no_change(self):
         p = param("p", [[3.0]])
-        p.grad = np.array([[0.0]])
+        opt = Adam([p], lr=0.5)
+        opt.zero_grad()
         before = p.data.copy()
-        Adam([p], lr=0.5).step()
+        opt.step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_nonfinite_grad_refused(self):
         p = param("p", [[1.0]])
-        p.grad = np.array([[np.nan]])
-        with pytest.raises(NumericError, match="non-finite"):
-            SGD([p], lr=0.1).step()
+        opt = SGD([p], lr=0.1)
+        opt.grad[...] = np.nan
+        with pytest.raises(NumericError, match="non-finite gradient in p before SGD step"):
+            opt.step()
 
     @pytest.mark.parametrize("make, grad", [(lambda ps: SGD(ps, lr=1e10), 1e30),
                                             (lambda ps: Adam(ps, lr=1e39), 1.0)])
@@ -1134,28 +1147,32 @@ class TestOptimizers:
         # prepared step weights as they were
         cell = LSTMCell("c", 2, 1, np.random.default_rng(33), dtype=np.float32)
         params = cell.parameters()
-        before = [p.data for p in params]
-        weights = cell.step_weights()
-        for p in params:
-            p.grad = np.full_like(p.data, grad)
         opt = make(params)
+        before = [p.data for p in params]
+        flat = opt.data
+        weights = cell.step_weights()
+        opt.grad[...] = grad
         t = getattr(opt, "t", None)  # Adam's step count and moments
-        moments = [list(getattr(opt, name, [])) for name in ("m", "v")]
+        moments = [getattr(opt, name, None) for name in ("m", "v")]
+        kept = [m.copy() for m in moments if m is not None]
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match="non-finite values in c.w_x"):
             opt.step()
         assert all(p.data is want for p, want in zip(params, before))
+        assert opt.data is flat
         assert getattr(opt, "t", None) == t
-        for name, kept in zip(("m", "v"), moments):
-            assert all(a is b for a, b in zip(getattr(opt, name, []), kept, strict=True))
+        for name, moment in zip(("m", "v"), moments):
+            assert getattr(opt, name, None) is moment
+        for moment, copy in zip((m for m in moments if m is not None), kept):
+            np.testing.assert_array_equal(moment, copy)
         assert all(a is b for a, b in zip(cell.step_weights(), weights))
 
     def test_clip_scales_by_half_at_double_norm(self):
         a = param("a", [[3.0]])
         b = param("b", [[4.0]])
-        a.grad = np.array([[6.0]])
-        b.grad = np.array([[8.0]])  # global norm 10
-        norm = clip_global_norm([a, b], 5.0)
+        opt = SGD([a, b], lr=0.1)
+        opt.grad[...] = [6.0, 8.0]  # global norm 10
+        norm = clip_global_norm(opt, 5.0)
         assert norm == pytest.approx(10.0)
         np.testing.assert_allclose(a.grad, [[3.0]])
         np.testing.assert_allclose(b.grad, [[4.0]])
@@ -1163,19 +1180,132 @@ class TestOptimizers:
     def test_clip_is_idempotent(self):
         rng = np.random.default_rng(14)
         params = [param(f"p{i}", rng.normal(size=(3, 3))) for i in range(3)]
+        opt = SGD(params, lr=0.1)
         for p in params:
-            p.grad = rng.normal(size=(3, 3)) * 10
-        clip_global_norm(params, 5.0)
+            p.grad[...] = rng.normal(size=(3, 3)) * 10
+        clip_global_norm(opt, 5.0)
         once = [p.grad.copy() for p in params]
-        clip_global_norm(params, 5.0)
+        clip_global_norm(opt, 5.0)
         for grad, kept in zip((p.grad for p in params), once):
             np.testing.assert_allclose(grad, kept, rtol=1e-12)
 
     def test_clip_below_threshold_is_identity(self):
         p = param("p", [[1.0]])
-        p.grad = np.array([[0.3]])
-        clip_global_norm([p], 5.0)
+        opt = SGD([p], lr=0.1)
+        opt.grad[...] = 0.3
+        clip_global_norm(opt, 5.0)
         np.testing.assert_array_equal(p.grad, [[0.3]])
+
+    def test_parameters_view_the_group(self):
+        a, b = param("a", [[1.0, 2.0]]), param("b", [[3.0]])
+        opt = Adam([a, b], lr=0.1)
+        for p, flat in ((a, opt.data), (b, opt.data), (a, opt.grad), (b, opt.grad)):
+            assert np.shares_memory(p.data if flat is opt.data else p.grad, flat)
+        assert not a.data.flags.writeable and not opt.data.flags.writeable
+        np.testing.assert_array_equal(opt.data, [1.0, 2.0, 3.0])
+        opt.grad[...] = [1.0, 1.0, 1.0]
+        opt.step()
+        assert np.shares_memory(a.data, opt.data) and np.shares_memory(b.data, opt.data)
+        np.testing.assert_array_equal(opt.data, np.concatenate([a.data, b.data], axis=None))
+        # binding keeps a view only of a read-only array that owns its memory
+        owner = np.arange(6.0)
+        owner.setflags(write=False)
+        a.data = owner[2:4].reshape(1, 2)
+        assert np.shares_memory(a.data, owner)
+        writable = np.arange(6.0)
+        view = writable[2:4].reshape(1, 2)
+        view.setflags(write=False)
+        a.data = view
+        assert not np.shares_memory(a.data, writable) and not a.data.flags.writeable
+
+    def test_mixed_dtypes_are_refused(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            SGD([param("a", [[1.0]]), Parameter("b", np.ones((1, 1), np.float32))], lr=0.1)
+
+    def test_values_and_gradients_bound_outside_the_group_are_gathered(self):
+        # apply_state, fit's restore and gradient checks bind arrays of
+        # their own; zero_grads and a plain assignment leave grads that are
+        # not the group's views: the next step gathers all of them
+        a, b = param("a", [[1.0, 2.0]]), param("b", [[3.0]])
+        opt = SGD([a, b], lr=1.0)
+        a.data = np.array([[10.0, 20.0]])
+        zero_grads([a])
+        b.grad = np.array([[0.5]])
+        opt.step()
+        np.testing.assert_array_equal(a.data, [[10.0, 20.0]])
+        np.testing.assert_array_equal(b.data, [[2.5]])
+        np.testing.assert_array_equal(opt.grad, [0.0, 0.0, 0.5])
+        assert np.shares_memory(a.data, opt.data) and np.shares_memory(b.grad, opt.grad)
+
+    def test_zero_grads_and_grad_or_zeros_outside_a_group(self):
+        p = param("p", [[1.0, 2.0]])
+        np.testing.assert_array_equal(p.grad_or_zeros(), [[0.0, 0.0]])
+        backward(tensor_sum(mul(p, p)))
+        np.testing.assert_array_equal(p.grad_or_zeros(), [[2.0, 4.0]])
+        zero_grads([p])
+        assert p.grad is None
+
+
+class TestFlatGroupsMatchTheOracle:
+    """Steps of the flat optimizer groups and of the per-parameter loops in
+    ``tests/oracles.py``, on twin float32 models with a policy group and a
+    baseline group as ``train_latent`` has, are equal bit for bit: the
+    parameters, Adam's m, v and t, the clipped gradients and the pre-clip
+    norms, over clipped and unclipped steps. One parameter never gets a
+    gradient and one gradient entry is -0.0. The norms differ in their
+    last bits from one float64 sum over each whole flat gradient."""
+
+    @staticmethod
+    def twin():
+        rng = np.random.default_rng(41)
+        cell = LSTMCell("c", 12, 16, rng, dtype=np.float32)
+        head = Parameter("head", rng.normal(size=(16, 5)).astype(np.float32))
+        unused = Parameter("unused", rng.normal(size=(4, 3)).astype(np.float32))
+        value = Parameter("value", rng.normal(size=(16, 1)).astype(np.float32))
+        policy = [*cell.parameters(), head, unused]
+
+        def loss(step):
+            x = constant(np.random.default_rng(100 + step).normal(size=(9, 12)).astype(np.float32))
+            h = lstm_sequence(cell, x, [5, 4])
+            logits = matmul(h, head)
+            return tensor_sum(mul(logits, logits)) + tensor_sum(matmul(h, value))
+
+        return (policy, [value]), loss, head
+
+    @pytest.mark.parametrize("flat, oracle, lr", [(Adam, oracles.Adam, 0.01),
+                                                  (SGD, oracles.SGD, 0.05)])
+    def test_steps_are_bit_identical(self, flat, oracle, lr):
+        flat_groups, flat_loss, flat_head = self.twin()
+        loop_groups, loop_loss, loop_head = self.twin()
+        flats = [flat(ps, lr=lr) for ps in flat_groups]
+        loops = [oracle(ps, lr=lr) for ps in loop_groups]
+        norms = []
+        for step, max_norm in enumerate([1e6, 1.0, 1e6, 0.5, 1e6, 2.0]):
+            for opt in flats:
+                opt.zero_grad()
+            zero_grads([p for ps in loop_groups for p in ps])
+            backward(flat_loss(step))
+            backward(loop_loss(step))
+            flat_head.grad[0, 0] = loop_head.grad[0, 0] = -0.0
+            for opt, loop in zip(flats, loops):
+                norms.append((clip_global_norm(opt, max_norm),
+                              oracles.clip_global_norm(loop.params, max_norm), max_norm))
+                want = [p.grad_or_zeros() for p in loop.params]
+                assert opt.grad.tobytes() == np.concatenate(want, axis=None).tobytes()
+                opt.step()
+                loop.step()
+                for a, b in zip(opt.params, loop.params):
+                    assert a.data.dtype == np.float32 and a.data.tobytes() == b.data.tobytes()
+                for name in ("m", "v"):
+                    if hasattr(loop, name):
+                        want = np.concatenate(getattr(loop, name), axis=None)
+                        assert getattr(opt, name).tobytes() == want.tobytes(), name
+                assert getattr(opt, "t", None) == getattr(loop, "t", None)
+        assert all(a == b for a, b, _ in norms), norms
+        assert any(a > limit for a, _, limit in norms)
+        assert any(a <= limit for a, _, limit in norms)
+        assert loop_groups[0][-1].grad is None
+        assert not flats[0].grad[flats[0].slices[-1]].any()
 
 
 class TestFit:
@@ -1191,8 +1321,8 @@ class TestFit:
             calls.append(float(loss.data))
             real_backward(loss)
 
-        def recording_clip(params, max_norm):
-            norms.append(real_clip(params, max_norm))
+        def recording_clip(group, max_norm):
+            norms.append(real_clip(group, max_norm))
             return norms[-1]
 
         monkeypatch.setattr(optim, "backward", counting_backward)
