@@ -260,7 +260,8 @@ def load_compression(path, vocab) -> CompressionModel:
     vocab_size, d, attn_size = data.config_sizes(vocab_size=("compression.src_embed", 0),
                                                  d=("compression.src_embed", 1),
                                                  attn_size=("compression.v_a", 0))
-    model = CompressionModel(vocab_size=vocab_size, d=d, rng=None, attn_size=attn_size)
+    model = CompressionModel(vocab_size=vocab_size, d=d, rng=None, attn_size=attn_size,
+                             dtype=data.arrays["compression.src_embed"].dtype.type)
     apply_state(model.parameters(), data.arrays)
     return model
 

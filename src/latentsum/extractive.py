@@ -316,7 +316,8 @@ def load_extractive(path, vocab) -> ExtractiveModel:
                            expected_vocab_hash=vocab.content_hash())
     vocab_size, d = data.config_sizes(vocab_size=("extractive.embed", 0),
                                       d=("extractive.embed", 1))
-    model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=None)
+    model = ExtractiveModel(vocab_size=vocab_size, d=d, rng=None,
+                            dtype=data.arrays["extractive.embed"].dtype.type)
     apply_state(model.parameters(), data.arrays)
     return model
 

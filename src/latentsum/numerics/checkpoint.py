@@ -6,7 +6,10 @@ vocabulary hash the model was trained against, one entry per parameter
 (name, shape, little-endian dtype, byte count) and the sha256 of the
 body. The body is each parameter's raw little-endian bytes in header
 order. Round trips are bit-exact; loads refuse version, model or
-vocabulary mismatches and corrupt, truncated or extended files.
+vocabulary mismatches and corrupt, truncated or extended files. A save
+writes the header and then each array in turn, and a load reads each
+array straight into its ALIGN-aligned slot of one buffer and returns
+read-only views of it, so neither holds a second copy of the parameters.
 
 The atomic writer and the readers beside it do every stage's file I/O;
 a reader raises its caller's error class.
@@ -21,6 +24,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from ..errors import CheckpointError
 FORMAT_VERSION = 2
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
+ALIGN = 64  # bytes: a loaded parameter starts at a multiple of it
 
 
 def _little_endian_code(dtype: np.dtype) -> str:
@@ -45,7 +50,7 @@ class CheckpointData:
     model: str
     config: dict
     vocab_hash: str
-    arrays: dict[str, np.ndarray]  # read-only views of the file's bytes
+    arrays: dict[str, np.ndarray]  # read-only views of one aligned buffer
 
     def config_sizes(self, **dims) -> list[int]:
         """The config snapshot's sizes named by ``dims``, each mapped to the
@@ -84,7 +89,7 @@ def save_checkpoint(path, model: str, params, config: dict, vocab_hash: str):
     }
     # json.dumps escapes every newline, so the header is exactly one line
     line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    _atomic_write(path, b"".join([line, *chunks]))
+    _atomic_write(path, [line, *chunks])
 
 
 def _count(value) -> int:
@@ -95,12 +100,19 @@ def _count(value) -> int:
 
 
 def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> CheckpointData:
-    raw = read_bytes(path, CheckpointError)
+    with _opened(path, CheckpointError, "rb") as handle:
+        model, config, vocab_hash, layout, sha256 = _header(
+            handle.readline(), path, expected_model, expected_vocab_hash)
+        arrays = _read_body(handle, path, layout, sha256)
+    return CheckpointData(model=model, config=config, vocab_hash=vocab_hash, arrays=arrays)
+
+
+def _header(line: bytes, path, expected_model: str, expected_vocab_hash: str):
+    """The header line's model, config, vocabulary hash, body layout and
+    sha256, after checking the format version, model and vocabulary."""
     # a version-1 file is one JSON document without a newline: all header
-    end = raw.find(b"\n")
-    end = len(raw) if end < 0 else end
     try:
-        header = json.loads(raw[:end].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
         version = header["format_version"]
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, KeyError,
             TypeError) as exc:
@@ -135,24 +147,55 @@ def load_checkpoint(path, expected_model: str, expected_vocab_hash: str) -> Chec
             layout[name] = (dtype, shape, size)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc!r}") from exc
-    body = memoryview(raw)[end + 1:]
+    return model, config, vocab_hash, layout, sha256
+
+
+def _body_size_error(path, held: int, expected: int) -> CheckpointError:
+    return CheckpointError(f"checkpoint body {path} holds {held} bytes, "
+                           f"its header lists {expected}")
+
+
+def _read_body(handle, path, layout: dict, sha256: str) -> dict[str, np.ndarray]:
+    """The body read from ``handle``, each parameter's bytes straight into
+    its ALIGN-aligned slot of one owned buffer and hashed as read, as
+    read-only views of the slots. The body's size is checked before the
+    buffer exists, and a short read, an extended file or a sha256 mismatch
+    is refused."""
+    start = handle.tell()
     expected = sum(size for *_, size in layout.values())
-    if len(body) != expected:
-        raise CheckpointError(f"checkpoint body {path} holds {len(body)} bytes, "
-                              f"its header lists {expected}")
-    if hashlib.sha256(body).hexdigest() != sha256:
+    held = os.fstat(handle.fileno()).st_size - start
+    if held != expected:
+        raise _body_size_error(path, held, expected)
+    # each slot rounded up to a multiple of ALIGN; the last offset is the total
+    offsets = list(accumulate((-(-size // ALIGN) * ALIGN for *_, size in layout.values()),
+                              initial=0))
+    buffer = np.empty(offsets[-1] + ALIGN, dtype=np.uint8)
+    # numpy aligns an allocation less strictly: shift every slot alike
+    shift = -buffer.ctypes.data % ALIGN
+    offsets = [shift + offset for offset in offsets]
+    slots = memoryview(buffer)
+    digest = hashlib.sha256()
+    held = 0
+    for offset, (*_, size) in zip(offsets, layout.values()):
+        slot = slots[offset:offset + size]
+        got = handle.readinto(slot)  # all of the slot, unless the file ends
+        held += got
+        if got != size:
+            raise _body_size_error(path, held, expected)
+        digest.update(slot)
+    if handle.read(1):
+        raise _body_size_error(path, os.fstat(handle.fileno()).st_size - start, expected)
+    if digest.hexdigest() != sha256:
         raise CheckpointError(f"checkpoint body {path} does not match its sha256")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, (dtype, shape, size) in layout.items():
-        arrays[name] = np.frombuffer(body[offset:offset + size], dtype=dtype).reshape(shape)
-        offset += size
-    return CheckpointData(model=model, config=config, vocab_hash=vocab_hash, arrays=arrays)
+    buffer.setflags(write=False)
+    return {name: buffer[offset:offset + size].view(dtype).reshape(shape)
+            for offset, (name, (dtype, shape, size)) in zip(offsets, layout.items())}
 
 
 def apply_state(params, arrays: dict[str, np.ndarray]):
-    """Load checkpoint arrays into live Parameters by name, as one copy
-    each in the Parameter's dtype, which binding makes read-only."""
+    """Bind checkpoint arrays to live Parameters by name. A loaded array is
+    a read-only view of the load's buffer, which binding keeps without a
+    copy; an array of another dtype than its Parameter's is refused."""
     by_name = {p.name: p for p in params}
     missing = sorted(set(by_name) - set(arrays))
     extra = sorted(set(arrays) - set(by_name))
@@ -166,17 +209,23 @@ def apply_state(params, arrays: dict[str, np.ndarray]):
             raise CheckpointError(
                 f"parameter {name} shape {arr.shape} != model shape {p.data.shape}"
             )
-        p.data = arr.astype(p.data.dtype, copy=True)
+        if arr.dtype != p.data.dtype:
+            raise CheckpointError(
+                f"parameter {name} dtype {arr.dtype} != model dtype {p.data.dtype}"
+            )
+        p.data = arr
 
 
-def _atomic_write(path, data: bytes):
-    """Write via a temp file in the target directory, then rename."""
+def _atomic_write(path, chunks):
+    """Write each of ``chunks`` (bytes-like) in turn to a temp file in the
+    target directory, then rename it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -186,7 +235,7 @@ def _atomic_write(path, data: bytes):
 
 def atomic_write_text(path, text: str):
     """Write ``text`` as UTF-8, atomically."""
-    _atomic_write(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 @contextmanager
@@ -207,12 +256,6 @@ def _opened(path, error, mode="r"):
 def read_text(path, error) -> str:
     """The whole of a UTF-8 text file; every read failure raises ``error``."""
     with _opened(path, error) as handle:
-        return handle.read()
-
-
-def read_bytes(path, error) -> bytes:
-    """The whole of a file's bytes; every read failure raises ``error``."""
-    with _opened(path, error, "rb") as handle:
         return handle.read()
 
 

@@ -8,7 +8,12 @@ from itertools import accumulate
 import numpy as np
 
 from ..errors import DataError, NumericError
-from .tensor import Parameter, backward
+from .tensor import Parameter, Tensor, backward
+
+# Parameter's value and gradient slots, set past its binding rule: every
+# view a group binds is of one of its own flat arrays, and a value view is
+# of a read-only array that owns its memory, which the rule keeps anyway
+_set_data, _set_grad = Tensor.data.__set__, Tensor.grad.__set__
 
 
 class _Group:
@@ -40,13 +45,13 @@ class _Group:
         self.data = flat
         self._data_views = self._views(flat)
         for p, view in zip(self.params, self._data_views):
-            p.data = view
+            _set_data(p, view)
 
     def zero_grad(self):
         """Zero the flat gradient, which each parameter's grad then views."""
         self.grad.fill(0)
         for p, view in zip(self.params, self._grad_views):
-            p.grad = view
+            _set_grad(p, view)
 
     def held(self) -> tuple[np.ndarray, np.ndarray]:
         """The flat values and gradient, after gathering any value or grad
@@ -56,7 +61,7 @@ class _Group:
         for p, view in zip(self.params, self._grad_views):
             if p.grad is not view:
                 view[...] = 0 if p.grad is None else p.grad
-                p.grad = view
+                _set_grad(p, view)
         return self.data, self.grad
 
     def _check(self, flat: np.ndarray, message: str):

@@ -85,9 +85,11 @@ class Tensor:
 class Parameter(Tensor):
     """A named, trainable tensor whose array is read-only.
 
-    Binding ``data`` marks the array read-only. A view of a read-only
-    array that owns its memory (an optimizer group's) is kept, any other
-    view copied, so no writable alias is left; an update binds a new array.
+    Binding ``data`` marks the array read-only. An array that owns its
+    memory is adopted as it is (``init_uniform``'s, a loader's placeholder),
+    and so is a view of a read-only array that owns its memory (an
+    optimizer group's, a checkpoint load's); any other view is copied, so
+    no writable alias is left. An update binds a new array.
     An array's identity is then its version: whatever is prepared from it
     (``LSTMCell.step_weights``) stays exact while the same array is bound,
     and an in-place write raises ``ValueError``.
@@ -96,8 +98,7 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, name: str, data):
-        init = data.data if isinstance(data, Tensor) else data
-        super().__init__(np.array(init), requires_grad=True)
+        super().__init__(data.data if isinstance(data, Tensor) else data, requires_grad=True)
         self.name = name
 
     def __setattr__(self, name, value):

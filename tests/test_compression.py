@@ -577,6 +577,16 @@ class TestCheckpointing:
         np.testing.assert_allclose(s_score(loaded, src, tgt), s_score(model, src, tgt),
                                    rtol=1e-12)
 
+    def test_float64_round_trip_is_bit_exact(self, tmp_path):
+        vocab = word_vocab()
+        model = tiny_model(vocab_size=len(vocab), dtype=np.float64)
+        path = tmp_path / "comp.ckpt"
+        save_compression(path, model, {}, vocab)
+        loaded = load_compression(path, vocab)
+        assert loaded.dtype is np.float64
+        for got, want in zip(loaded.parameters(), model.parameters()):
+            assert got.data.dtype == np.float64 and got.data.tobytes() == want.data.tobytes()
+
     def test_wrong_vocab_refused(self, tmp_path):
         vocab = word_vocab()
         other = build_vocab([(doc_from(["completely different words here"]),

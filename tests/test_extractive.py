@@ -408,6 +408,16 @@ class TestCheckpointing:
         np.testing.assert_array_equal(a.prob_true, b.prob_true,
                                       err_msg=f"prob_true differs after load (BLAS {blas_build()})")
 
+    def test_float64_round_trip_is_bit_exact(self, tmp_path):
+        _, vocab = tiny_records()
+        model = tiny_model(vocab_size=len(vocab), dtype=np.float64)
+        path = tmp_path / "ext.ckpt"
+        save_extractive(path, model, {}, vocab)
+        loaded = load_extractive(path, vocab)
+        assert loaded.dtype is np.float64
+        for got, want in zip(loaded.parameters(), model.parameters()):
+            assert got.data.dtype == np.float64 and got.data.tobytes() == want.data.tobytes()
+
     def test_wrong_vocab_refused(self, tmp_path):
         records, vocab = tiny_records()
         _, other_vocab = tiny_records(vocab_words=9, seed=8)

@@ -55,6 +55,7 @@ from latentsum.numerics import (
     zero_grads,
 )
 from latentsum.numerics import lstm
+from latentsum.numerics.init import DRAW_BLOCK
 from latentsum.numerics.tensor import _accumulate, gemm_rows, row_products, stable_sigmoid
 
 from conftest import (
@@ -983,6 +984,17 @@ class TestPreparedStepWeights:
         p.data = view  # a view is copied, so no writable alias is left
         assert not np.shares_memory(p.data, view) and not p.data.flags.writeable
 
+    def test_a_fresh_owning_array_is_adopted_and_a_writable_view_copied(self):
+        fresh = np.ones((2, 3))
+        p = Parameter("w", fresh)
+        assert p.data is fresh and not fresh.flags.writeable
+        drawn = init_uniform((4, 3), 3, np.random.default_rng(1))
+        assert Parameter("u", drawn).data is drawn.data
+        owner = np.zeros((3, 8))
+        p = Parameter("v", owner[:, :4])
+        assert not np.shares_memory(p.data, owner)
+        assert owner.flags.writeable and not p.data.flags.writeable
+
     def test_same_objects_until_a_parameter_is_rebound(self):
         fwd, bwd = self.pair()
         weights = fwd.step_weights()
@@ -1420,6 +1432,17 @@ class TestInit:
         b = init_uniform((4, 4), 4, np.random.default_rng(5), dtype=np.float64)
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_give_the_one_shot_draw(self, dtype):
+        # three full blocks and an odd remainder of 21
+        shape, columns = (3, DRAW_BLOCK + 7), 7
+        drawn, oracle = np.random.default_rng(23), np.random.default_rng(23)
+        got = init_uniform(shape, columns, drawn, dtype=dtype).data
+        bound = 1.0 / np.sqrt(columns)
+        want = oracle.uniform(-bound, bound, size=shape).astype(dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == oracle.bit_generator.state
+
 
 class TestCheckpoint:
     def _params(self):
@@ -1515,18 +1538,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, orig)
 
     def test_apply_state_makes_the_one_copy(self, tmp_path):
-        params = self._params()
+        params = self._params() + [Parameter("m.w3", np.arange(5, dtype=np.float32))]
         originals = [p.data.copy() for p in params]
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, "demo", params, {}, "h")
         arrays = load_checkpoint(path, "demo", "h").arrays
-        # the loaded arrays view the file's bytes; apply_state copies them once
-        assert not any(arr.flags.writeable for arr in arrays.values())
+        # the load's buffer is the one copy; apply_state binds its views
         apply_state(params, arrays)
+        buffer = params[0].data.base
+        assert buffer.flags.owndata and not buffer.flags.writeable
         for p, orig in zip(params, originals):
-            assert not p.data.flags.writeable and p.data.dtype == orig.dtype
-            assert not np.shares_memory(p.data, arrays[p.name])
-            np.testing.assert_array_equal(p.data, orig)
+            assert p.data is arrays[p.name] and p.data.base is buffer
+            assert not p.data.flags.writeable and p.data.ctypes.data % 64 == 0
+            assert p.data.dtype == orig.dtype and p.data.tobytes() == orig.tobytes()
+
+    def test_apply_state_refuses_another_dtype(self, tmp_path):
+        params = self._params()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "demo", params, {}, "h")
+        arrays = load_checkpoint(path, "demo", "h").arrays
+        params[1] = Parameter("m.w2", np.zeros((2, 2), dtype=np.float32))
+        with pytest.raises(CheckpointError, match="m.w2 dtype float64 != model dtype float32"):
+            apply_state(params, arrays)
 
     def test_apply_state_rejects_shape_mismatch(self, tmp_path):
         params = self._params()
