@@ -158,24 +158,23 @@ def cmd_train_latent(args, config: RunConfig) -> int:
 
 
 def _summary_rows(args, config: RunConfig):
+    """Each document's summary in two phases, one model loaded at a time:
+    the extractor selects over the split and is freed, then the compression
+    model, if asked for, rewrites every selected sentence."""
     if args.compress and not args.compression:
         raise DataError("--compress requires --compression CHECKPOINT")
     vocab = load_vocab(args.vocab)
-    records = _load_encoded(args.corpus, args.split, vocab)
-    model = extractive_mod.load_extractive(args.checkpoint, vocab)
-    compressor = (compression_mod.load_compression(args.compression, vocab)
-                  if args.compress else None)
-    docs = [doc for doc, _ in records]
-    rows = []
-    for doc, top in zip(docs, model.select_top_k_each(docs, config.max_select)):
-        sentences = list(top.sentences)
-        if compressor is not None:
-            sentences = [
-                compression_mod.decode_greedy(compressor, vocab, s, config.max_decode_len)
-                for s in sentences
-            ]
-        rows.append({"id": doc.id, "summary": [s.text() for s in sentences]})
-    return rows
+    docs = [doc for doc, _ in _load_encoded(args.corpus, args.split, vocab)]
+    selected = [list(top.sentences) for top in extractive_mod.load_extractive(
+        args.checkpoint, vocab).select_top_k_each(docs, config.max_select)]
+    if args.compress:
+        compressor = compression_mod.load_compression(args.compression, vocab)
+        compressed = iter(compression_mod.decode_greedy_each(
+            compressor, vocab, [s for sentences in selected for s in sentences],
+            config.max_decode_len))
+        selected = [[next(compressed) for _ in sentences] for sentences in selected]
+    return [{"id": doc.id, "summary": [s.text() for s in sentences]}
+            for doc, sentences in zip(docs, selected)]
 
 
 def cmd_summarize(args, config: RunConfig) -> int:

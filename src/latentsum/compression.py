@@ -45,7 +45,7 @@ from .numerics import (
     tensor_sum,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.lstm import lstm_step
+from .numerics.lstm import lstm_step, packs
 from .numerics.optim import Adam, fit
 from .numerics.tensor import stable_softmax
 
@@ -187,30 +187,54 @@ class CompressionModel:
         """The one-pair case of ``decode_teacher``'s summed NLL, without dropout."""
         return self.decode_teacher([(source_ids, [target_ids])]).nll()
 
-    def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
-        """Argmax decoding until EOS or max_len; PAD and BOS are never
-        emitted and EOS is masked at the first step so the output is
-        non-empty. Masks are assigned: -inf added to a +inf logit is NaN.
+    def decode_greedy_ids_each(self, sources, max_len: int) -> list[list[int]]:
+        """Each source's argmax decoding until EOS or max_len; PAD and BOS
+        are never emitted and EOS is masked at the first step so the output
+        is non-empty. Masks are assigned: -inf added to a +inf logit is NaN.
         An empty source is refused, as ``decode_teacher`` refuses it.
 
-        The source is encoded once, by one ``run_bilstm`` under
-        ``no_grad``, and s0 is ``_encode_sources``' formula in numpy; the
-        decoder's gate-major ``step_weights`` are made once per parameter
-        version, so a step's input and gates are (4, 1, d) blocks.
-        Each step is then numpy arithmetic on arrays, ``lstm_step`` and the
-        products of the attention and ``_output_logits`` in their order, so
-        no tape node is built per step. The state and the context go into
-        one preallocated ``[h | context]`` row in place of a concatenation.
-        ``_encode_sources``, ``LSTMCell.step`` and the tests' one-state
-        attention are its oracles."""
+        The sources are encoded by one ``run_bilstm`` under ``no_grad`` per
+        pack of consecutive sources of at most ``lstm.PACK_WORDS`` words,
+        which bounds the encoding's memory; no row's bits depend on its
+        pack, so each source's annotations are those of its lone encoding.
+        Each source is then decoded alone from its own rows
+        (``_decode_from``): a packed step product would round differently
+        from the lone one."""
         if max_len < 1:
             raise DataError(f"max_len must be >= 1, got {max_len}")
-        if len(source_ids) == 0:
+        lengths = [len(source) for source in sources]
+        if not all(lengths):
             raise DataError("compression needs a non-empty source")
-        with no_grad():
-            ann = run_bilstm(self.enc_fwd, self.enc_bwd,
-                             embedding_lookup(self.src_embed, source_ids),
-                             [len(source_ids)]).data
+        out = []
+        for start, end in packs(lengths):
+            with no_grad():
+                ann = run_bilstm(self.enc_fwd, self.enc_bwd,
+                                 embedding_lookup(self.src_embed,
+                                                  [i for s in sources[start:end] for i in s]),
+                                 lengths[start:end]).data
+            at = 0
+            for n in lengths[start:end]:
+                out.append(self._decode_from(ann[at : at + n], max_len))
+                at += n
+            del ann  # before the next pack is encoded
+        return out
+
+    def decode_greedy_ids(self, source_ids, max_len: int) -> list[int]:
+        """The one-source case of ``decode_greedy_ids_each``."""
+        return self.decode_greedy_ids_each([source_ids], max_len)[0]
+
+    def _decode_from(self, ann: np.ndarray, max_len: int) -> list[int]:
+        """The greedy decode of one source from its (|S|, 2d) annotations.
+
+        s0 is ``_encode_sources``' formula in numpy; the decoder's
+        gate-major ``step_weights`` are made once per parameter version, so
+        a step's input and gates are (4, 1, d) blocks. Each step is then
+        numpy arithmetic on arrays, ``lstm_step`` and the products of the
+        attention and ``_output_logits`` in their order, so no tape node is
+        built per step. The state and the context go into one preallocated
+        ``[h | context]`` row in place of a concatenation.
+        ``_encode_sources``, ``LSTMCell.step`` and the tests' one-state
+        attention are its oracles."""
         d = self.d
         # s0 from the last forward state and the first backward state
         boundary = np.concatenate([ann[-1:, :d], ann[:1, d:]], axis=1)
@@ -309,12 +333,19 @@ def s_score(model: CompressionModel, source: Sentence, target: Sentence) -> floa
     return float(s_score_matrix(model, [source], [target])[0, 0])
 
 
+def decode_greedy_each(model: CompressionModel, vocab: Vocabulary, sources,
+                       max_len: int) -> list[Sentence]:
+    """Each source sentence's greedy compression (``decode_greedy_ids_each``)."""
+    if any(source.ids is None for source in sources):
+        raise DataError("source sentence must carry vocabulary ids")
+    return [Sentence(tokens=vocab.decode(ids), ids=tuple(ids))
+            for ids in model.decode_greedy_ids_each([source.ids for source in sources], max_len)]
+
+
 def decode_greedy(model: CompressionModel, vocab: Vocabulary, source: Sentence,
                   max_len: int) -> Sentence:
-    if source.ids is None:
-        raise DataError("source sentence must carry vocabulary ids")
-    ids = model.decode_greedy_ids(source.ids, max_len)
-    return Sentence(tokens=vocab.decode(ids), ids=tuple(ids))
+    """The one-sentence case of ``decode_greedy_each``."""
+    return decode_greedy_each(model, vocab, [source], max_len)[0]
 
 
 def perplexity(model: CompressionModel, pairs) -> float:

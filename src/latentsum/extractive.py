@@ -39,16 +39,12 @@ from .numerics import (
     transpose,
 )
 from .numerics.checkpoint import apply_state, load_checkpoint, save_checkpoint
-from .numerics.lstm import lstm_step
+from .numerics.lstm import lstm_step, packs
 from .numerics.optim import Adam, fit
 from .numerics.tensor import row_products, stable_log_softmax
 from .rouge import rouge_mean
 
 START_LABEL = 0
-
-# words encoded together when a split is labeled in packs: it bounds the
-# memory of a pass, and no row's bits depend on the pack
-PACK_WORDS = 4096
 
 
 @dataclass
@@ -258,12 +254,15 @@ class ExtractiveModel:
 
     def greedy_labels(self, docs) -> list[tuple[list[int], np.ndarray]]:
         """Each document's greedy labels and p(y_i = 1), from noise-free
-        passes over packs of consecutive documents of at most PACK_WORDS
-        words (a longer document is a pack of its own). No row depends on
-        its pack, so a document gets the bits it gets alone."""
+        passes over packs of consecutive documents of at most
+        ``lstm.PACK_WORDS`` words (a longer document is a pack of its own).
+        No row depends on its pack, so a document gets the bits it gets
+        alone."""
         out = []
         with no_grad():
-            for pack in _packs(docs):
+            for first, last in packs([sum(len(s.tokens) for s in doc.sentences)
+                                      for doc in docs]):
+                pack = docs[first:last]
                 labels, probs = self.choose_labels(self.encode_documents(pack))
                 start = 0
                 for doc in pack:
@@ -289,21 +288,6 @@ class ExtractiveModel:
     def select_top_k(self, doc: Document, k: int) -> TopK:
         """The one-document case of ``select_top_k_each``."""
         return self.select_top_k_each([doc], k)[0]
-
-
-def _packs(docs):
-    """Runs of consecutive documents of at most PACK_WORDS words each; a
-    longer document makes a run of its own."""
-    pack, words = [], 0
-    for doc in docs:
-        n = sum(len(s.tokens) for s in doc.sentences)
-        if pack and words + n > PACK_WORDS:
-            yield pack
-            pack, words = [], 0
-        pack.append(doc)
-        words += n
-    if pack:
-        yield pack
 
 
 def save_extractive(path, model: ExtractiveModel, run_config: dict, vocab):

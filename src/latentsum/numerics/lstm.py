@@ -75,6 +75,24 @@ from .tensor import (
 # product, so a document of a few hundred words stays a few runs
 RUN_ROWS = 256
 
+# the most words one packed recurrence reads when a split is encoded in
+# packs (selection's documents, the greedy decode's sources): it bounds
+# the memory of a pass, and no row's bits depend on the pack
+PACK_WORDS = 4096
+
+
+def packs(words):
+    """(start, end) index ranges of consecutive items, ``words`` each, of
+    at most PACK_WORDS words in all; a longer item is a pack of its own."""
+    start, total = 0, 0
+    for end, n in enumerate(words):
+        if end > start and total + n > PACK_WORDS:
+            yield start, end
+            start, total = end, 0
+        total += n
+    if len(words) > start:
+        yield start, len(words)
+
 
 @lru_cache(maxsize=None)
 def gate_affine(dtype: np.dtype, width: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -86,10 +86,10 @@ class Parameter(Tensor):
     """A named, trainable tensor whose array is read-only.
 
     Binding ``data`` marks the array read-only. An array that owns its
-    memory is adopted as it is (``init_uniform``'s, a loader's placeholder),
-    and so is a view of a read-only array that owns its memory (an
-    optimizer group's, a checkpoint load's); any other view is copied, so
-    no writable alias is left. An update binds a new array.
+    memory is adopted as it is (``init_uniform``'s), and so is a view of a
+    read-only array that owns its memory (an optimizer group's, a
+    checkpoint load's, a loader's zero-stride placeholder); any other view
+    is copied, so no writable alias is left. An update binds a new array.
     An array's identity is then its version: whatever is prepared from it
     (``LSTMCell.step_weights``) stays exact while the same array is bound,
     and an in-place write raises ``ValueError``.

@@ -6,13 +6,17 @@ exit codes, determinism, and evaluation output.
 """
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from latentsum import cli
 from latentsum.cli import main
+from latentsum.compression import decode_greedy, load_compression
 from latentsum.config import load_config
-from latentsum.corpus import load_corpus
+from latentsum.corpus import encode_records, load_corpus, load_vocab
+from latentsum.extractive import load_extractive
 from latentsum.errors import ConfigError
 
 from conftest import (
@@ -699,3 +703,45 @@ class TestCompressedSummaries:
         assert len(rows) == len(read_rows(pipeline["summaries"]))
         for row in rows:
             assert all(isinstance(s, str) and s for s in row["summary"])
+
+    def compress(self, pipeline, out):
+        return run(["--config", pipeline["config"], "summarize",
+                    "--corpus", pipeline["corpus"], "--vocab", pipeline["vocab"],
+                    "--checkpoint", pipeline["latent"], "--compress",
+                    "--compression", pipeline["compression"], "--out", out])
+
+    def test_each_row_is_the_per_sentence_decode_of_its_selection(self, pipeline, tmp_path):
+        out = tmp_path / "compressed.jsonl"
+        assert self.compress(pipeline, out) == 0
+        config = load_config(pipeline["config"])
+        vocab = load_vocab(pipeline["vocab"])
+        model = load_extractive(pipeline["latent"], vocab)
+        compressor = load_compression(pipeline["compression"], vocab)
+        want = []
+        for doc, _ in encode_records(load_corpus(pipeline["corpus"], "test"), vocab):
+            top = model.select_top_k(doc, config.max_select)
+            want.append({"id": doc.id, "summary": [
+                decode_greedy(compressor, vocab, s, config.max_decode_len).text()
+                for s in top.sentences]})
+        assert sum(len(row["summary"]) for row in want) > len(want)
+        assert read_rows(out) == want, f"BLAS {blas_build()}"
+
+    def test_the_extractor_is_freed_before_the_compressor_loads(self, pipeline, tmp_path,
+                                                                monkeypatch):
+        extractors = []
+        load_extractor, load_compressor = (cli.extractive_mod.load_extractive,
+                                           cli.compression_mod.load_compression)
+
+        def tracked_extractor(*args):
+            model = load_extractor(*args)
+            extractors.append(weakref.ref(model))
+            return model
+
+        def checked_compressor(*args):
+            assert len(extractors) == 1 and extractors[0]() is None, \
+                "the extractor is still alive when the compressor loads"
+            return load_compressor(*args)
+
+        monkeypatch.setattr(cli.extractive_mod, "load_extractive", tracked_extractor)
+        monkeypatch.setattr(cli.compression_mod, "load_compression", checked_compressor)
+        assert self.compress(pipeline, tmp_path / "compressed.jsonl") == 0

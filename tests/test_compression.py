@@ -1,5 +1,7 @@
 """Attention seq2seq compression scorer: decode, scoring, training."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from latentsum.compression import (
     save_compression,
     train_compression,
 )
-from latentsum.corpus import BOS, EOS, PAD, Sentence, build_vocab
+from latentsum.corpus import BOS, EOS, PAD, SPECIAL_TOKENS, Sentence, Vocabulary, build_vocab
 from latentsum.errors import CheckpointError, DataError
 from latentsum.labeling import CompressionPair
 from latentsum.numerics import (
@@ -35,9 +37,10 @@ from latentsum.numerics import (
     zero_grads,
 )
 
+from latentsum.numerics import lstm
 from latentsum.numerics.lstm import lstm_step
 
-from conftest import blas_build, doc_from, summary_from
+from conftest import blas_build, doc_from, summary_from, traced_peak
 from gradcheck import finite_difference_check
 from oracles import attend, seq2seq_logprob
 
@@ -439,6 +442,94 @@ def stepwise_greedy_ids(model, source, max_len):
     return ref
 
 
+class TestSplitDecode:
+    """decode_greedy_ids_each encodes its sources in packs and decodes each
+    from its own rows; each source gets the annotations and ids it gets
+    alone."""
+
+    SETTINGS = [(16, np.float32), (64, np.float32), (6, np.float64)]
+
+    @staticmethod
+    def wide_model(d, dtype, vocab_size=40):
+        # wider weights and a random output bias, so the ids depend on the
+        # attention and the cell state (as in the tape-free test)
+        model = tiny_model(d=d, vocab_size=vocab_size, seed=d + 7, dtype=dtype)
+        rng = np.random.default_rng(d)
+        model.b_out.data = rng.normal(0.0, 0.1, size=model.b_out.data.shape).astype(dtype)
+        for p in model.parameters():
+            p.data = p.data * 3
+        return model
+
+    @staticmethod
+    def decoded(model, monkeypatch, sources, max_len):
+        """The ids of one decode_greedy_ids_each call, each source's
+        annotation bytes and the lengths of each run_bilstm it made."""
+        annotations, encodes = [], []
+        decode_from = CompressionModel._decode_from
+        bilstm = compression.run_bilstm
+
+        def recording_decode(self, ann, max_len):
+            annotations.append(ann.tobytes())
+            return decode_from(self, ann, max_len)
+
+        def recording_bilstm(fwd, bwd, x, lengths):
+            encodes.append(tuple(lengths))
+            return bilstm(fwd, bwd, x, lengths)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CompressionModel, "_decode_from", recording_decode)
+            patch.setattr(compression, "run_bilstm", recording_bilstm)
+            ids = model.decode_greedy_ids_each(sources, max_len)
+        return ids, annotations, encodes
+
+    def check_against_alone(self, model, monkeypatch, sources, max_len):
+        ids, annotations, encodes = self.decoded(model, monkeypatch, sources, max_len)
+        for j, source in enumerate(sources):
+            alone, ann, _ = self.decoded(model, monkeypatch, [source], max_len)
+            assert alone == [model.decode_greedy_ids(source, max_len)]
+            assert ids[j] == alone[0] and annotations[j] == ann[0], \
+                f"source {j} (BLAS {blas_build()})"
+        return ids, encodes
+
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_one_token_sources_get_their_ids_alone(self, monkeypatch, d, dtype):
+        model = self.wide_model(d, dtype)
+        sources = [[5], [4, 9, 12, 30, 7], [31], [8, 8], [39]]
+        ids, encodes = self.check_against_alone(model, monkeypatch, sources, 10)
+        assert encodes == [(1, 5, 1, 2, 1)]
+        assert ids[0] == stepwise_greedy_ids(model, [5], 10)
+
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_sources_across_pack_boundaries_get_their_ids_alone(self, monkeypatch, d, dtype):
+        model = self.wide_model(d, dtype)
+        monkeypatch.setattr(lstm, "PACK_WORDS", 10)
+        rng = np.random.default_rng(d + 1)
+        sources = [[int(v) for v in rng.integers(4, 40, size=n)]
+                   for n in (3, 4, 5, 1, 12, 2, 9, 1)]
+        ids, encodes = self.check_against_alone(model, monkeypatch, sources, 12)
+        # a source that would cross the budget starts the next pack, and a
+        # longer one is a pack of its own
+        assert encodes == [(3, 4), (5, 1), (12,), (2,), (9, 1)]
+        assert sum(len(x) for x in ids) > 2 * len(sources)
+
+    @pytest.mark.parametrize("d,dtype", SETTINGS)
+    def test_max_len_one_gets_one_token_each_alone(self, monkeypatch, d, dtype):
+        # EOS is masked at the first step, so every decode is one token
+        model = self.wide_model(d, dtype)
+        rng = np.random.default_rng(d + 2)
+        sources = [[int(v) for v in rng.integers(4, 40, size=n)] for n in (6, 1, 3, 7)]
+        ids, _ = self.check_against_alone(model, monkeypatch, sources, 1)
+        assert all(len(x) == 1 and x[0] not in (PAD, BOS, EOS) for x in ids)
+
+    def test_refusals_come_before_any_encoding(self, monkeypatch):
+        model = tiny_model()
+        with pytest.raises(DataError, match="non-empty source"):
+            self.decoded(model, monkeypatch, [[4, 5], []], 5)
+        with pytest.raises(DataError, match="max_len"):
+            model.decode_greedy_ids_each([[4, 5]], 0)
+        assert model.decode_greedy_ids_each([], 5) == []
+
+
 class TestGreedyDecodeIsTapeFree:
     def test_wide_decode_matches_oracle_without_tape_ops(self, monkeypatch):
         model = tiny_model(d=64, vocab_size=1500, seed=9, dtype=np.float32)
@@ -596,3 +687,20 @@ class TestCheckpointing:
         save_compression(path, model, {}, vocab)
         with pytest.raises(CheckpointError, match="hash"):
             load_compression(path, other)
+
+    def test_a_load_holds_the_parameters_once(self, tmp_path):
+        # the skeleton's placeholders allocate nothing, so the load's buffer
+        # is the one model-sized allocation (2x when each was an np.empty)
+        words = [[f"w{i}", 1] for i in range(3000 - len(SPECIAL_TOKENS))]
+        vocab = Vocabulary.from_json(json.dumps({"specials": list(SPECIAL_TOKENS),
+                                                 "tokens": words}))
+        model = CompressionModel(len(vocab), 32, np.random.default_rng(11))
+        path = tmp_path / "comp.ckpt"
+        save_compression(path, model, {}, vocab)
+        load_compression(path, vocab)  # first-call allocations
+        loaded, peak = traced_peak(lambda: load_compression(path, vocab))
+        nbytes = sum(p.data.nbytes for p in model.parameters())
+        assert nbytes > 2_000_000 and peak <= 1.1 * nbytes
+        buffer = loaded.src_embed.data.base
+        for got, want in zip(loaded.parameters(), model.parameters()):
+            assert got.data.base is buffer and got.data.tobytes() == want.data.tobytes()

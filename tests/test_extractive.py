@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from latentsum import extractive
 from latentsum.corpus import UNK, Document, Sentence
 from latentsum.errors import CheckpointError, DataError
 from latentsum.extractive import (
@@ -58,6 +57,12 @@ def split_of(words, seed, sentence_words=(5, 40), sentences_per_doc=25):
             docs.append(Document(id=f"s{seed}d{len(docs)}", sentences=doc.sentences))
             lengths = []
     return docs
+
+
+def doc_packs(docs):
+    """The documents of each pack that selection encodes together."""
+    return [docs[start:end] for start, end in
+            lstm.packs([sum(len(s.tokens) for s in doc.sentences) for doc in docs])]
 
 
 def stepwise_mean(model, ids):
@@ -749,23 +754,23 @@ class TestPacksCannotChangeBits:
         # the recurrence's projection; a document that would straddle the
         # budget starts the next pack
         model = tiny_model(d=d, seed=d + 2, dtype=dtype)
-        docs = split_of(extractive.PACK_WORDS + 1500, seed=d, sentence_words=(1, 16),
+        docs = split_of(lstm.PACK_WORDS + 1500, seed=d, sentence_words=(1, 16),
                         sentences_per_doc=40)
-        packs = list(extractive._packs(docs))
+        packs = doc_packs(docs)
         first_words = sum(len(s.tokens) for doc in packs[0] for s in doc.sentences)
         boundary = packs[1][0]
         assert len(packs) == 2
         assert first_words + sum(len(s.tokens) for s in boundary.sentences) \
-            > extractive.PACK_WORDS
+            > lstm.PACK_WORDS
         assert sum(len(doc) for doc in packs[0]) > lstm.RUN_ROWS
         alone = [model.select_top_k(doc, 3) for doc in docs]
         assert model.select_top_k_each(docs, 3) == alone, f"BLAS {blas_build()}"
 
     def test_packs_hold_at_most_the_word_budget(self, monkeypatch):
-        monkeypatch.setattr(extractive, "PACK_WORDS", 10)
+        monkeypatch.setattr(lstm, "PACK_WORDS", 10)
         docs = [encoded_doc(lengths=lengths, seed=j) for j, lengths in
                 enumerate([[3, 2], [4], [1], [12], [5, 5], [6]])]
-        packs = list(extractive._packs(docs))
+        packs = doc_packs(docs)
         assert [[docs.index(doc) for doc in pack] for pack in packs] == \
             [[0, 1, 2], [3], [4], [5]]
         model = tiny_model()
@@ -798,13 +803,13 @@ class TestSelectionMemory:
         return traced_peak(lambda: model.greedy_labels(docs))[1]
 
     def test_a_full_pack_peaks_below_the_old_bytes_per_word(self):
-        docs = split_of(extractive.PACK_WORDS, seed=1)
-        assert len(list(extractive._packs(docs))) == 1
-        assert self._peak(docs) / extractive.PACK_WORDS <= self.BYTES_PER_WORD
+        docs = split_of(lstm.PACK_WORDS, seed=1)
+        assert len(doc_packs(docs)) == 1
+        assert self._peak(docs) / lstm.PACK_WORDS <= self.BYTES_PER_WORD
 
     def test_the_peak_does_not_grow_with_the_split(self):
-        docs = split_of(extractive.PACK_WORDS, seed=2)
-        assert len(list(extractive._packs(docs * 8))) == 8
+        docs = split_of(lstm.PACK_WORDS, seed=2)
+        assert len(doc_packs(docs * 8)) == 8
         # the labels and p(y_i = 1) of 7 more packs' documents are a few KB
         assert self._peak(docs * 8) <= 1.05 * self._peak(docs)
 

@@ -1443,6 +1443,15 @@ class TestInit:
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
         assert drawn.bit_generator.state == oracle.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_without_a_generator_the_placeholder_holds_no_memory(self, dtype):
+        # a checkpoint loader's skeleton: apply_state binds the real arrays
+        placeholder, peak = traced_peak(lambda: init_uniform((20_000, 300), 300, None, dtype))
+        data = placeholder.data
+        assert data.shape == (20_000, 300) and data.dtype == dtype and peak < 1024
+        assert data.strides == (0, 0) and not data.flags.writeable
+        assert Parameter("p", placeholder).data is data  # adopted, not copied
+
 
 class TestCheckpoint:
     def _params(self):

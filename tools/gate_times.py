@@ -13,9 +13,12 @@ from the Tier-1 run), and ``tier1`` is the time on pytest's closing line.
 
 The host's speed drifts, so each time is also given in reference seconds,
 as perfbench gives a stage's: ``perfbench/speed.py``'s probe, imported
-from this checkout and left as it is, runs ``PROBES`` times just before
-and just after each pytest run, and the run's wall seconds are scaled by
-``PROBE_REF_S / mean probe time``.
+from this checkout and left as it is, runs in one sampling thread of this
+process while each pytest run goes on, once when the run starts and then
+every ``PROBE_EVERY_S``, and the run's wall seconds are scaled by
+``PROBE_REF_S / mean probe time``. The thread waits between probes, and
+this process only waits on pytest, so the probes track the host during
+the run, as perfbench's timer does during a stage.
 
 Prints one JSON object: every run, and per name, in reference seconds
 (``ref_s``) beside wall seconds (``wall_s``), each side's quartiles, the
@@ -32,13 +35,14 @@ import re
 import statistics
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # perfbench/ is read, never written
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from speed import PROBE_REF_S, Probe  # noqa: E402
 
-PROBES = 20
+PROBE_EVERY_S = 0.25
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=0"]
 C6 = "tests/test_acceptance.py::test_c6_latent_refinement_does_not_degrade"
@@ -47,21 +51,39 @@ DURATION = re.compile(r"^([\d.]+)s call\s+(\S+)$", re.MULTILINE)
 CLOSING = re.compile(r"^=*\s*(.*?) in ([\d.]+)s", re.MULTILINE)
 
 
+def probed(run, probe: Probe):
+    """``run()``'s result and the probe times that one thread of this
+    process sampled while it ran: at its start, then every PROBE_EVERY_S."""
+    probes, finished = [], threading.Event()
+
+    def sample():
+        probes.append(probe())
+        while not finished.wait(PROBE_EVERY_S):
+            probes.append(probe())
+
+    thread = threading.Thread(target=sample, daemon=True)
+    thread.start()
+    try:
+        return run(), probes
+    finally:
+        finished.set()
+        thread.join()
+
+
 def pytest_run(root: Path, extra: list[str], probe: Probe) -> dict:
     """One pytest run in ``root``: its exit status, the counts on its
     closing line, its wall seconds, each test's call seconds, and the
     factor that makes them reference seconds."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1")
-    probes = [probe() for _ in range(PROBES)]
-    done = subprocess.run([sys.executable] + TIER1 + extra, cwd=root, env=env,
-                          capture_output=True, text=True, check=False)
-    probes += [probe() for _ in range(PROBES)]
+    done, probes = probed(lambda: subprocess.run(
+        [sys.executable] + TIER1 + extra, cwd=root, env=env, capture_output=True, text=True,
+        check=False), probe)
     closing = CLOSING.findall(done.stdout)
     counts, seconds = closing[-1] if closing else ("", "nan")
     return {"exit": done.returncode, "counts": counts, "seconds": float(seconds),
             "calls": {test: float(s) for s, test in DURATION.findall(done.stdout)},
-            "factor": PROBE_REF_S / statistics.fmean(probes)}
+            "probes": len(probes), "factor": PROBE_REF_S / statistics.fmean(probes)}
 
 
 def tree_times(root: Path, probe: Probe) -> dict:

@@ -6,7 +6,7 @@ corpus, and the tracemalloc peak of one ``summarize``, at d=16 and d=64.
 
 Run it from the root of a checkout. It builds the corpus with perfbench's
 generator, seeds an untrained extractor of each size as infer_wide does,
-sets ``extractive.PACK_WORDS`` to each budget in turn and writes only
+sets ``lstm.PACK_WORDS`` to each budget in turn and writes only
 under a temporary directory. Times are wall milliseconds, the median of
 the repeats after one warm-up round, the budgets taking turns, with
 OpenBLAS pinned to one thread.
@@ -34,6 +34,7 @@ import numpy as np  # noqa: E402
 import inputs  # noqa: E402  -- perfbench's input generator
 
 from latentsum import cli, extractive  # noqa: E402
+from latentsum.numerics import lstm  # noqa: E402
 from latentsum.config import load_config  # noqa: E402
 from latentsum.corpus import build_vocab, load_corpus  # noqa: E402
 
@@ -76,13 +77,13 @@ def main() -> None:
             times = {budget: [] for budget in BUDGETS}
             for repeat in range(args.repeats + 1):
                 for budget in BUDGETS:  # interleaved, so the host's drift hits every budget
-                    extractive.PACK_WORDS = budget
+                    lstm.PACK_WORDS = budget
                     start = time.perf_counter()
                     summarize(argv)
                     if repeat:
                         times[budget].append(time.perf_counter() - start)
             for budget in BUDGETS:
-                extractive.PACK_WORDS = budget
+                lstm.PACK_WORDS = budget
                 tracemalloc.start()
                 summarize(argv)
                 peak = tracemalloc.get_traced_memory()[1]
